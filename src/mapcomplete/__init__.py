@@ -43,7 +43,6 @@ from .finite_oracle import (
     lemma2_check,
     net_of_filter,
     random_instance,
-    theorem3_crosscheck,
     zero_classes,
 )
 from .metric_mapping import (
@@ -129,7 +128,6 @@ __all__ = [
     "random_instance",
     "table_mapping",
     "table_seq",
-    "theorem3_crosscheck",
     "validate_basis",
     "validate_fiberwise_metric",
     "validate_pseudometric",

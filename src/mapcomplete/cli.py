@@ -14,7 +14,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .base_topology import FiniteBase, describe_open, validate_basis
+from .base_topology import (
+    FiniteBase,
+    describe_open,
+    neighborhood_basis,
+    open_contains,
+    validate_basis,
+)
 from .cli_io import Report, instance_document, parse_instance, parse_point_spec
 from .completion import (
     dstar_approx,
@@ -24,7 +30,7 @@ from .completion import (
     lift_seq,
     limit_point,
 )
-from .errors import InputError
+from .errors import InputError, WitnessError
 from .finite_oracle import (
     finite_completion,
     is_complete_filter,
@@ -146,23 +152,6 @@ def _cmd_dstar(args) -> Report:
     return report
 
 
-def _default_basic_open(m, y):
-    base = m.base
-    if isinstance(base, FiniteBase):
-        for o in base.basis:
-            if y.id in o:
-                return o
-        raise InputError(f"no basic open contains {y.id!r}")
-    if base.kind == "one_point":
-        return base.basic_open(0)
-    k = 0
-    while True:
-        o = base.basic_open(k)
-        if o.contains_id(y.id):
-            return o
-        k += 1
-
-
 def _cmd_density(args) -> Report:
     m = _load_instance(args.instance)
     specs = args.point or []
@@ -175,10 +164,13 @@ def _cmd_density(args) -> Report:
         ids = tuple(sorted({s.strip() for s in args.basic_open.split(",") if s.strip()}))
         basic = ids
     else:
-        basic = _default_basic_open(m, fstar(p))
+        y = fstar(p)
+        basic = next(iter(neighborhood_basis(m.base, y)), None)
+        if basic is None:
+            raise InputError(f"no basic open contains {y.id!r}")
     x = density_witness(p, args.eps, basic)
     margin = dstar_approx(p, embed(m, x), args.eps / 4)
-    ok = margin <= args.eps + args.eps / 4
+    ok = margin <= args.eps + args.eps / 4 and open_contains(m.base, basic, m.fiber_of(x))
     report = Report()
     report.add(
         "density_witness", ok,
@@ -205,11 +197,12 @@ def _cmd_complete_check(args) -> Report:
     return report
 
 
-def _instance_is_valid(m) -> bool:
+def _instance_violations(m) -> list:
+    n = len(m.points())
     return (
-        not validate_basis(m.base)
-        and not validate_pseudometric(m, len(m.points()))
-        and not validate_fiberwise_metric(m, len(m.points()))
+        validate_basis(m.base)
+        + validate_pseudometric(m, n)
+        + validate_fiberwise_metric(m, n)
     )
 
 
@@ -217,8 +210,9 @@ def _cmd_suite(args, name: str) -> Report:
     report = Report()
     for seed in range(args.seed, args.seed + args.count):
         m = random_instance(seed, args.maxx, args.maxy)
-        if not _instance_is_valid(m):
-            report.add(f"{name}[seed={seed}]", True, "SKIPPED invalid instance")
+        violations = _instance_violations(m)
+        if violations:
+            report.add(f"{name}[seed={seed}]", False, f"invalid instance {violations[0]}")
             continue
         if name == "theorem3":
             filter_side = is_complete_filter(m)
@@ -309,7 +303,7 @@ def run_command(argv: list[str]) -> int:
             report = _cmd_limit_demo(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise InputError(f"unknown command {args.command!r}")
-    except InputError as e:
+    except (InputError, WitnessError) as e:
         print(f"ERROR {e}", file=sys.stderr)
         return 2
     print(report.render())

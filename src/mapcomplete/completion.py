@@ -22,7 +22,13 @@ from .base_topology import BasePoint, EnumeratedBase, FiniteBase, describe_open
 from .errors import InputError
 from .metric_mapping import CarrierPoint, MetricMapping
 from .rationals import frac_ceil
-from .tied_cauchy import RegularSeq, TiedCauchySeq, TyingWitness, const_seq
+from .tied_cauchy import (
+    RegularSeq,
+    TiedCauchySeq,
+    TyingWitness,
+    _require_same_mapping,
+    const_seq,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +63,6 @@ def embed(m: MetricMapping, x: CarrierPoint) -> CompletionPoint:
 def fstar(p: CompletionPoint) -> BasePoint:
     """Base point of a completion point; total and constant-time."""
     return p.rep.y
-
-
-def _require_same_mapping(p: CompletionPoint, q: CompletionPoint) -> None:
-    if p.mapping is not q.mapping:
-        raise InputError("completion points live over different metric mappings")
 
 
 def dstar_approx(p: CompletionPoint, q: CompletionPoint, eps: Fraction) -> Fraction:

@@ -3,9 +3,12 @@
 Everything here is decidable by enumeration: completeness under the filter
 criterion, completeness under the tied-sequence criterion, the agreement
 check between the two, the cluster/limit identity for tied sets, and an
-explicit finite completion. The two completeness deciders deliberately
-share no code: the value of the agreement suite rests on the paths being
-independent.
+explicit finite completion. The two completeness deciders share plain
+set helpers such as fiber_preimage but no decision logic: the filter side
+decides through closures over the radius-palette balls of metric_mapping,
+the net side through zero classes, tied cores and limit points over its
+own per-point balls. The value of the agreement suite rests on the two
+paths being independent.
 
 On a finite carrier every filter is principal, every Cauchy sequence is
 eventually inside one zero-distance class, and the small-diameter condition
@@ -27,7 +30,6 @@ from .metric_mapping import (
     CarrierPoint,
     MetricMapping,
     closure_finite,
-    closure_radii,
     fiber_preimage,
     table_mapping,
 )
@@ -123,26 +125,41 @@ def zero_classes(m: MetricMapping) -> tuple[frozenset, ...]:
     return tuple(classes)
 
 
-def class_of(m: MetricMapping, x: CarrierPoint) -> frozenset:
-    for c in zero_classes(m):
-        if x in c:
-            return c
-    raise InputError(f"point {x.code!r} is not in the carrier")
+def _tied_core(m: MetricMapping, y: BasePoint) -> frozenset:
+    """T_y: the carrier points in the preimage of every basic open around y."""
+    core = frozenset(m.points())
+    for o in m.base.neighborhood_basis(y):
+        core &= fiber_preimage(m, map(BasePoint, o))
+    return core
+
+
+def _balls_around(m: MetricMapping, x: CarrierPoint, pts) -> list[frozenset]:
+    # Every distinct open ball around x arises as {v : d(x,v) <= t} for a
+    # realized threshold t; derived per point, without the radius palette.
+    thresholds = sorted({m.distance(x, v) for v in pts})
+    return [frozenset(v for v in pts if m.distance(x, v) <= t) for t in thresholds]
+
+
+def _is_limit(m: MetricMapping, x: CarrierPoint, region: frozenset, pts) -> bool:
+    """Whether x is a limit point of the principal filter of ``region``,
+    and so of every sequence that cycles through ``region``: each basic
+    neighborhood of x, a ball around x intersected with the preimage of a
+    basic open around its fiber, contains all of ``region``."""
+    preimages = [
+        fiber_preimage(m, map(BasePoint, o))
+        for o in m.base.neighborhood_basis(m.fiber_of(x))
+    ]
+    return all(
+        region <= (ball & pre)
+        for ball in _balls_around(m, x, pts)
+        for pre in preimages
+    )
 
 
 def _limit_set(m: MetricMapping, region: frozenset) -> frozenset:
     """Points whose every basic neighborhood contains ``region`` entirely."""
     pts = m.points()
-    radii = closure_radii(m)
-    preimages = {o: fiber_preimage(m, (BasePoint(i) for i in o)) for o in m.base.basis}
-    out = set()
-    for x in pts:
-        fx = m.fiber_of(x).id
-        opens = [o for o in m.base.basis if fx in o]
-        balls = {frozenset(v for v in pts if m.distance(x, v) < r) for r in radii}
-        if all(region <= (ball & preimages[o]) for ball in balls for o in opens):
-            out.add(x)
-    return frozenset(out)
+    return frozenset(x for x in pts if _is_limit(m, x, region, pts))
 
 
 def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozenset]:
@@ -185,7 +202,7 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
     for y in m.base.points:
         fiber_y = frozenset(x for x in pts if m.fiber_of(x) == y)
         constraints = [
-            fiber_preimage(m, (BasePoint(i) for i in o))
+            fiber_preimage(m, map(BasePoint, o))
             for o in m.base.basis
             if y.id in o
         ]
@@ -197,29 +214,6 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
             if not closure_cache[a] & fiber_y:
                 return OracleVerdict(False, (y, a))
     return OracleVerdict(True)
-
-
-def _balls_around(m: MetricMapping, x: CarrierPoint, pts) -> list[frozenset]:
-    # Every distinct open ball around x arises as {v : d(x,v) <= t} for a
-    # realized threshold t; derived per point, without the radius palette.
-    thresholds = sorted({m.distance(x, v) for v in pts})
-    return [frozenset(v for v in pts if m.distance(x, v) <= t) for t in thresholds]
-
-
-def _is_limit_of_cycle(m: MetricMapping, x: CarrierPoint, tied_set, pts) -> bool:
-    # x is a limit of the sequence cycling through the tied set iff every
-    # basic neighborhood of x contains the whole set.
-    fx = m.fiber_of(x).id
-    preimages = [
-        frozenset(v for v in pts if m.fiber_of(v).id in set(o))
-        for o in m.base.basis
-        if fx in o
-    ]
-    return all(
-        tied_set <= (ball & pre)
-        for ball in _balls_around(m, x, pts)
-        for pre in preimages
-    )
 
 
 def is_complete_net(m: MetricMapping) -> OracleVerdict:
@@ -236,17 +230,11 @@ def is_complete_net(m: MetricMapping) -> OracleVerdict:
     pts = _sorted_points(m.points())
     classes = zero_classes(m)
     for y in m.base.points:
-        tied_core = set(pts)
-        for o in m.base.basis:
-            if y.id in o:
-                members = set(o)
-                tied_core &= {x for x in pts if m.fiber_of(x).id in members}
+        tied_core = _tied_core(m, y)
         fiber_y = [x for x in pts if m.fiber_of(x) == y]
         for c in classes:
-            tied_set = frozenset(c & tied_core)
-            if not tied_set:
-                continue
-            if not any(_is_limit_of_cycle(m, x, tied_set, pts) for x in fiber_y):
+            tied_set = c & tied_core
+            if tied_set and not any(_is_limit(m, x, tied_set, pts) for x in fiber_y):
                 return OracleVerdict(False, (y, tied_set))
     return OracleVerdict(True)
 
@@ -287,13 +275,8 @@ def lemma2_check(m: MetricMapping) -> OracleVerdict:
     ensure_finite_instance(m)
     pts = _sorted_points(m.points())
     for y in m.base.points:
-        tied_core = set(pts)
-        for o in m.base.basis:
-            if y.id in o:
-                members = set(o)
-                tied_core &= {x for x in pts if m.fiber_of(x).id in members}
         fiber_y = frozenset(x for x in pts if m.fiber_of(x) == y)
-        for s in _nonempty_subsets(_sorted_points(tied_core)):
+        for s in _nonempty_subsets(_sorted_points(_tied_core(m, y))):
             if not _diam_zero(m, s):
                 continue
             clusters = closure_finite(m, s) & fiber_y
@@ -312,21 +295,13 @@ class FiniteCompletion:
     embedding: dict[CarrierPoint, CarrierPoint]
 
 
-def _tied_core(m: MetricMapping, y: BasePoint) -> frozenset:
-    pts = m.points()
-    core = set(pts)
-    for o in m.base.basis:
-        if y.id in o:
-            members = set(o)
-            core &= {x for x in pts if m.fiber_of(x).id in members}
-    return frozenset(core)
-
-
 def finite_completion(m: MetricMapping) -> FiniteCompletion:
     """The explicit completion of a finite instance.
 
     New carrier: one point per (zero class C, base point y) with C meeting
     T_y; its fiber is y, and distances are read off class representatives.
+    Its code is ``<representative code>*<y>``, with backslash and ``*``
+    escaped in both parts so that distinct pairs never share a code.
     The original carrier embeds as x -> (class of x, fiber of x), which is
     exact, injective up to the fiberwise metric, and has dense image; the
     result is complete under both oracle criteria.
@@ -342,8 +317,11 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
             if c & core:
                 star.append((c, y))
 
+    def escape(part) -> str:
+        return str(part).replace("\\", "\\\\").replace("*", "\\*")
+
     def star_code(c: frozenset, y: BasePoint) -> str:
-        return f"{reps[c].code}*{y.id}"
+        return f"{escape(reps[c].code)}*{escape(y.id)}"
 
     fiber_table = {star_code(c, y): y.id for c, y in star}
     distance_table = {}
@@ -359,12 +337,6 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     for x in m.points():
         embedding[x] = by_code[star_code(class_lookup[x], m.fiber_of(x))]
     return FiniteCompletion(instance, embedding)
-
-
-def theorem3_crosscheck(m: MetricMapping) -> bool:
-    """Agreement of the two completeness deciders on one instance. A False
-    here would mean one of the independent implementations is wrong."""
-    return is_complete_filter(m).ok == is_complete_net(m).ok
 
 
 _DISTANCE_PALETTE = (

@@ -406,16 +406,20 @@ def fiber_preimage(m: MetricMapping, region: Iterable[BasePoint]) -> frozenset:
     return frozenset(x for x in m.points() if m.fiber_of(x).id in ids)
 
 
-def _preimage_of_ids(m: MetricMapping, ids) -> frozenset:
-    wanted = set(ids)
-    return frozenset(x for x in m.points() if m.fiber_of(x).id in wanted)
-
-
 def closure_radii(m: MetricMapping) -> list[Fraction]:
     """Ball radii that distinguish every ball on a finite carrier: the
     realized pairwise distances plus midpoints of consecutive values,
     positive ones only. Balls change only at realized distances; the
-    midpoints capture the strict inequalities."""
+    midpoints capture the strict inequalities.
+
+    The limit side (finite_oracle._balls_around) builds its balls per
+    point instead, as {v : d(x, v) <= t} over the distances t realized
+    from x. Both families hold the smallest ball around x, its zero class
+    {v : d(x, v) = 0}, and only their largest balls can differ. "Every
+    neighborhood meets A" and "every neighborhood contains A" both hold
+    iff they hold for the smallest ball, so the two families give the
+    same closures and the same limit points.
+    """
     pts = m.points()
     values = {Fraction(0)}
     for x, x2 in combinations(pts, 2):
@@ -451,7 +455,7 @@ def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozense
     if not a:
         return frozenset()
     radii = closure_radii(m)
-    preimages = {o: _preimage_of_ids(m, o) for o in m.base.basis}
+    preimages = {o: fiber_preimage(m, map(BasePoint, o)) for o in m.base.basis}
     out = set()
     for x in pts:
         fx = m.fiber_of(x).id

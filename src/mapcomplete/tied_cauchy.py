@@ -267,7 +267,9 @@ def check_tying(s: TiedCauchySeq, depth: int) -> list[Violation]:
     return violations
 
 
-def _require_same_mapping(s: TiedCauchySeq, s2: TiedCauchySeq) -> None:
+def _require_same_mapping(s, s2) -> None:
+    """Reject a pair of sequences or completion points over different
+    mappings; both carry the mapping as ``.mapping``."""
     if s.mapping is not s2.mapping:
         raise InputError("sequences live over different metric mappings")
 

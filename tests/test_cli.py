@@ -276,3 +276,63 @@ def test_cli_limit_demo(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "limit_converge[k=4]" in out
+
+
+DISCRETE_DOC = {
+    "base": {"kind": "finite", "points": ["a", "b"], "basis": [["a"], ["b"]]},
+    "carrier": {"kind": "finite", "points": ["x_a", "x_b"]},
+    "fiber_map": {"kind": "table", "entries": {"x_a": "a", "x_b": "b"}},
+    "distance": {"kind": "table", "entries": [["x_a", "x_b", "0"]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--point", "table(x_a;tail=x_b)@a", "--open", "a"],
+    ["limit-demo", "--point", "table(x_a;tail=x_b)@a"],
+])
+def test_cli_unreachable_tie_claim_exits_2(tmp_path, capsys, argv):
+    # The tail lies over b, so the tying witness has no index for {a}.
+    path = _write(tmp_path, DISCRETE_DOC)
+    assert run_command([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR ") and "never enters {a}" in captured.err
+
+
+def test_cli_density_fails_when_witness_fiber_is_outside_the_open(tmp_path, capsys):
+    path = _write(tmp_path, DISCRETE_DOC)
+    assert run_command(["density", path, "--point", "const(x_b)@a", "--open", "a"]) == 1
+    out = capsys.readouterr().out
+    assert "PROP density_witness FAIL witness=x_b open={a}" in out
+
+
+def test_cli_complete_construct_codes_with_stars(tmp_path, capsys):
+    # Unescaped, both star points would be named 'a*c*b'.
+    doc = {
+        "base": {"kind": "finite", "points": ["b", "c*b"], "basis": [["b"], ["c*b"]]},
+        "carrier": {"kind": "finite", "points": ["a*c", "a"]},
+        "fiber_map": {"kind": "table", "entries": {"a*c": "b", "a": "c*b"}},
+        "distance": {"kind": "table", "entries": [["a*c", "a", "1"]]},
+    }
+    path = _write(tmp_path, doc)
+    assert run_command(["complete-construct", path]) == 0
+    out = capsys.readouterr().out
+    assert "PROP completion_complete PASS points=2" in out
+    assert "PROP embedding_isometric PASS exact" in out
+    assert '"a\\\\*c*b"' in out and '"a*c\\\\*b"' in out
+
+
+def test_cli_suite_reports_invalid_instance_as_fail(monkeypatch, capsys):
+    from mapcomplete import cli
+    from mapcomplete.base_topology import FiniteBase
+    from mapcomplete.metric_mapping import table_mapping
+
+    broken = table_mapping(
+        FiniteBase.of(["a"], [["a"]]),
+        {"u": "a", "v": "a", "w": "a"},
+        {("u", "v"): Fraction(1), ("v", "w"): Fraction(1), ("u", "w"): Fraction(3)},
+    )
+    monkeypatch.setattr(cli, "random_instance", lambda seed, max_x, max_y: broken)
+    assert run_command(["theorem3", "--seed", "4", "--count", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("PROP theorem3[seed=4] FAIL invalid instance [triangle]")

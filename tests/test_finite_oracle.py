@@ -22,7 +22,6 @@ from mapcomplete.finite_oracle import (
     net_cluster_limit,
     net_of_filter,
     random_instance,
-    theorem3_crosscheck,
     zero_classes,
     _shortest_path_closure,
 )
@@ -195,7 +194,7 @@ def test_finite_completion_agrees_with_certified_distances():
 
 def test_theorem3_on_worked_instances(sierpinski, sierpinski_discrete, incomplete_instance):
     for m in (sierpinski, sierpinski_discrete, incomplete_instance):
-        assert theorem3_crosscheck(m)
+        assert is_complete_filter(m).ok == is_complete_net(m).ok
 
 
 def test_random_instance_reproducible():
@@ -252,3 +251,26 @@ def test_limit_sets_match_full_topology_oracle(seed, picks):
     region = frozenset(pts[i % len(pts)] for i in picks)
     _, limits = cluster_and_limit_sets(m, region)
     assert limits == limit_via_full_topology(m, region)
+
+
+def test_deciders_share_no_decision_logic(monkeypatch, sierpinski, incomplete_instance):
+    # Theorem 3 agreement is evidence only while neither decider reaches
+    # the other's decision code; plain set helpers may be shared.
+    from mapcomplete import finite_oracle, metric_mapping
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("decider reached the other side's code")
+
+    sides = {
+        "filter": ("is_complete_filter", "closure_finite", "closure_radii", "_distinct_balls"),
+        "net": ("zero_classes", "_tied_core", "_is_limit", "_balls_around"),
+    }
+    instances = [sierpinski, incomplete_instance] + [random_instance(s) for s in range(30)]
+    for decider, other in ((is_complete_filter, "net"), (is_complete_net, "filter")):
+        with monkeypatch.context() as patch:
+            for module in (finite_oracle, metric_mapping):
+                for name in sides[other]:
+                    if hasattr(module, name):
+                        patch.setattr(module, name, unreachable)
+            for m in instances:
+                decider(m)
