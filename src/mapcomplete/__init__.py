@@ -11,9 +11,10 @@ force.
 
 from .base_topology import (
     BasePoint,
-    EnumeratedBase,
     FiniteBase,
+    OnePointBase,
     RationalInterval,
+    RationalOrderBase,
     all_opens_finite,
     neighborhood_basis,
     validate_basis,
@@ -80,18 +81,19 @@ __all__ = [
     "Carrier",
     "CarrierPoint",
     "CompletionPoint",
-    "EnumeratedBase",
     "EvaluatorError",
     "FiniteBase",
     "FiniteCarrier",
     "FiniteCompletion",
     "InputError",
     "MetricMapping",
+    "OnePointBase",
     "OracleVerdict",
     "PrincipalFilter",
     "RationalGridCarrier",
     "RationalInterval",
     "RationalIntervalCarrier",
+    "RationalOrderBase",
     "RegularCompletionSeq",
     "RegularSeq",
     "TailSequence",

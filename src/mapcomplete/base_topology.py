@@ -1,10 +1,13 @@
 """Base spaces with explicit neighborhood structure.
 
-Two flavors are supported: finite spaces given by an explicit basis of
-opens, and two builtin countably-based spaces (a single point, and the
-rationals with the order topology). Tying conditions elsewhere only ever
-quantify over the basic opens exposed here, so every basic open has a
-finite description.
+Three kinds are supported: finite spaces given by an explicit basis of
+opens, the one-point space, and the rationals with the order topology.
+Each answers the questions the other layers ask of a base: which point a
+token names (``point``), which basic opens surround a point
+(``neighborhood_basis``, and ``opens_around`` for a check with a budget),
+and whether a basic open contains a point (``open_contains``). Tying
+conditions elsewhere only ever quantify over the basic opens exposed here,
+so every basic open has a finite description.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import combinations, count, islice
 from typing import Iterable, Iterator, Union
 
 from .errors import InputError, Violation
-from .rationals import cantor_unpair, nth_rational
+from .rationals import cantor_unpair, nth_rational, parse_rational
 
 PointId = Union[str, Fraction]
 
@@ -73,76 +76,119 @@ class FiniteBase:
     def point_ids(self) -> tuple[PointId, ...]:
         return tuple(p.id for p in self.points)
 
+    def point(self, token) -> BasePoint:
+        if token not in self.point_ids():
+            raise InputError(f"unknown base point {format_id(token)}")
+        return BasePoint(token)
+
     def contains_point(self, y: BasePoint) -> bool:
         return any(p == y for p in self.points)
 
     def neighborhood_basis(self, y: BasePoint) -> list[FiniteOpen]:
         if not self.contains_point(y):
-            raise InputError(f"unknown base point {y.id!r}")
+            raise InputError(f"unknown base point {format_id(y.id)}")
         return [o for o in self.basis if y.id in o]
+
+    def opens_around(self, y: BasePoint, depth: int) -> list[FiniteOpen]:
+        return self.neighborhood_basis(y)
+
+    def open_contains(self, basic_open, y: BasePoint) -> bool:
+        return basic_open in self.basis and y.id in basic_open
+
+    def default_fiber(self, carrier):
+        raise InputError("a finite base has no default fiber; pass one")
 
 
 @dataclass(frozen=True)
-class EnumeratedBase:
-    """A builtin countably-based space with an indexed stream of basic opens."""
+class OnePointBase:
+    """The one-point space; its only basic open is the whole space."""
 
-    kind: str  # "one_point" | "rational_order"
-    point: BasePoint | None = None
+    id: PointId = "pt"
 
-    @classmethod
-    def one_point(cls, point_id: PointId = "pt") -> "EnumeratedBase":
-        return cls("one_point", BasePoint(point_id))
-
-    @classmethod
-    def rational_order(cls) -> "EnumeratedBase":
-        return cls("rational_order")
+    def point(self, token) -> BasePoint:
+        if token != self.id:
+            raise InputError(f"unknown base point {format_id(token)}")
+        return BasePoint(self.id)
 
     def contains_point(self, y: BasePoint) -> bool:
-        if self.kind == "one_point":
-            return y == self.point
+        return y.id == self.id
+
+    def neighborhood_basis(self, y: BasePoint) -> list[FiniteOpen]:
+        if not self.contains_point(y):
+            raise InputError(f"point {format_id(y.id)} does not belong to this base")
+        return [(self.id,)]
+
+    def opens_around(self, y: BasePoint, depth: int) -> list[FiniteOpen]:
+        return self.neighborhood_basis(y)
+
+    def open_contains(self, basic_open, y: BasePoint) -> bool:
+        return basic_open == (self.id,) and self.contains_point(y)
+
+    def default_fiber(self, carrier):
+        """Every carrier maps onto the one point."""
+        target = BasePoint(self.id)
+        return lambda x: target
+
+
+@dataclass(frozen=True)
+class RationalOrderBase:
+    """The rationals with the order topology, and an indexed stream of
+    basic opens: open k is the interval of radius 1/(j+1) around the i-th
+    rational, where (i, j) is the k-th Cantor pair."""
+
+    def point(self, token) -> BasePoint:
+        if isinstance(token, Fraction):
+            return BasePoint(token)
+        try:
+            return BasePoint(parse_rational(token))
+        except InputError:
+            raise InputError(
+                f"unknown base point {format_id(token)}; "
+                "base points are exact rationals like '1/2'"
+            ) from None
+
+    def contains_point(self, y: BasePoint) -> bool:
         return isinstance(y.id, Fraction)
 
-    def basic_open(self, k: int):
+    def basic_open(self, k: int) -> RationalInterval:
         """The k-th basic open of the fixed enumeration."""
         if k < 0:
             raise InputError("basic-open index starts at 0")
-        if self.kind == "one_point":
-            return (self.point.id,)
         i, j = cantor_unpair(k)
         center = nth_rational(i)
         radius = Fraction(1, j + 1)
         return RationalInterval(center - radius, center + radius)
 
-    def open_contains(self, basic_open, y: BasePoint) -> bool:
-        if self.kind == "one_point":
-            return basic_open == (self.point.id,) and y == self.point
-        if not isinstance(basic_open, RationalInterval):
-            raise InputError("expected a rational interval as basic open")
-        return basic_open.contains_id(y.id)
-
-    def neighborhood_basis(self, y: BasePoint) -> Iterator:
+    def neighborhood_basis(self, y: BasePoint) -> Iterator[RationalInterval]:
         if not self.contains_point(y):
-            raise InputError(f"point {y.id!r} does not belong to this base")
-        if self.kind == "one_point":
-            return iter([(self.point.id,)])
+            raise InputError(f"point {format_id(y.id)} does not belong to this base")
+        return (o for o in map(self.basic_open, count()) if o.contains_id(y.id))
 
-        def stream() -> Iterator[RationalInterval]:
-            for k in count():
-                o = self.basic_open(k)
-                if o.contains_id(y.id):
-                    yield o
+    def opens_around(self, y: BasePoint, depth: int) -> list[RationalInterval]:
+        """The basic opens around ``y`` among the first ``depth`` of the
+        enumeration, in enumeration order."""
+        if not self.contains_point(y):
+            raise InputError(f"point {format_id(y.id)} does not belong to this base")
+        return [o for o in map(self.basic_open, range(depth)) if o.contains_id(y.id)]
 
-        return stream()
+    def open_contains(self, basic_open, y: BasePoint) -> bool:
+        return isinstance(basic_open, RationalInterval) and basic_open.contains_id(y.id)
+
+    def default_fiber(self, carrier):
+        """The identity, on a rational-interval carrier."""
+        if carrier.kind != "rational_interval":
+            raise InputError(
+                f"the rational order base has no default fiber on a {carrier.kind} carrier"
+            )
+        return lambda x: BasePoint(x.code)
 
 
-Base = Union[FiniteBase, EnumeratedBase]
+Base = Union[FiniteBase, OnePointBase, RationalOrderBase]
 
 
-def open_contains(base: Base, basic_open, y: BasePoint) -> bool:
-    """Membership of a base point in a basic open, any base flavor."""
-    if isinstance(base, FiniteBase):
-        return y.id in basic_open
-    return base.open_contains(basic_open, y)
+def format_id(pid) -> str:
+    """A base point id quoted as an instance document writes it: 'a', '1/2'."""
+    return repr(str(pid))
 
 
 def describe_open(basic_open) -> str:
@@ -186,16 +232,11 @@ def validate_basis(b: FiniteBase) -> list[Violation]:
 
 
 def neighborhood_basis(b: Base, y: BasePoint, limit: int | None = None):
-    """Basic opens containing ``y``: a list for finite bases, else a stream.
-
-    For an enumerated base, pass ``limit`` to truncate the stream.
+    """Basic opens containing ``y``: a list for finite and one-point bases,
+    else a stream. Pass ``limit`` to keep only the first ``limit`` of them.
     """
-    if isinstance(b, FiniteBase):
-        return b.neighborhood_basis(y)
-    stream = b.neighborhood_basis(y)
-    if limit is None:
-        return stream
-    return list(islice(stream, limit))
+    opens = b.neighborhood_basis(y)
+    return opens if limit is None else list(islice(opens, limit))
 
 
 def all_opens_finite(b: FiniteBase) -> frozenset:

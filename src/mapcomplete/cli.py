@@ -14,14 +14,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .base_topology import (
-    FiniteBase,
-    describe_open,
-    neighborhood_basis,
-    open_contains,
-    validate_basis,
-)
-from .cli_io import Report, instance_document, parse_instance, parse_point_spec
+from .base_topology import FiniteBase, describe_open, format_id, validate_basis
+from .cli_io import Report, instance_document, names_target, parse_instance, parse_point_spec
 from .completion import (
     dstar_approx,
     density_witness,
@@ -40,6 +34,7 @@ from .finite_oracle import (
 )
 from .metric_mapping import validate_fiberwise_metric, validate_pseudometric
 from .rationals import decimal_approx, format_rational, parse_rational
+from .tied_cauchy import check_tying
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -132,16 +127,30 @@ def _cmd_validate(args) -> Report:
     return report
 
 
-def _two_points(args, m):
+def _points(args, m, n: int) -> list:
+    """The ``n`` --point specs of a command, parsed against ``m``.
+
+    A spec that names its target with ``@y`` is a claim; it is run through
+    check_tying at --depth, and the first violation refutes it.
+    """
     specs = args.point or []
-    if len(specs) != 2:
-        raise InputError("dstar needs exactly two --point specs")
-    return parse_point_spec(specs[0], m), parse_point_spec(specs[1], m)
+    if len(specs) != n:
+        count = "one --point spec" if n == 1 else "two --point specs"
+        raise InputError(f"{args.command} needs exactly {count}")
+    points = []
+    for spec in specs:
+        p = parse_point_spec(spec, m)
+        if names_target(spec):
+            violations = check_tying(p.rep, args.depth)
+            if violations:
+                raise InputError(f"tie claim {spec!r} is false: {violations[0]}")
+        points.append(p)
+    return points
 
 
 def _cmd_dstar(args) -> Report:
     m = _load_instance(args.instance)
-    p, q = _two_points(args, m)
+    p, q = _points(args, m, 2)
     value = dstar_approx(p, q, args.eps)
     report = Report()
     report.add(
@@ -154,10 +163,7 @@ def _cmd_dstar(args) -> Report:
 
 def _cmd_density(args) -> Report:
     m = _load_instance(args.instance)
-    specs = args.point or []
-    if len(specs) != 1:
-        raise InputError("density needs exactly one --point spec")
-    p = parse_point_spec(specs[0], m)
+    [p] = _points(args, m, 1)
     if args.basic_open is not None:
         if not isinstance(m.base, FiniteBase):
             raise InputError("--open applies to finite bases only")
@@ -165,12 +171,14 @@ def _cmd_density(args) -> Report:
         basic = ids
     else:
         y = fstar(p)
-        basic = next(iter(neighborhood_basis(m.base, y)), None)
+        basic = next(iter(m.base.opens_around(y, args.depth)), None)
         if basic is None:
-            raise InputError(f"no basic open contains {y.id!r}")
+            raise InputError(
+                f"no basic open among the first {args.depth} contains {format_id(y.id)}"
+            )
     x = density_witness(p, args.eps, basic)
     margin = dstar_approx(p, embed(m, x), args.eps / 4)
-    ok = margin <= args.eps + args.eps / 4 and open_contains(m.base, basic, m.fiber_of(x))
+    ok = margin <= args.eps + args.eps / 4 and m.base.open_contains(basic, m.fiber_of(x))
     report = Report()
     report.add(
         "density_witness", ok,
@@ -206,7 +214,8 @@ def _instance_violations(m) -> list:
     )
 
 
-def _cmd_suite(args, name: str) -> Report:
+def _cmd_suite(args) -> Report:
+    name = args.command
     report = Report()
     for seed in range(args.seed, args.seed + args.count):
         m = random_instance(seed, args.maxx, args.maxy)
@@ -230,12 +239,12 @@ def _cmd_suite(args, name: str) -> Report:
     return report
 
 
-def _cmd_complete_construct(args) -> tuple[Report, int]:
+def _cmd_complete_construct(args) -> Report:
     m = _load_instance(args.instance)
     report = Report()
     _validators_report(m, args.depth, report)
     if report.exit_code != 0:
-        return report, 1
+        return report
     completed = finite_completion(m)
     doc = instance_document(completed.instance)
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -252,17 +261,14 @@ def _cmd_complete_construct(args) -> tuple[Report, int]:
     if args.out is not None:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         report.add("document_written", True, args.out)
-        return report, report.exit_code
-    print(text)
-    return report, report.exit_code
+    else:
+        print(text)
+    return report
 
 
 def _cmd_limit_demo(args) -> Report:
     m = _load_instance(args.instance)
-    specs = args.point or []
-    if len(specs) != 1:
-        raise InputError("limit-demo needs exactly one --point spec")
-    p = parse_point_spec(specs[0], m)
+    [p] = _points(args, m, 1)
     psi = lift_seq(p.rep)
     limit = limit_point(psi)
     report = Report()
@@ -277,6 +283,18 @@ def _cmd_limit_demo(args) -> Report:
     return report
 
 
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "dstar": _cmd_dstar,
+    "density": _cmd_density,
+    "complete-check": _cmd_complete_check,
+    "theorem3": _cmd_suite,
+    "lemma2": _cmd_suite,
+    "complete-construct": _cmd_complete_construct,
+    "limit-demo": _cmd_limit_demo,
+}
+
+
 def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; prints the report, returns the exit code."""
     parser = _build_parser()
@@ -285,24 +303,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "validate":
-            report = _cmd_validate(args)
-        elif args.command == "dstar":
-            report = _cmd_dstar(args)
-        elif args.command == "density":
-            report = _cmd_density(args)
-        elif args.command == "complete-check":
-            report = _cmd_complete_check(args)
-        elif args.command in ("theorem3", "lemma2"):
-            report = _cmd_suite(args, args.command)
-        elif args.command == "complete-construct":
-            report, code = _cmd_complete_construct(args)
-            print(report.render())
-            return code
-        elif args.command == "limit-demo":
-            report = _cmd_limit_demo(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InputError(f"unknown command {args.command!r}")
+        report = _COMMANDS[args.command](args)
     except (InputError, WitnessError) as e:
         print(f"ERROR {e}", file=sys.stderr)
         return 2

@@ -13,10 +13,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations
 
-from .base_topology import BasePoint, EnumeratedBase, FiniteBase
+from .base_topology import BasePoint, FiniteBase, OnePointBase, RationalOrderBase
 from .completion import CompletionPoint
 from .errors import InputError
 from .metric_mapping import (
@@ -95,10 +93,10 @@ def _parse_base(obj, path: str):
         _require_keys(obj, {"kind", "point"}, set(), path)
         if not isinstance(obj["point"], str):
             raise InputError("point must be a string", path=f"{path}.point")
-        return EnumeratedBase.one_point(obj["point"])
+        return OnePointBase(obj["point"])
     if kind == "rational_order":
         _require_keys(obj, {"kind"}, set(), path)
-        return EnumeratedBase.rational_order()
+        return RationalOrderBase()
     raise InputError(f"unknown base kind {kind!r}", path=f"{path}.kind")
 
 
@@ -137,9 +135,11 @@ def _parse_carrier(obj, path: str):
 def parse_instance(text: str) -> MetricMapping:
     """Parse an instance document into a validated-shape metric mapping.
 
-    Shape errors (unknown fields, malformed rationals, dangling targets,
-    asymmetric tables) raise InputError with the path of the offending
-    field; the metric axioms themselves are left to the validators.
+    This module checks the JSON shape, the rational syntax and that the
+    fiber entries match the carrier list; the table rules (dangling codes
+    and targets, signs, diagonal, symmetry, missing pairs) are checked by
+    table_mapping. Either way an error raises InputError with the path of
+    the offending field. The metric axioms are left to the validators.
     """
     try:
         doc = json.loads(text)
@@ -161,20 +161,20 @@ def parse_instance(text: str) -> MetricMapping:
         if carrier.kind != "finite":
             raise InputError("table distance needs a finite carrier", path="$.distance.kind")
         if fiber_kind == "table":
-            fiber_table = _parse_fiber_table(fiber_obj, base, carrier)
+            fibers = _fiber_entries(fiber_obj, carrier)
         elif fiber_kind == "constant":
-            target = _parse_constant_target(fiber_obj, base)
-            fiber_table = {p.code: target for p in carrier.points}
+            _require_keys(fiber_obj, {"kind", "to"}, set(), "$.fiber_map")
+            fibers = {p.code: fiber_obj["to"] for p in carrier.points}
         else:
             raise InputError(
                 f"fiber kind {fiber_kind!r} does not apply to a finite carrier",
                 path="$.fiber_map.kind",
             )
-        distance_table = _parse_distance_table(dist_obj, carrier)
+        pairs = _distance_entries(dist_obj)
         try:
-            return table_mapping(base, fiber_table, distance_table)
+            return table_mapping(base, fibers, pairs)
         except InputError as e:
-            raise InputError(str(e), path="$") from None
+            raise InputError(e.message, path=_document_path(e.path, fiber_kind)) from None
 
     if dist_kind == "abs_diff":
         if carrier.kind != "rational_interval":
@@ -187,108 +187,74 @@ def parse_instance(text: str) -> MetricMapping:
             raise InputError("max_metric distance needs a rational_grid carrier", path="$.distance.kind")
         if fiber_kind != "constant":
             raise InputError("max_metric carrier needs a constant fiber", path="$.fiber_map.kind")
-        target = _parse_constant_target(fiber_obj, base)
-        point = BasePoint(target)
-        return max_metric_mapping(carrier, base, lambda x: point)
+        return max_metric_mapping(carrier, base, _constant_fiber(fiber_obj, base))
 
     raise InputError(f"unknown distance kind {dist_kind!r}", path="$.distance.kind")
 
 
-def _parse_fiber_table(obj, base, carrier) -> dict:
+def _fiber_entries(obj, carrier) -> dict:
+    """The fiber entries in carrier order, one per carrier point."""
     _require_keys(obj, {"kind", "entries"}, set(), "$.fiber_map")
     entries = obj["entries"]
     if not isinstance(entries, dict):
         raise InputError("entries must map carrier codes to base points", path="$.fiber_map.entries")
-    codes = {p.code for p in carrier.points}
-    if isinstance(base, FiniteBase):
-        base_ids = set(base.point_ids())
-    elif base.kind == "one_point":
-        base_ids = {base.point.id}
-    else:
-        base_ids = None  # rational_order: any exact rational is a base point
-    table = {}
-    for code, target in entries.items():
-        path = f"$.fiber_map.entries.{code}"
+    codes = [p.code for p in carrier.points]
+    for code in entries:
         if code not in codes:
-            raise InputError(f"unknown carrier point {code!r}", path=path)
-        if base_ids is None:
-            target = parse_rational(target, path=path)
-        elif target not in base_ids:
-            raise InputError(
-                f"fiber of {code!r} targets unknown base point {target!r}", path=path
-            )
-        table[code] = target
-    for code in sorted(codes, key=str):
-        if code not in table:
+            raise InputError(f"unknown carrier point {code!r}", path=f"$.fiber_map.entries.{code}")
+    for code in sorted(codes):
+        if code not in entries:
             raise InputError(f"missing fiber entry for {code!r}", path="$.fiber_map.entries")
-    return {p.code: table[p.code] for p in carrier.points}
+    return {code: entries[code] for code in codes}
 
 
-def _parse_constant_target(obj, base):
+def _distance_entries(obj) -> list:
+    """The distance entries as ((x, y), value) items in document order."""
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
+        raise InputError("entries must be a list of [x, y, value] triples", path="$.distance.entries")
+    items = []
+    for i, entry in enumerate(entries):
+        path = f"$.distance.entries[{i}]"
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
+            raise InputError("expected [x, y, value] with x and y carrier codes", path=path)
+        a, b, raw = entry
+        items.append(((a, b), parse_rational(raw, path=path)))
+    return items
+
+
+def _document_path(path: str, fiber_kind: str) -> str:
+    """The document path of a table_mapping error path."""
+    if path.startswith("distance_table"):
+        return "$.distance.entries" + path[len("distance_table"):]
+    if fiber_kind == "constant":
+        return "$.fiber_map.to"
+    return "$.fiber_map.entries" + path[len("fiber_table"):]
+
+
+def _constant_fiber(obj, base):
     _require_keys(obj, {"kind", "to"}, set(), "$.fiber_map")
-    target = obj["to"]
-    if isinstance(base, FiniteBase):
-        if target not in base.point_ids():
-            raise InputError(f"unknown base point {target!r}", path="$.fiber_map.to")
-        return target
-    if base.kind == "one_point":
-        if target != base.point.id:
-            raise InputError(f"unknown base point {target!r}", path="$.fiber_map.to")
-        return target
-    return parse_rational(target, path="$.fiber_map.to")
+    try:
+        target = base.point(obj["to"])
+    except InputError as e:
+        raise InputError(e.message, path="$.fiber_map.to") from None
+    return lambda x: target
 
 
 def _rational_fiber(obj, kind, base, carrier):
     if kind == "identity":
         _require_keys(obj, {"kind"}, set(), "$.fiber_map")
-        if not (isinstance(base, EnumeratedBase) and base.kind == "rational_order"):
+        # The identity sends each rational to itself: the base needs them as points.
+        if not base.contains_point(BasePoint(carrier.lo)):
             raise InputError("identity fiber needs the rational_order base", path="$.fiber_map.kind")
         return lambda x: BasePoint(x.code)
     if kind == "constant":
-        target = _parse_constant_target(obj, base)
-        point = BasePoint(target)
-        return lambda x: point
+        return _constant_fiber(obj, base)
     raise InputError(
         f"fiber kind {kind!r} does not apply to a rational carrier",
         path="$.fiber_map.kind",
     )
-
-
-def _parse_distance_table(obj, carrier) -> dict:
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
-        raise InputError("entries must be a list of [x, y, value] triples", path="$.distance.entries")
-    codes = {p.code for p in carrier.points}
-    table: dict[tuple[str, str], Fraction] = {}
-    seen: dict[tuple[str, str], Fraction] = {}
-    for i, entry in enumerate(entries):
-        path = f"$.distance.entries[{i}]"
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise InputError("expected [x, y, value]", path=path)
-        a, b, raw = entry
-        for code in (a, b):
-            if code not in codes:
-                raise InputError(f"unknown carrier point {code!r}", path=path)
-        value = parse_rational(raw, path=path)
-        if value < 0:
-            raise InputError("distances must be nonnegative", path=path)
-        if a == b:
-            if value != 0:
-                raise InputError(f"diagonal distance for {a!r} must be 0", path=path)
-            continue
-        key = (a, b) if a <= b else (b, a)
-        if key in seen and seen[key] != value:
-            raise InputError(
-                f"non-symmetric distance table at ({a!r}, {b!r}): "
-                f"{format_rational(seen[key])} vs {format_rational(value)}",
-                path=path,
-            )
-        seen[key] = value
-        table[key] = value
-    for a, b in combinations(sorted(codes), 2):
-        if (a, b) not in table:
-            raise InputError(f"missing distance entry for ({a!r}, {b!r})", path="$.distance.entries")
-    return table
 
 
 def instance_document(m: MetricMapping) -> dict:
@@ -346,17 +312,10 @@ def _resolve_point(token: str, m: MetricMapping, what: str) -> CarrierPoint:
     return x
 
 
-def _resolve_base_point(token: str, m: MetricMapping) -> BasePoint:
-    base = m.base
-    if isinstance(base, FiniteBase):
-        if token not in base.point_ids():
-            raise InputError(f"tie target {token!r} is not a base point")
-        return BasePoint(token)
-    if base.kind == "one_point":
-        if token != base.point.id:
-            raise InputError(f"tie target {token!r} is not a base point")
-        return base.point
-    return BasePoint(parse_rational(token))
+def names_target(text: str) -> bool:
+    """Whether a point spec names its tying target with ``@<basepoint>``."""
+    match = _SPEC_RE.fullmatch(text.strip())
+    return bool(match and match.group("tie"))
 
 
 def parse_point_spec(text: str, m: MetricMapping) -> CompletionPoint:
@@ -371,7 +330,7 @@ def parse_point_spec(text: str, m: MetricMapping) -> CompletionPoint:
     if not match:
         raise InputError(f"cannot parse point spec {text!r}")
     ctor, args, tie = match.group("ctor"), match.group("args"), match.group("tie")
-    y = _resolve_base_point(tie.strip(), m) if tie else None
+    y = m.base.point(tie.strip()) if tie else None
 
     if ctor == "const":
         x = _resolve_point(args, m, "const")

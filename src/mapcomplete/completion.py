@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .base_topology import BasePoint, EnumeratedBase, FiniteBase, describe_open
+from .base_topology import BasePoint, FiniteBase, OnePointBase, describe_open, format_id
 from .errors import InputError
 from .metric_mapping import CarrierPoint, MetricMapping
 from .rationals import frac_ceil
@@ -81,21 +81,6 @@ def dstar_approx(p: CompletionPoint, q: CompletionPoint, eps: Fraction) -> Fract
     return p.mapping.distance(p.rep.at(n), q.rep.at(n))
 
 
-def _require_basic_open(base, basic_open, y: BasePoint) -> None:
-    if isinstance(base, FiniteBase):
-        if basic_open not in base.basis:
-            raise InputError(f"{describe_open(basic_open)} is not a basic open of the base")
-        if y.id not in basic_open:
-            raise InputError(
-                f"basic open {describe_open(basic_open)} does not contain {y.id!r}"
-            )
-        return
-    if not base.open_contains(basic_open, y):
-        raise InputError(
-            f"basic open {describe_open(basic_open)} does not contain {y.id!r}"
-        )
-
-
 def density_witness(p: CompletionPoint, eps: Fraction, basic_open) -> CarrierPoint:
     """A carrier point within ``eps`` of ``p`` whose fiber lies in the
     given basic open.
@@ -107,7 +92,10 @@ def density_witness(p: CompletionPoint, eps: Fraction, basic_open) -> CarrierPoi
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("precision must be positive")
-    _require_basic_open(p.mapping.base, basic_open, p.y)
+    if not p.mapping.base.open_contains(basic_open, p.y):
+        raise InputError(
+            f"{describe_open(basic_open)} is not a basic open around {format_id(p.y.id)}"
+        )
     n = max(frac_ceil(1 / eps), p.rep.tie.index_for(basic_open), 1)
     return p.rep.at(n)
 
@@ -147,21 +135,12 @@ def lift_seq(s: TiedCauchySeq) -> RegularCompletionSeq:
 def _narrowing_open(base, psi: RegularCompletionSeq, n: int, y_n: BasePoint):
     """A basic open around ``y_n`` inside every basic open of the target
     that the tying witness has certified by index ``n``."""
-    if isinstance(base, EnumeratedBase):
-        return base.basic_open(0)
-    binding = [
-        o
-        for o in base.basis
-        if psi.y.id in o and psi.tie.index_for(o) <= n
-    ]
-    allowed = set(base.point_ids())
-    for o in binding:
-        allowed &= set(o)
-    for candidate in base.basis:
-        if y_n.id in candidate and set(candidate) <= allowed:
+    binding = [o for o in base.neighborhood_basis(psi.y) if psi.tie.index_for(o) <= n]
+    for candidate in base.neighborhood_basis(y_n):
+        if all(set(candidate) <= set(o) for o in binding):
             return candidate
     raise InputError(
-        f"no basic open contains {y_n.id!r} inside the intersection of "
+        f"no basic open contains {format_id(y_n.id)} inside the intersection of "
         + " & ".join(describe_open(o) for o in binding)
         + "; basis axioms violated"
     )
@@ -181,10 +160,7 @@ def limit_point(psi: RegularCompletionSeq) -> CompletionPoint:
     can be found among finitely many candidates.
     """
     base = psi.mapping.base
-    if not (
-        isinstance(base, FiniteBase)
-        or (isinstance(base, EnumeratedBase) and base.kind == "one_point")
-    ):
+    if not isinstance(base, (FiniteBase, OnePointBase)):
         raise InputError("limit_point needs a finite base or the one-point base")
 
     cache: dict[int, CarrierPoint] = {}

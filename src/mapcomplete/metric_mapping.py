@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, ClassVar, Iterable, Union
 
-from .base_topology import Base, BasePoint, EnumeratedBase, FiniteBase, PointId
+from .base_topology import Base, BasePoint, FiniteBase
 from .errors import EvaluatorError, InputError, Violation
 from .rationals import format_rational, nth_unit_rational
 
@@ -189,49 +189,64 @@ class MetricMapping:
 
 def table_mapping(
     base: Base,
-    fiber_table: dict[str, PointId],
-    distance_table: dict[tuple[str, str], Fraction],
+    fiber_table: dict[str, object],
+    distance_table,
     dist_kind: str = "table",
 ) -> MetricMapping:
-    """Build a finite mapping from explicit tables.
+    """Build a finite mapping from explicit tables, checking them.
 
-    ``fiber_table`` fixes the carrier (insertion order is kept) and the
-    fiber of each point; ``distance_table`` gives one entry per unordered
-    pair of distinct codes. Symmetric duplicates must agree, diagonal
-    entries must be zero.
+    ``fiber_table`` fixes the carrier (insertion order is kept) and maps
+    each code to a token naming its base point (see ``base.point``).
+    ``distance_table`` is a dict from code pairs to values, or a sequence
+    of ``((a, b), value)`` items, with an entry for every unordered pair of
+    distinct codes. Values must be nonnegative, diagonal entries zero and
+    symmetric duplicates equal. An error's path locates the offending
+    entry: ``fiber_table.<code>``, ``distance_table[<i>]`` for the i-th
+    item, or ``distance_table`` for a missing pair.
     """
     carrier = FiniteCarrier.of(list(fiber_table))
-    codes = [p.code for p in carrier.points]
-
-    if isinstance(base, FiniteBase):
-        base_ids = set(base.point_ids())
-    else:
-        base_ids = {base.point.id} if base.kind == "one_point" else None
     fibers = {}
-    for code, target in fiber_table.items():
-        if base_ids is not None and target not in base_ids:
-            raise InputError(f"fiber of {code!r} targets unknown base point {target!r}")
-        fibers[code] = BasePoint(target)
+    for code, token in fiber_table.items():
+        try:
+            fibers[code] = base.point(token)
+        except InputError as e:
+            raise InputError(
+                f"fiber of {code!r} targets {e.message}", path=f"fiber_table.{code}"
+            ) from None
 
+    items = distance_table.items() if isinstance(distance_table, dict) else distance_table
     table: dict[tuple[str, str], Fraction] = {}
-    for (a, b), value in distance_table.items():
-        if a not in fibers or b not in fibers:
-            missing = a if a not in fibers else b
-            raise InputError(f"distance entry references unknown carrier point {missing!r}")
+    for i, ((a, b), value) in enumerate(items):
+        for code in (a, b):
+            if code not in fibers:
+                raise InputError(
+                    f"distance entry references unknown carrier point {code!r}",
+                    path=f"distance_table[{i}]",
+                )
         value = Fraction(value)
         if value < 0:
-            raise InputError(f"negative distance {value} for ({a!r}, {b!r})")
+            raise InputError(
+                f"negative distance {format_rational(value)} for ({a!r}, {b!r})",
+                path=f"distance_table[{i}]",
+            )
         if a == b:
             if value != 0:
-                raise InputError(f"nonzero diagonal distance for {a!r}")
+                raise InputError(
+                    f"nonzero diagonal distance {format_rational(value)} for {a!r}",
+                    path=f"distance_table[{i}]",
+                )
             continue
         key = (a, b) if a <= b else (b, a)
         if key in table and table[key] != value:
-            raise InputError(f"non-symmetric distance table at ({a!r}, {b!r})")
+            raise InputError(
+                f"non-symmetric distance table at ({a!r}, {b!r}): "
+                f"{format_rational(table[key])} vs {format_rational(value)}",
+                path=f"distance_table[{i}]",
+            )
         table[key] = value
-    for a, b in combinations(sorted(codes), 2):
+    for a, b in combinations(sorted(fibers), 2):
         if (a, b) not in table:
-            raise InputError(f"missing distance entry for ({a!r}, {b!r})")
+            raise InputError(f"missing distance entry for ({a!r}, {b!r})", path="distance_table")
 
     def fiber(x: CarrierPoint) -> BasePoint:
         try:
@@ -256,35 +271,27 @@ def abs_diff_mapping(
 ) -> MetricMapping:
     """Rational interval carrier with distance |x - x'|.
 
-    Default fiber: constant onto a one-point base, identity onto the
-    rational order base.
+    Default fiber: the base's own (constant onto the one-point base,
+    identity onto the rational order base).
     """
-    if fiber is None:
-        if isinstance(base, EnumeratedBase) and base.kind == "one_point":
-            target = base.point
-            fiber = lambda x: target
-        elif isinstance(base, EnumeratedBase) and base.kind == "rational_order":
-            fiber = lambda x: BasePoint(x.code)
-        else:
-            raise InputError("abs_diff_mapping needs an explicit fiber for this base")
     return MetricMapping(
-        carrier, base, fiber, lambda x, x2: abs(x.code - x2.code), "abs_diff"
+        carrier,
+        base,
+        fiber or base.default_fiber(carrier),
+        lambda x, x2: abs(x.code - x2.code),
+        "abs_diff",
     )
 
 
 def max_metric_mapping(carrier: RationalGridCarrier, base: Base, fiber=None) -> MetricMapping:
-    """Grid carrier with the coordinatewise maximum distance."""
-    if fiber is None:
-        if not (isinstance(base, EnumeratedBase) and base.kind == "one_point"):
-            raise InputError("max_metric_mapping needs an explicit fiber for this base")
-        target = base.point
-        fiber = lambda x: target
+    """Grid carrier with the coordinatewise maximum distance. Default
+    fiber: the base's own (constant onto the one-point base)."""
 
     def dist(x: CarrierPoint, x2: CarrierPoint) -> Fraction:
         (a, b), (c, d) = x.code, x2.code
         return max(abs(a - c), abs(b - d))
 
-    return MetricMapping(carrier, base, fiber, dist, "max_metric")
+    return MetricMapping(carrier, base, fiber or base.default_fiber(carrier), dist, "max_metric")
 
 
 def _pair_distances(m: MetricMapping, pts) -> tuple[dict, list[Violation]]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .base_topology import BasePoint, FiniteBase, describe_open, open_contains
+from .base_topology import BasePoint, OnePointBase, describe_open, format_id
 from .errors import InputError, Violation, WitnessError
 from .metric_mapping import CarrierPoint, MetricMapping
 
@@ -76,7 +76,7 @@ def _check_membership(m: MetricMapping, x: CarrierPoint) -> None:
 
 def _check_target(m: MetricMapping, y: BasePoint) -> None:
     if not m.base.contains_point(y):
-        raise InputError(f"tying target {y.id!r} does not belong to the base space")
+        raise InputError(f"tying target {format_id(y.id)} does not belong to the base space")
 
 
 def const_seq(m: MetricMapping, x: CarrierPoint, y: BasePoint | None = None) -> TiedCauchySeq:
@@ -136,14 +136,14 @@ def table_seq(
         return prefix[n - 1] if n <= length else tail
 
     def tie_index(basic_open) -> int:
-        if not open_contains(m.base, basic_open, m.fiber_of(tail)):
+        if not m.base.open_contains(basic_open, m.fiber_of(tail)):
             raise WitnessError(
-                f"tail fiber {m.fiber_of(tail).id!r} never enters "
+                f"tail fiber {format_id(m.fiber_of(tail).id)} never enters "
                 f"{describe_open(basic_open)}"
             )
         n = length + 1
         for i in range(length, 0, -1):
-            if open_contains(m.base, basic_open, m.fiber_of(prefix[i - 1])):
+            if m.base.open_contains(basic_open, m.fiber_of(prefix[i - 1])):
                 n = i
             else:
                 break
@@ -189,7 +189,11 @@ class _NewtonSqrtTerms:
 
 def newton_sqrt_seq(m: MetricMapping, a: Fraction, y: BasePoint | None = None) -> TiedCauchySeq:
     """The canonical irrational completion point: a sequence converging to
-    sqrt(a) for rational a >= 1, with |at(n) - sqrt(a)| < 1/n."""
+    sqrt(a) for rational a >= 1, with |at(n) - sqrt(a)| < 1/n.
+
+    The witness claims index 1 for every basic open, which holds only when
+    all terms share one fiber; the one-point base is the only base accepted.
+    """
     a = Fraction(a)
     if a < 1:
         raise InputError("newton_sqrt needs a rational argument >= 1")
@@ -197,6 +201,11 @@ def newton_sqrt_seq(m: MetricMapping, a: Fraction, y: BasePoint | None = None) -
         raise InputError("newton_sqrt needs a rational carrier with absolute-difference distance")
     start = CarrierPoint((a + 1) / 2)
     _check_membership(m, start)
+    if not isinstance(m.base, OnePointBase):
+        raise InputError(
+            f"newton_sqrt needs the one-point base, not {type(m.base).__name__}: "
+            "its tie at index 1 for every open holds only there"
+        )
     if y is None:
         y = m.fiber_of(start)
     _check_target(m, y)
@@ -227,38 +236,30 @@ def check_regularity(s: TiedCauchySeq, depth: int) -> list[Violation]:
 def check_tying(s: TiedCauchySeq, depth: int) -> list[Violation]:
     """Verify the tying contract on every inspectable basic open.
 
-    Finite base: all basis sets containing the target. Enumerated base:
-    the basic opens of index below ``depth`` that contain the target. For
-    each open O the check covers indices tie(O) .. depth.
+    The opens are those the base lists around the target for a check at
+    ``depth`` (``opens_around``): all basis sets containing it on a finite
+    base, the opens of index below ``depth`` that contain it on the
+    rationals. For each open O the check covers indices tie(O) ..
+    max(tie(O), depth), so every open is checked at its witness index.
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
     base = s.mapping.base
     _check_target(s.mapping, s.y)
-    if isinstance(base, FiniteBase):
-        opens = base.neighborhood_basis(s.y)
-    elif base.kind == "one_point":
-        opens = [base.basic_open(0)]
-    else:
-        opens = [
-            base.basic_open(k)
-            for k in range(depth)
-            if base.open_contains(base.basic_open(k), s.y)
-        ]
     violations = []
-    for o in opens:
+    for o in base.opens_around(s.y, depth):
         try:
             start = s.tie.index_for(o)
         except WitnessError as e:
             violations.append(Violation("witness", str(e), (describe_open(o),)))
             continue
-        for n in range(start, depth + 1):
+        for n in range(start, max(start, depth) + 1):
             fb = s.fiber_at(n)
-            if not open_contains(base, o, fb):
+            if not base.open_contains(o, fb):
                 violations.append(
                     Violation(
                         "tying",
-                        f"fiber of at({n}) is {fb.id!r}, outside {describe_open(o)} "
+                        f"fiber of at({n}) is {format_id(fb.id)}, outside {describe_open(o)} "
                         f"despite witness index {start}",
                         (describe_open(o), n, fb.id),
                     )

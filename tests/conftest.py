@@ -9,10 +9,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mapcomplete import (
-    EnumeratedBase,
     FiniteBase,
+    OnePointBase,
     RationalGridCarrier,
     RationalIntervalCarrier,
+    RationalOrderBase,
     abs_diff_mapping,
     max_metric_mapping,
     table_mapping,
@@ -50,7 +51,7 @@ def interval_mapping():
     """Rationals in (0, 3) with |x - x'|, over the one-point base."""
     return abs_diff_mapping(
         RationalIntervalCarrier(Fraction(0), Fraction(3)),
-        EnumeratedBase.one_point("o"),
+        OnePointBase("o"),
     )
 
 
@@ -60,7 +61,7 @@ def unit_interval_identity():
     rational order base."""
     return abs_diff_mapping(
         RationalIntervalCarrier(Fraction(0), Fraction(1)),
-        EnumeratedBase.rational_order(),
+        RationalOrderBase(),
     )
 
 
@@ -69,7 +70,7 @@ def grid_mapping():
     """3x3 rational grid with the maximum metric, one-point base."""
     return max_metric_mapping(
         RationalGridCarrier(Fraction(1, 2), Fraction(0), Fraction(1)),
-        EnumeratedBase.one_point("o"),
+        OnePointBase("o"),
     )
 
 

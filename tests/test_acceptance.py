@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from mapcomplete.base_topology import BasePoint, EnumeratedBase, FiniteBase
+from mapcomplete.base_topology import BasePoint, FiniteBase, OnePointBase
 from mapcomplete.cli import run_command
 from mapcomplete.completion import (
     CompletionPoint,
@@ -62,7 +62,7 @@ def suite():
 def interval():
     return abs_diff_mapping(
         RationalIntervalCarrier(Fraction(0), Fraction(3)),
-        EnumeratedBase.one_point("o"),
+        OnePointBase("o"),
     )
 
 
@@ -222,7 +222,7 @@ def test_09_density_witness_contract(suite, interval):
             p = CompletionPoint(table_seq(m, [partner], x0))
             run_trial(p, open_of)
 
-    whole = interval.base.basic_open(0)
+    whole = interval.base.neighborhood_basis(BasePoint("o"))[0]
     run_trial(CompletionPoint(newton_sqrt_seq(interval, Fraction(2))), whole)
     run_trial(CompletionPoint(newton_sqrt_seq(interval, Fraction(3))), whole)
     run_trial(

@@ -7,9 +7,10 @@ import pytest
 
 from mapcomplete.base_topology import (
     BasePoint,
-    EnumeratedBase,
     FiniteBase,
+    OnePointBase,
     RationalInterval,
+    RationalOrderBase,
     all_opens_finite,
     neighborhood_basis,
     validate_basis,
@@ -60,7 +61,7 @@ def test_neighborhood_basis_unknown_point():
 
 
 def test_one_point_base_neighborhoods():
-    b = EnumeratedBase.one_point("o")
+    b = OnePointBase("o")
     opens = list(neighborhood_basis(b, BasePoint("o")))
     assert opens == [("o",)]
     assert b.contains_point(BasePoint("o"))
@@ -107,7 +108,7 @@ def test_every_open_around_point_contains_a_basic_open():
 
 
 def test_rational_order_opens_enumeration():
-    b = EnumeratedBase.rational_order()
+    b = RationalOrderBase()
     # the stream is total and every open is a genuine interval
     for k in range(50):
         o = b.basic_open(k)
@@ -116,7 +117,7 @@ def test_rational_order_opens_enumeration():
 
 
 def test_rational_order_neighborhoods_contain_the_point():
-    b = EnumeratedBase.rational_order()
+    b = RationalOrderBase()
     y = BasePoint(Fraction(1, 3))
     opens = list(islice(neighborhood_basis(b, y), 10))
     assert len(opens) == 10
@@ -124,13 +125,13 @@ def test_rational_order_neighborhoods_contain_the_point():
 
 
 def test_rational_order_neighborhoods_shrink_arbitrarily():
-    b = EnumeratedBase.rational_order()
+    b = RationalOrderBase()
     y = BasePoint(Fraction(0))
     widths = [o.hi - o.lo for o in islice(neighborhood_basis(b, y), 200)]
     assert min(widths) < Fraction(1, 20)
 
 
 def test_neighborhood_basis_limit_parameter():
-    b = EnumeratedBase.rational_order()
+    b = RationalOrderBase()
     opens = neighborhood_basis(b, BasePoint(Fraction(5)), limit=3)
     assert isinstance(opens, list) and len(opens) == 3

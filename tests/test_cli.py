@@ -299,9 +299,17 @@ def test_cli_unreachable_tie_claim_exits_2(tmp_path, capsys, argv):
     assert captured.err.startswith("ERROR ") and "never enters {a}" in captured.err
 
 
-def test_cli_density_fails_when_witness_fiber_is_outside_the_open(tmp_path, capsys):
+def test_cli_density_fails_when_witness_fiber_is_outside_the_open(tmp_path, capsys, monkeypatch):
+    # The claim check refutes the false tie first; with it out of the way
+    # the density report's own fiber check still catches the witness.
+    from mapcomplete import cli
+
     path = _write(tmp_path, DISCRETE_DOC)
-    assert run_command(["density", path, "--point", "const(x_b)@a", "--open", "a"]) == 1
+    argv = ["density", path, "--point", "const(x_b)@a", "--open", "a"]
+    assert run_command(argv) == 2
+    assert "tie claim 'const(x_b)@a' is false" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "check_tying", lambda s, depth: [])
+    assert run_command(argv) == 1
     out = capsys.readouterr().out
     assert "PROP density_witness FAIL witness=x_b open={a}" in out
 
@@ -336,3 +344,84 @@ def test_cli_suite_reports_invalid_instance_as_fail(monkeypatch, capsys):
     assert run_command(["theorem3", "--seed", "4", "--count", "1"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("PROP theorem3[seed=4] FAIL invalid instance [triangle]")
+
+
+RATIONAL_IDENTITY_DOC = {
+    "base": {"kind": "rational_order"},
+    "carrier": {"kind": "rational_interval", "lo": "0", "hi": "3"},
+    "fiber_map": {"kind": "identity"},
+    "distance": {"kind": "abs_diff"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-demo", "--point", "const(x_b)@a"],
+    ["dstar", "--point", "const(x_b)@a", "--point", "const(x_a)"],
+    ["density", "--point", "const(x_b)@a"],
+])
+def test_cli_false_tie_claim_exits_2(tmp_path, capsys, argv):
+    # x_b lies over b, outside the basic open {a} around the claimed target.
+    path = _write(tmp_path, SIERPINSKI_DOC)
+    assert run_command([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ERROR tie claim 'const(x_b)@a' is false: [tying] fiber of at(1) is 'b', "
+        "outside {a} despite witness index 1\n"
+    )
+
+
+def test_cli_true_tie_claim_is_accepted(tmp_path, capsys):
+    # x_a lies over a, inside {a,b}, the only basic open around b.
+    path = _write(tmp_path, SIERPINSKI_DOC)
+    assert run_command(["dstar", path, "--point", "const(x_a)@b", "--point", "const(x_b)"]) == 0
+    assert "PROP dstar PASS value=0" in capsys.readouterr().out
+
+
+def test_cli_tie_claim_errors_print_rational_ids_as_written(tmp_path, capsys):
+    path = _write(tmp_path, RATIONAL_IDENTITY_DOC)
+    argv = ["dstar", path, "--point", "const(1/2)@1/3", "--point", "const(1)"]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert "fiber of at(1) is '1/2', outside (-1/2,1/2)" in err
+    assert "Fraction" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dstar", "--point", "newton_sqrt(2)", "--point", "const(1)"],
+    ["density", "--point", "newton_sqrt(2)"],
+])
+def test_cli_newton_needs_the_one_point_base(tmp_path, capsys, argv):
+    # Over the identity fiber the terms move between fibers, so the default
+    # tie at index 1 would be false.
+    path = _write(tmp_path, RATIONAL_IDENTITY_DOC)
+    assert run_command([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR newton_sqrt needs the one-point base")
+    assert "RationalOrderBase" in captured.err
+
+
+def test_parse_rejects_negative_distance_naming_the_pair():
+    doc = json.loads(json.dumps(SIERPINSKI_DOC))
+    doc["distance"]["entries"] = [["x_a", "x_b", "-1"]]
+    with pytest.raises(InputError) as err:
+        parse_instance(json.dumps(doc))
+    assert str(err.value) == "$.distance.entries[0]: negative distance -1 for ('x_a', 'x_b')"
+
+
+def test_parse_reports_a_constant_fiber_target_at_its_field():
+    doc = json.loads(json.dumps(SIERPINSKI_DOC))
+    doc["fiber_map"] = {"kind": "constant", "to": "zz"}
+    with pytest.raises(InputError) as err:
+        parse_instance(json.dumps(doc))
+    assert str(err.value).startswith("$.fiber_map.to: ") and "'zz'" in str(err.value)
+
+
+def test_cli_non_string_code_in_distance_entry_exits_2(tmp_path, capsys):
+    # A list is unhashable: looked up as a code it raised TypeError.
+    doc = json.loads(json.dumps(SIERPINSKI_DOC))
+    doc["distance"]["entries"] = [[["x_a"], "x_b", "0"]]
+    path = _write(tmp_path, doc)
+    assert run_command(["validate", path]) == 2
+    assert capsys.readouterr().err.startswith("ERROR $.distance.entries[0]: expected [x, y, value]")

@@ -1,0 +1,124 @@
+"""The exit-code contract over mutated instance documents and point specs.
+
+Every invocation of every subcommand returns 0 (all properties pass),
+1 (a property failed) or 2 (bad input) and never raises. The documents
+start from the golden corpus and get one mutation each: a field dropped or
+retyped, a kind swapped, a rational corrupted or a code pointed at nothing.
+"""
+
+from __future__ import annotations
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mapcomplete.cli import run_command
+
+GOLDEN = Path(__file__).parent / "golden"
+DOCUMENTS = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN.glob("*.json"))}
+
+KINDS = ["finite", "one_point", "rational_order", "rational_interval", "rational_grid",
+         "table", "constant", "identity", "abs_diff", "max_metric", "bogus"]
+# Syntax errors and out-of-range values only: a valid wide grid bound would
+# make the cubic validators, not the contract, the subject of the test.
+BAD_RATIONALS = ["1/0", "0.5", "x", "-", "1/-2", "", "1//2", "-1/2"]
+OTHER_VALUES = [None, 0, 1.5, True, [], {}, "zz", ["zz"], {"zz": 1}]
+DEPTH = "12"
+
+
+def _nodes(node, path=()):
+    """Every (key path, value) of a JSON tree, parents before children."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _nodes(value, path + (i,))
+
+
+def _mutate(doc, rnd):
+    doc = copy.deepcopy(doc)
+    *head, last = rnd.choice([path for path, _ in _nodes(doc)][1:])
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    action = rnd.choice(["drop", "retype", "kind", "rational", "dangle"])
+    if action == "drop":
+        del parent[last]
+    elif action == "retype":
+        parent[last] = rnd.choice([v for v in OTHER_VALUES if v != parent[last]])
+    elif action == "kind":
+        parent[last] = rnd.choice(KINDS)
+    elif action == "rational":
+        parent[last] = rnd.choice(BAD_RATIONALS)
+    else:
+        parent[last] = "nowhere"
+    return doc
+
+
+def _tokens(doc) -> list[str]:
+    """Strings of the document, as candidate carrier codes and base ids."""
+    return sorted({value for _, value in _nodes(doc) if isinstance(value, str)})
+
+
+def _spec(rnd, tokens) -> str:
+    tokens = tokens + ["1/2", "3/2", "1 1", "nope"]
+    ctor = rnd.choice(["const", "table", "newton_sqrt", "bogus"])
+    if ctor == "table":
+        head = ",".join(rnd.choices(tokens, k=rnd.randint(0, 3)))
+        spec = f"table({head};tail={rnd.choice(tokens)})"
+    elif ctor == "newton_sqrt":
+        spec = f"newton_sqrt({rnd.choice(['2', '3', '1/2', 'x'])})"
+    else:
+        spec = f"{ctor}({rnd.choice(tokens)})"
+    if rnd.random() < 0.5:
+        spec += "@" + rnd.choice(tokens)
+    return spec
+
+
+def _run(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return run_command(argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rnd=st.randoms(use_true_random=False))
+def test_every_document_command_exits_0_1_or_2(tmp_path, rnd):
+    doc = DOCUMENTS[rnd.choice(sorted(DOCUMENTS))]
+    if rnd.random() < 0.75:
+        doc = _mutate(doc, rnd)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tokens = _tokens(doc)
+    command = rnd.choice(
+        ["validate", "dstar", "density", "complete-check", "complete-construct", "limit-demo"]
+    )
+    argv = [command, str(path), "--depth", DEPTH]
+    if command in ("dstar", "density", "limit-demo"):
+        for _ in range(rnd.randint(0, 2)):
+            argv += ["--point", _spec(rnd, tokens)]
+        argv += ["--eps", rnd.choice(["1/1000", "1/3", "0", "x"])]
+    if command == "density" and rnd.random() < 0.5:
+        argv += ["--open", ",".join(rnd.choices(tokens + ["zz"], k=rnd.randint(0, 2)))]
+    assert _run(argv) in (0, 1, 2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["theorem3", "lemma2"]),
+    seed=st.integers(-5, 10**6),
+    count=st.integers(-1, 2),
+    maxx=st.integers(-1, 7),
+    maxy=st.integers(-1, 4),
+)
+def test_every_suite_run_exits_0_1_or_2(command, seed, count, maxx, maxy):
+    argv = [command, "--seed", str(seed), "--count", str(count),
+            "--maxx", str(maxx), "--maxy", str(maxy), "--depth", DEPTH]
+    assert _run(argv) in (0, 1, 2)

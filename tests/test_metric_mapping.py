@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapcomplete.base_topology import BasePoint, EnumeratedBase, FiniteBase
+from mapcomplete.base_topology import BasePoint, FiniteBase, OnePointBase
 from mapcomplete.errors import EvaluatorError, InputError
 from mapcomplete.metric_mapping import (
     CarrierPoint,
@@ -66,7 +66,7 @@ def test_max_metric_grid_validates(grid_mapping):
 
 
 def test_evaluator_errors_reported_distinctly():
-    base = EnumeratedBase.one_point("o")
+    base = OnePointBase("o")
     carrier = RationalIntervalCarrier(Fraction(0), Fraction(1))
     broken = MetricMapping(
         carrier, base, lambda x: base.point, lambda x, x2: Fraction(-1), "custom"
@@ -78,7 +78,7 @@ def test_evaluator_errors_reported_distinctly():
 
 
 def test_evaluator_rejects_floats():
-    base = EnumeratedBase.one_point("o")
+    base = OnePointBase("o")
     carrier = RationalIntervalCarrier(Fraction(0), Fraction(1))
     floaty = MetricMapping(
         carrier, base, lambda x: base.point, lambda x, x2: 0.5, "custom"

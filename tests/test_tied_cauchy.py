@@ -246,12 +246,12 @@ _INTERVAL = None
 def _interval():
     global _INTERVAL
     if _INTERVAL is None:
-        from mapcomplete.base_topology import EnumeratedBase
+        from mapcomplete.base_topology import OnePointBase
         from mapcomplete.metric_mapping import RationalIntervalCarrier, abs_diff_mapping
 
         _INTERVAL = abs_diff_mapping(
             RationalIntervalCarrier(Fraction(0), Fraction(3)),
-            EnumeratedBase.one_point("o"),
+            OnePointBase("o"),
         )
     return _INTERVAL
 
