@@ -5,8 +5,10 @@ with a pseudometric d on X that restricts to a genuine metric on every
 fiber. This package represents points of the completed space as
 modulus-carrying Cauchy sequences tied to a base point, evaluates the
 completed distance to any requested precision with a certificate, and
-decides the relevant properties exactly on finite instances by brute
-force.
+decides the relevant properties exactly on finite instances: completeness
+in polynomial time, by the filter criterion over singletons and by the
+tied-sequence criterion over zero classes, and the cluster/limit identity
+by enumerating zero-diameter sets.
 """
 
 from .base_topology import (

@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapcomplete",
         description="Validate metric-mapping instances, evaluate certified "
-        "completion distances, and run the finite brute-force suites.",
+        "completion distances, and run the seeded finite suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="basic open as comma-separated base ids (finite base); "
                         "default: first basic open containing the point's base point")
 
-    add("complete-check", "decide completeness of a finite instance by brute force")
+    add("complete-check", "decide completeness of a finite instance exactly, "
+        "closing each point of T_y for each base point y")
 
     for name in ("theorem3", "lemma2"):
         p = add(name, "seeded random-instance suite", with_file=False)
@@ -216,6 +217,8 @@ def _instance_violations(m) -> list:
 
 def _cmd_suite(args) -> Report:
     name = args.command
+    if args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     report = Report()
     for seed in range(args.seed, args.seed + args.count):
         m = random_instance(seed, args.maxx, args.maxy)

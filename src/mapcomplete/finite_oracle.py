@@ -1,4 +1,4 @@
-"""Exact brute-force oracles on finite instances.
+"""Exact deciders on finite instances.
 
 Everything here is decidable by enumeration: completeness under the filter
 criterion, completeness under the tied-sequence criterion, the agreement
@@ -13,7 +13,11 @@ paths being independent.
 On a finite carrier every filter is principal, every Cauchy sequence is
 eventually inside one zero-distance class, and the small-diameter condition
 forces that class structure, so all the quantifiers discharge exactly (not
-heuristically) into finite enumerations.
+heuristically) into finite enumerations. Both completeness deciders are
+polynomial: closure is monotone, so the filter side checks only the
+singletons {x} with x in T_y (see is_complete_filter), and the net side
+checks one cycle per zero class. lemma2_check still enumerates every
+zero-diameter subset of T_y.
 """
 
 from __future__ import annotations
@@ -136,19 +140,25 @@ def _tied_core(m: MetricMapping, y: BasePoint) -> frozenset:
 def _balls_around(m: MetricMapping, x: CarrierPoint, pts) -> list[frozenset]:
     # Every distinct open ball around x arises as {v : d(x,v) <= t} for a
     # realized threshold t; derived per point, without the radius palette.
-    thresholds = sorted({m.distance(x, v) for v in pts})
-    return [frozenset(v for v in pts if m.distance(x, v) <= t) for t in thresholds]
+    d = {v: m.distance(x, v) for v in pts}
+    return [frozenset(v for v in pts if d[v] <= t) for t in sorted(set(d.values()))]
 
 
-def _is_limit(m: MetricMapping, x: CarrierPoint, region: frozenset, pts) -> bool:
+def _preimages_around(m: MetricMapping) -> dict[BasePoint, list[frozenset]]:
+    """For each base point, the preimages of the basic opens around it."""
+    return {
+        y: [fiber_preimage(m, map(BasePoint, o)) for o in m.base.neighborhood_basis(y)]
+        for y in m.base.points
+    }
+
+
+def _is_limit(m: MetricMapping, x: CarrierPoint, region: frozenset, pts, around) -> bool:
     """Whether x is a limit point of the principal filter of ``region``,
     and so of every sequence that cycles through ``region``: each basic
     neighborhood of x, a ball around x intersected with the preimage of a
-    basic open around its fiber, contains all of ``region``."""
-    preimages = [
-        fiber_preimage(m, map(BasePoint, o))
-        for o in m.base.neighborhood_basis(m.fiber_of(x))
-    ]
+    basic open around its fiber (``around``, from _preimages_around),
+    contains all of ``region``."""
+    preimages = around[m.fiber_of(x)]
     return all(
         region <= (ball & pre)
         for ball in _balls_around(m, x, pts)
@@ -159,7 +169,8 @@ def _is_limit(m: MetricMapping, x: CarrierPoint, region: frozenset, pts) -> bool
 def _limit_set(m: MetricMapping, region: frozenset) -> frozenset:
     """Points whose every basic neighborhood contains ``region`` entirely."""
     pts = m.points()
-    return frozenset(x for x in pts if _is_limit(m, x, region, pts))
+    around = _preimages_around(m)
+    return frozenset(x for x in pts if _is_limit(m, x, region, pts, around))
 
 
 def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozenset]:
@@ -190,15 +201,23 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
 
     On a finite carrier every filter is the up-set of a minimal set A, and
     the arbitrarily-small-diameter condition forces diam(A) = 0; the
-    neighborhood-filter containment is exactly A inside the preimage of
-    every basic open around the target. The instance is complete iff every
-    such (y, A) has closure(A) meeting the fiber of y. On failure the
-    certificate is the witnessing (y, A).
+    neighborhood-filter containment is exactly A inside T_y, the points in
+    the preimage of every basic open around the target y. The instance is
+    complete iff every such (y, A) has closure(A) meeting the fiber of y.
+
+    Singletons suffice. Closure is monotone: if A fails, then for each x
+    in A, closure({x}) lies inside closure(A) and misses the fiber of y
+    too, and {x} is a zero-diameter subset of T_y. So for each y in base
+    order the check runs over the points x of T_y in code order, and the
+    certificate on failure is (y, {x}) for the first failing x. This is
+    the certificate a sweep of all zero-diameter subsets of T_y, by size
+    and then in code order, returns: such a sweep meets the singletons
+    first, in the same order, and a failing y always has a failing
+    singleton.
     """
     ensure_finite_instance(m)
     pts = _sorted_points(m.points())
-    tied_candidates = [a for a in _nonempty_subsets(pts) if _diam_zero(m, a)]
-    closure_cache: dict[frozenset, frozenset] = {}
+    closures: dict[CarrierPoint, frozenset] = {}
     for y in m.base.points:
         fiber_y = frozenset(x for x in pts if m.fiber_of(x) == y)
         constraints = [
@@ -206,13 +225,13 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
             for o in m.base.basis
             if y.id in o
         ]
-        for a in tied_candidates:
-            if not all(a <= p for p in constraints):
+        for x in pts:
+            if not all(x in p for p in constraints):
                 continue
-            if a not in closure_cache:
-                closure_cache[a] = closure_finite(m, a)
-            if not closure_cache[a] & fiber_y:
-                return OracleVerdict(False, (y, a))
+            if x not in closures:
+                closures[x] = closure_finite(m, {x})
+            if closures[x].isdisjoint(fiber_y):
+                return OracleVerdict(False, (y, frozenset({x})))
     return OracleVerdict(True)
 
 
@@ -229,12 +248,13 @@ def is_complete_net(m: MetricMapping) -> OracleVerdict:
     ensure_finite_instance(m)
     pts = _sorted_points(m.points())
     classes = zero_classes(m)
+    around = _preimages_around(m)
     for y in m.base.points:
         tied_core = _tied_core(m, y)
         fiber_y = [x for x in pts if m.fiber_of(x) == y]
         for c in classes:
             tied_set = c & tied_core
-            if tied_set and not any(_is_limit(m, x, tied_set, pts) for x in fiber_y):
+            if tied_set and not any(_is_limit(m, x, tied_set, pts, around) for x in fiber_y):
                 return OracleVerdict(False, (y, tied_set))
     return OracleVerdict(True)
 

@@ -14,10 +14,12 @@ arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, ClassVar, Iterable, Union
+from weakref import WeakKeyDictionary
 
 from .base_topology import Base, BasePoint, FiniteBase
 from .errors import EvaluatorError, InputError, Violation
@@ -440,9 +442,35 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
     return positive or [Fraction(1)]
 
 
-def _distinct_balls(m: MetricMapping, x: CarrierPoint, pts, radii) -> list[frozenset]:
-    balls = {frozenset(v for v in pts if m.distance(x, v) < r) for r in radii}
-    return sorted(balls, key=len)
+# One neighborhood table per live mapping; it depends only on the mapping,
+# and goes when the mapping does.
+_NEIGHBORHOODS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _neighborhoods(m: MetricMapping) -> dict[CarrierPoint, frozenset]:
+    """The distinct basic neighborhoods of every point of a finite
+    instance: each ball of a ``closure_radii`` radius around the point,
+    intersected with the preimage of each basis set holding its fiber.
+    Built on the first call for ``m`` and reused by every later one."""
+    table = _NEIGHBORHOODS.get(m)
+    if table is None:
+        pts = m.points()
+        radii = closure_radii(m)
+        preimages = {o: fiber_preimage(m, map(BasePoint, o)) for o in m.base.basis}
+        table = {}
+        for x in pts:
+            fx = m.fiber_of(x).id
+            # The ball of radius r is the prefix of the points by distance
+            # from x that stops at the first distance of r or more.
+            d = {v: m.distance(x, v) for v in pts}
+            order = sorted(pts, key=d.get)
+            ds = [d[v] for v in order]
+            balls = {frozenset(order[: bisect_left(ds, r)]) for r in radii}
+            table[x] = frozenset(
+                ball & preimages[o] for ball in balls for o in m.base.basis if fx in o
+            )
+        _NEIGHBORHOODS[m] = table
+    return table
 
 
 def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozenset:
@@ -455,19 +483,12 @@ def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozense
     if not m.is_finite_instance():
         raise InputError("closure_finite needs a finite carrier and a finite base")
     a = frozenset(region)
-    pts = m.points()
+    table = _neighborhoods(m)
     for x in a:
-        if x not in pts:
+        if x not in table:
             raise InputError(f"point {x.code!r} is not in the carrier")
     if not a:
         return frozenset()
-    radii = closure_radii(m)
-    preimages = {o: fiber_preimage(m, map(BasePoint, o)) for o in m.base.basis}
-    out = set()
-    for x in pts:
-        fx = m.fiber_of(x).id
-        opens = [o for o in m.base.basis if fx in o]
-        balls = _distinct_balls(m, x, pts, radii)
-        if all(ball & preimages[o] & a for ball in balls for o in opens):
-            out.add(x)
-    return frozenset(out)
+    return frozenset(
+        x for x, nbhds in table.items() if not any(n.isdisjoint(a) for n in nbhds)
+    )

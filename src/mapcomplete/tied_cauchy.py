@@ -241,13 +241,26 @@ def check_tying(s: TiedCauchySeq, depth: int) -> list[Violation]:
     base, the opens of index below ``depth`` that contain it on the
     rationals. For each open O the check covers indices tie(O) ..
     max(tie(O), depth), so every open is checked at its witness index.
+    When no open qualifies, the claim is unchecked and that is reported
+    as a violation naming ``depth``, not passed as vacuously true.
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
     base = s.mapping.base
     _check_target(s.mapping, s.y)
+    opens = base.opens_around(s.y, depth)
+    if not opens:
+        # Nothing to check is no evidence: on the rationals every point has
+        # basic opens around it, just none among the first ``depth``.
+        return [
+            Violation(
+                "depth",
+                f"no basic open around {format_id(s.y.id)} to check at depth {depth}",
+                (depth,),
+            )
+        ]
     violations = []
-    for o in base.opens_around(s.y, depth):
+    for o in opens:
         try:
             start = s.tie.index_for(o)
         except WitnessError as e:

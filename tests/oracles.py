@@ -1,15 +1,21 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values, and a generator of
+larger finite instances to run them on.
 
 Nothing here may call the code paths it checks: the square-root oracle is
-interval arithmetic on raw Fractions, and the closure oracle generates the
-whole finite topology instead of quantifying over basic neighborhoods.
+interval arithmetic on raw Fractions, the closure oracle generates the
+whole finite topology instead of quantifying over basic neighborhoods,
+and the filter oracle sweeps every zero-diameter subset with its own
+threshold balls instead of calling closure_finite or the deciders.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
-from mapcomplete.base_topology import all_opens_finite
+from mapcomplete.base_topology import FiniteBase, all_opens_finite
+from mapcomplete.metric_mapping import table_mapping
 
 
 def sqrt_interval(a: Fraction, steps: int = 8) -> tuple[Fraction, Fraction]:
@@ -91,3 +97,83 @@ def limit_via_full_topology(m, region) -> frozenset:
         if all(a <= o for o in opens if x in o):
             out.add(x)
     return frozenset(out)
+
+
+def filter_by_subset_sweep(m) -> tuple[bool, tuple | None]:
+    """Completeness by the filter criterion, straight from its definition:
+    for each base point y in base order, every nonempty zero-diameter set A
+    inside T_y must have a closure point over y. Sets are swept by size and
+    then in code order; the first failure gives the certificate (y, A).
+
+    Level r + 1 extends each zero-diameter r-set, in order, by later points
+    at distance 0 from all of it, which keeps the sweep order and skips
+    only sets of positive diameter.
+    """
+    pts = sorted(m.points(), key=lambda p: str(p.code))
+    idx = range(len(pts))
+    zero = [[m.distance(pts[i], pts[j]) == 0 for j in idx] for i in idx]
+    candidates = []
+    level = [(i,) for i in idx]
+    while level:
+        candidates += level
+        level = [c + (j,) for c in level for j in range(c[-1] + 1, len(pts))
+                 if all(zero[i][j] for i in c)]
+    fiber = {x: m.fiber_of(x).id for x in pts}
+    balls = {x: _oracle_balls(m, x, pts) for x in pts}
+
+    def closure(a: frozenset) -> set:
+        return {
+            x for x in pts
+            if all(any(fiber[v] in o for v in ball & a)
+                   for ball in balls[x] for o in m.base.basis if fiber[x] in o)
+        }
+
+    closures = {}
+    for y in m.base.points:
+        opens = [o for o in m.base.basis if y.id in o]
+        core = {x for x in pts if all(fiber[x] in o for o in opens)}
+        for c in candidates:
+            a = frozenset(pts[i] for i in c)
+            if not a <= core:
+                continue
+            if a not in closures:
+                closures[a] = closure(a)
+            if not any(fiber[x] == y.id for x in closures[a]):
+                return False, (y, a)
+    return True, None
+
+
+def stress_instance(seed: int, n: int, n_base: int = 3):
+    """A valid finite instance with ``n`` carrier points whose zero classes
+    are built directly, not by palette and repair.
+
+    Each class sits at its own rational position on a line, distances are
+    |pos - pos'|, and a class holds at most one point per fiber, so the
+    pseudometric and fiberwise axioms hold by construction. Class sizes run
+    from 1 to ``n_base``; codes are shuffled against the classes. The basis
+    is random, closed under nonempty intersection and covering.
+    """
+    rng = random.Random(seed)
+    ys = [f"y{i}" for i in range(n_base)]
+    opens = {tuple(sorted(rng.sample(ys, rng.randint(1, n_base)))) for _ in range(2 * n_base)}
+    while True:
+        meets = {tuple(sorted(set(o1) & set(o2))) for o1, o2 in combinations(opens, 2)}
+        new = {o for o in meets if o} - opens
+        if not new:
+            break
+        opens |= new
+    opens |= {(y,) for y in ys if not any(y in o for o in opens)}
+
+    slots = []
+    while len(slots) < n:
+        size = min(rng.randint(1, n_base), n - len(slots))
+        k = len(slots) and slots[-1][0] + 1
+        slots += [(k, y) for y in rng.sample(ys, size)]
+    lattice = sorted({Fraction(i, q) for i in range(4 * n) for q in (1, 2, 3)})
+    pos = rng.sample(lattice, slots[-1][0] + 1)
+    codes = [f"x{i:02d}" for i in range(n)]
+    rng.shuffle(codes)
+    fibers = {code: y for code, (_, y) in zip(codes, slots)}
+    where = {code: pos[k] for code, (k, _) in zip(codes, slots)}
+    distances = {(a, b): abs(where[a] - where[b]) for a, b in combinations(sorted(codes), 2)}
+    return table_mapping(FiniteBase.of(ys, sorted(opens)), fibers, distances)

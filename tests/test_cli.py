@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mapcomplete.cli import run_command
-from mapcomplete.cli_io import Report, parse_instance, parse_point_spec
+from mapcomplete.cli_io import Report, instance_document, parse_instance, parse_point_spec
 from mapcomplete.errors import InputError
 
 SIERPINSKI_DOC = {
@@ -204,6 +204,43 @@ def test_cli_lemma2_suite(capsys):
     assert out.strip().splitlines()[-1] == "SUMMARY 5/5"
 
 
+@pytest.mark.parametrize("command", ["theorem3", "lemma2"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cli_suite_needs_a_positive_count(capsys, command, count):
+    # SUMMARY 0/0 with exit 0 would be a pass with nothing checked.
+    assert run_command([command, "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR --count must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_cli_complete_check_decides_40_points(tmp_path, capsys, monkeypatch, seed):
+    # 2^40 candidate sets would never finish; the decider closes at most
+    # one singleton per carrier point.
+    from mapcomplete import finite_oracle
+    from oracles import filter_by_subset_sweep, stress_instance
+
+    m = stress_instance(seed, 40, 4)
+    path = _write(tmp_path, instance_document(m))
+    closures = []
+    closure_finite = finite_oracle.closure_finite
+    monkeypatch.setattr(
+        finite_oracle, "closure_finite",
+        lambda m, region: closures.append(region) or closure_finite(m, region),
+    )
+    ok, cert = filter_by_subset_sweep(m)
+    assert run_command(["complete-check", path]) == (0 if ok else 1)
+    last = capsys.readouterr().out.splitlines()[-2]
+    if ok:
+        assert last == "PROP complete_check PASS COMPLETE"
+    else:
+        y, tied = cert
+        members = ",".join(sorted(p.code for p in tied))
+        assert last == f"PROP complete_check FAIL INCOMPLETE certificate=({y.id},{{{members}}})"
+    assert 0 < len(closures) <= 40
+
+
 def test_cli_round_trip(tmp_path, capsys):
     src = _write(tmp_path, INCOMPLETE_DOC)
     out_path = str(tmp_path / "completed.json")
@@ -376,6 +413,20 @@ def test_cli_true_tie_claim_is_accepted(tmp_path, capsys):
     path = _write(tmp_path, SIERPINSKI_DOC)
     assert run_command(["dstar", path, "--point", "const(x_a)@b", "--point", "const(x_b)"]) == 0
     assert "PROP dstar PASS value=0" in capsys.readouterr().out
+
+
+def test_cli_tie_claim_beyond_the_checked_opens_exits_2(tmp_path, capsys):
+    # No basic open among the first 64 lies around 1000, so nothing could
+    # refute the claim; that is no evidence for it either.
+    path = _write(tmp_path, RATIONAL_IDENTITY_DOC)
+    argv = ["dstar", path, "--point", "const(1/2)@1000", "--point", "const(1)"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ERROR tie claim 'const(1/2)@1000' is false: "
+        "[depth] no basic open around '1000' to check at depth 64\n"
+    )
 
 
 def test_cli_tie_claim_errors_print_rational_ids_as_written(tmp_path, capsys):

@@ -29,7 +29,7 @@ from mapcomplete.metric_mapping import closure_finite, table_mapping
 from mapcomplete.metric_mapping import validate_fiberwise_metric, validate_pseudometric
 from mapcomplete.base_topology import validate_basis
 
-from oracles import limit_via_full_topology
+from oracles import filter_by_subset_sweep, limit_via_full_topology, stress_instance
 
 
 def _codes(points) -> set[str]:
@@ -262,8 +262,8 @@ def test_deciders_share_no_decision_logic(monkeypatch, sierpinski, incomplete_in
         raise AssertionError("decider reached the other side's code")
 
     sides = {
-        "filter": ("is_complete_filter", "closure_finite", "closure_radii", "_distinct_balls"),
-        "net": ("zero_classes", "_tied_core", "_is_limit", "_balls_around"),
+        "filter": ("is_complete_filter", "closure_finite", "closure_radii", "_neighborhoods"),
+        "net": ("zero_classes", "_tied_core", "_is_limit", "_balls_around", "_preimages_around"),
     }
     instances = [sierpinski, incomplete_instance] + [random_instance(s) for s in range(30)]
     for decider, other in ((is_complete_filter, "net"), (is_complete_net, "filter")):
@@ -274,3 +274,44 @@ def test_deciders_share_no_decision_logic(monkeypatch, sierpinski, incomplete_in
                         patch.setattr(module, name, unreachable)
             for m in instances:
                 decider(m)
+
+
+def _filter_outcome(m):
+    verdict = is_complete_filter(m)
+    return verdict.ok, verdict.certificate
+
+
+def test_filter_decider_matches_subset_sweep_on_random_instances():
+    for seed in range(120):
+        m = random_instance(seed, max_x=6 + seed % 5, max_y=3 + seed % 2)
+        assert _filter_outcome(m) == filter_by_subset_sweep(m), seed
+
+
+def test_filter_decider_matches_subset_sweep_on_stress_instances():
+    # 12-16 points in zero classes of up to 3 or 4 points, sizes that
+    # random_instance never reaches.
+    verdicts = set()
+    for seed in range(20):
+        n, n_base = 12 + seed % 5, 3 + seed % 2
+        m = stress_instance(seed, n, n_base)
+        assert len(m.points()) == n
+        assert not validate_basis(m.base)
+        assert not validate_pseudometric(m, n) and not validate_fiberwise_metric(m, n)
+        expected = filter_by_subset_sweep(m)
+        assert _filter_outcome(m) == expected, seed
+        assert is_complete_net(m).ok == expected[0], seed
+        verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
+def test_closure_table_is_built_once_per_mapping(monkeypatch):
+    from mapcomplete import metric_mapping
+
+    calls = []
+    original = metric_mapping.closure_radii
+    monkeypatch.setattr(metric_mapping, "closure_radii", lambda m: calls.append(m) or original(m))
+    m = stress_instance(3, 14)
+    is_complete_filter(m)
+    lemma2_check(m)
+    cluster_and_limit_sets(m, m.points()[:3])
+    assert calls == [m]
