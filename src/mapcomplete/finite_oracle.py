@@ -4,7 +4,9 @@ Everything here is decidable by enumeration: completeness under the filter
 criterion, completeness under the tied-sequence criterion, the agreement
 check between the two, the cluster/limit identity for tied sets, and an
 explicit finite completion. The two completeness deciders share plain
-set helpers such as fiber_preimage but no decision logic: the filter side
+set helpers such as fiber_preimage, and read distances from the one
+DistanceMatrix of the mapping that the validators filled, but share no
+decision logic: the filter side
 decides through closures over the radius-palette balls of metric_mapping,
 the net side through zero classes, tied cores and limit points over its
 own per-point balls. The value of the agreement suite rests on the two
@@ -32,8 +34,10 @@ from .base_topology import BasePoint, FiniteBase
 from .errors import InputError
 from .metric_mapping import (
     CarrierPoint,
+    DistanceMatrix,
     MetricMapping,
     closure_finite,
+    distance_matrix,
     fiber_preimage,
     table_mapping,
 )
@@ -116,11 +120,14 @@ class _UnionFind:
 def zero_classes(m: MetricMapping) -> tuple[frozenset, ...]:
     """Zero-distance classes of the carrier, ordered by smallest code."""
     ensure_finite_instance(m)
-    pts = m.points()
+    dm = distance_matrix(m)
+    pts = dm.points
     uf = _UnionFind(pts)
-    for x, x2 in combinations(pts, 2):
-        if m.distance(x, x2) == 0:
-            uf.union(x, x2)
+    for i, x in enumerate(pts):
+        d = dm.row(x)
+        for j in range(i + 1, len(pts)):
+            if d[j] == 0:
+                uf.union(x, pts[j])
     groups: dict[CarrierPoint, set] = {}
     for x in pts:
         groups.setdefault(uf.find(x), set()).add(x)
@@ -137,11 +144,13 @@ def _tied_core(m: MetricMapping, y: BasePoint) -> frozenset:
     return core
 
 
-def _balls_around(m: MetricMapping, x: CarrierPoint, pts) -> list[frozenset]:
+def _balls_around(dm: DistanceMatrix, x: CarrierPoint) -> list[frozenset]:
     # Every distinct open ball around x arises as {v : d(x,v) <= t} for a
     # realized threshold t; derived per point, without the radius palette.
-    d = {v: m.distance(x, v) for v in pts}
-    return [frozenset(v for v in pts if d[v] <= t) for t in sorted(set(d.values()))]
+    d = dm.row(x)
+    return [
+        frozenset(v for v, dv in zip(dm.points, d) if dv <= t) for t in sorted(set(d))
+    ]
 
 
 def _preimages_around(m: MetricMapping) -> dict[BasePoint, list[frozenset]]:
@@ -152,7 +161,9 @@ def _preimages_around(m: MetricMapping) -> dict[BasePoint, list[frozenset]]:
     }
 
 
-def _is_limit(m: MetricMapping, x: CarrierPoint, region: frozenset, pts, around) -> bool:
+def _is_limit(
+    m: MetricMapping, x: CarrierPoint, region: frozenset, dm: DistanceMatrix, around
+) -> bool:
     """Whether x is a limit point of the principal filter of ``region``,
     and so of every sequence that cycles through ``region``: each basic
     neighborhood of x, a ball around x intersected with the preimage of a
@@ -161,16 +172,16 @@ def _is_limit(m: MetricMapping, x: CarrierPoint, region: frozenset, pts, around)
     preimages = around[m.fiber_of(x)]
     return all(
         region <= (ball & pre)
-        for ball in _balls_around(m, x, pts)
+        for ball in _balls_around(dm, x)
         for pre in preimages
     )
 
 
 def _limit_set(m: MetricMapping, region: frozenset) -> frozenset:
     """Points whose every basic neighborhood contains ``region`` entirely."""
-    pts = m.points()
+    dm = distance_matrix(m)
     around = _preimages_around(m)
-    return frozenset(x for x in pts if _is_limit(m, x, region, pts, around))
+    return frozenset(x for x in dm.points if _is_limit(m, x, region, dm, around))
 
 
 def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozenset]:
@@ -187,7 +198,9 @@ def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozens
 
 
 def _diam_zero(m: MetricMapping, subset) -> bool:
-    return all(m.distance(x, x2) == 0 for x, x2 in combinations(subset, 2))
+    dm = distance_matrix(m)
+    rows = {x: dm.row(x) for x in subset}
+    return all(rows[x][dm.index[x2]] == 0 for x, x2 in combinations(subset, 2))
 
 
 def _nonempty_subsets(pts: list[CarrierPoint]):
@@ -248,13 +261,14 @@ def is_complete_net(m: MetricMapping) -> OracleVerdict:
     ensure_finite_instance(m)
     pts = _sorted_points(m.points())
     classes = zero_classes(m)
+    dm = distance_matrix(m)
     around = _preimages_around(m)
     for y in m.base.points:
         tied_core = _tied_core(m, y)
         fiber_y = [x for x in pts if m.fiber_of(x) == y]
         for c in classes:
             tied_set = c & tied_core
-            if tied_set and not any(_is_limit(m, x, tied_set, pts, around) for x in fiber_y):
+            if tied_set and not any(_is_limit(m, x, tied_set, dm, around) for x in fiber_y):
                 return OracleVerdict(False, (y, tied_set))
     return OracleVerdict(True)
 

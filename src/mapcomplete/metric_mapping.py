@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, ClassVar, Iterable, Union
 from weakref import WeakKeyDictionary
 
@@ -108,7 +110,9 @@ class RationalGridCarrier:
             v += self.step
         return vals
 
+    @cached_property
     def points(self) -> tuple[CarrierPoint, ...]:
+        """Every grid point, row by row; built once per carrier."""
         axis = self.axis_values()
         return tuple(CarrierPoint((a, b)) for a in axis for b in axis)
 
@@ -126,7 +130,7 @@ class RationalGridCarrier:
         return True
 
     def enumerate_point(self, n: int) -> CarrierPoint:
-        pts = self.points()
+        pts = self.points
         if not 0 <= n < len(pts):
             raise InputError(f"grid has {len(pts)} points, index {n} out of range")
         return pts[n]
@@ -173,10 +177,8 @@ class MetricMapping:
         return self.fiber(x)
 
     def points(self) -> tuple[CarrierPoint, ...]:
-        if self.carrier.kind == "finite":
+        if carrier_is_finite(self.carrier):
             return self.carrier.points
-        if self.carrier.kind == "rational_grid":
-            return self.carrier.points()
         raise InputError("operation needs a finite carrier")
 
     def sample_points(self, budget: int) -> tuple[CarrierPoint, ...]:
@@ -296,18 +298,99 @@ def max_metric_mapping(carrier: RationalGridCarrier, base: Base, fiber=None) -> 
     return MetricMapping(carrier, base, fiber or base.default_fiber(carrier), dist, "max_metric")
 
 
-def _pair_distances(m: MetricMapping, pts) -> tuple[dict, list[Violation]]:
-    """Evaluate all pair distances once, catching evaluator failures."""
-    dists: dict[tuple[int, int], Fraction] = {}
-    violations: list[Violation] = []
-    for i, j in combinations(range(len(pts)), 2):
-        try:
-            dists[(i, j)] = m.distance(pts[i], pts[j])
-        except EvaluatorError as e:
-            violations.append(
-                Violation("evaluator", str(e), (pts[i].code, pts[j].code))
-            )
-    return dists, violations
+# One distance matrix per live mapping and sample size; it depends only on
+# the mapping, and goes when the mapping does.
+_MATRICES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+@dataclass(frozen=True)
+class DistanceMatrix:
+    """Every distance among ``points``, each evaluated once.
+
+    ``num[i][j] / den`` is d(points[i], points[j]) exactly: ``den`` is the
+    least common multiple of the denominators of all realized values, and
+    ``num`` holds the integer numerators over it. The evaluations are made
+    in the order the validators report them: the diagonal, then every
+    pair i < j (forward) in ``combinations`` order, then d(points[j],
+    points[i]) (back) for each forward pair that evaluated. An entry is
+    None where its evaluation raised an ``EvaluatorError`` or was not
+    made; ``failures`` maps each failed (i, j) to the error's message, in
+    evaluation order.
+
+    Exactness: ``den`` is positive, and scaling by a positive constant
+    keeps both order and sums, so for rationals a, b, c: a == b iff
+    a*den == b*den, and a <= b + c iff a*den <= b*den + c*den. Every
+    comparison and triangle sum made on numerators therefore decides as
+    it would on the rationals themselves.
+    """
+
+    points: tuple[CarrierPoint, ...]
+    index: dict[CarrierPoint, int]
+    den: int
+    num: list[list[int | None]]
+    failures: dict[tuple[int, int], str]
+
+    @classmethod
+    def build(cls, m: MetricMapping, pts: tuple[CarrierPoint, ...]) -> DistanceMatrix:
+        n = len(pts)
+        values: list[list] = [[None] * n for _ in range(n)]
+        failures: dict[tuple[int, int], str] = {}
+
+        def evaluate(i: int, j: int) -> None:
+            try:
+                values[i][j] = m.distance(pts[i], pts[j])
+            except EvaluatorError as e:
+                failures[(i, j)] = str(e)
+
+        for i in range(n):
+            evaluate(i, i)
+        pairs = list(combinations(range(n), 2))
+        for i, j in pairs:
+            evaluate(i, j)
+        for i, j in pairs:
+            if values[i][j] is not None:
+                evaluate(j, i)
+        den = lcm(*{v.denominator for row in values for v in row if v is not None})
+        num = [
+            [None if v is None else v.numerator * (den // v.denominator) for v in row]
+            for row in values
+        ]
+        return cls(pts, {x: i for i, x in enumerate(pts)}, den, num, failures)
+
+    def value(self, i: int, j: int) -> Fraction:
+        return Fraction(self.num[i][j], self.den)
+
+    def row(self, x: CarrierPoint) -> list[int]:
+        """Numerators of d(x, v) for every point v, in point order.
+
+        Raises the recorded ``EvaluatorError`` of the row's first failed
+        entry; a back entry left unevaluated raises its forward failure.
+        """
+        i = self.index.get(x)
+        if i is None:
+            raise InputError(f"point {x.code!r} is not in the carrier")
+        r = self.num[i]
+        if None in r:
+            j = r.index(None)
+            raise EvaluatorError(self.failures.get((i, j)) or self.failures[(j, i)])
+        return r
+
+    def evaluator_violation(self, i: int, j: int) -> Violation:
+        return Violation(
+            "evaluator", self.failures[(i, j)], (self.points[i].code, self.points[j].code)
+        )
+
+
+def distance_matrix(m: MetricMapping, budget: int | None = None) -> DistanceMatrix:
+    """The distance matrix over ``m.sample_points(budget)``, built on the
+    first call for that mapping and sample and reused by every later one.
+    Finite carriers ignore ``budget``; countable ones need it."""
+    key = None if carrier_is_finite(m.carrier) else budget
+    by_sample = _MATRICES.setdefault(m, {})
+    if key not in by_sample:
+        pts = m.points() if key is None else m.sample_points(key)
+        by_sample[key] = DistanceMatrix.build(m, pts)
+    return by_sample[key]
 
 
 def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
@@ -315,20 +398,27 @@ def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
 
     Exhaustive on finite carriers; on countable carriers the check runs
     over the first ``budget`` enumerated points (deterministic, so reports
-    are reproducible).
+    are reproducible). Every check compares the integer numerators of the
+    shared ``DistanceMatrix``, which is exact (see its docstring); values
+    in messages print as the rationals they scale.
+
+    Violations come in this order: identity and diagonal evaluator
+    failures by point, forward evaluator failures by pair, back evaluator
+    failures and symmetry breaks by pair, then triangle breaks by triple
+    (i, j, k), each triple checked via j, then via i, then via k.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
-    pts = m.sample_points(budget)
+    dm = distance_matrix(m, budget)
+    pts, num, failures = dm.points, dm.num, dm.failures
+    n = len(pts)
     violations: list[Violation] = []
 
-    for x in pts:
-        try:
-            d = m.distance(x, x)
-        except EvaluatorError as e:
-            violations.append(Violation("evaluator", str(e), (x.code, x.code)))
-            continue
-        if d != 0:
+    for i, x in enumerate(pts):
+        if (i, i) in failures:
+            violations.append(dm.evaluator_violation(i, i))
+        elif num[i][i] != 0:
+            d = dm.value(i, i)
             violations.append(
                 Violation(
                     "identity",
@@ -337,47 +427,52 @@ def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
                 )
             )
 
-    dists, evaluator_violations = _pair_distances(m, pts)
-    violations.extend(evaluator_violations)
-
-    for i, j in combinations(range(len(pts)), 2):
-        if (i, j) not in dists:
-            continue
-        try:
-            back = m.distance(pts[j], pts[i])
-        except EvaluatorError as e:
-            violations.append(Violation("evaluator", str(e), (pts[j].code, pts[i].code)))
-            continue
-        if back != dists[(i, j)]:
-            violations.append(
+    back: list[Violation] = []
+    for i, j in combinations(range(n), 2):
+        if (i, j) in failures:
+            violations.append(dm.evaluator_violation(i, j))
+        elif (j, i) in failures:
+            back.append(dm.evaluator_violation(j, i))
+        elif num[j][i] != num[i][j]:
+            back.append(
                 Violation(
                     "symmetry",
                     f"d({pts[i].code!r},{pts[j].code!r}) != d({pts[j].code!r},{pts[i].code!r})",
                     (pts[i].code, pts[j].code),
                 )
             )
+    violations += back
 
-    def dist_of(i: int, j: int):
-        if i == j:
-            return Fraction(0)
-        key = (i, j) if i < j else (j, i)
-        return dists.get(key)
+    def forward(a: int, b: int) -> str:
+        return format_rational(dm.value(min(a, b), max(a, b)))
 
-    for i, j, k in combinations(range(len(pts)), 3):
-        for a, mid, b in ((i, j, k), (j, i, k), (i, k, j)):
-            d_ab, d_am, d_mb = dist_of(a, b), dist_of(a, mid), dist_of(mid, b)
-            if None in (d_ab, d_am, d_mb):
+    def triangle(a: int, mid: int, b: int) -> Violation:
+        return Violation(
+            "triangle",
+            f"d({pts[a].code!r},{pts[b].code!r}) = {forward(a, b)} "
+            f"> {forward(a, mid)} + {forward(mid, b)} via {pts[mid].code!r}",
+            (pts[a].code, pts[mid].code, pts[b].code),
+        )
+
+    # Forward entries only (row i past column i): a triple with a failed
+    # pair is skipped.
+    for i in range(n):
+        ri = num[i]
+        for j in range(i + 1, n):
+            dij = ri[j]
+            if dij is None:
                 continue
-            if d_ab > d_am + d_mb:
-                violations.append(
-                    Violation(
-                        "triangle",
-                        f"d({pts[a].code!r},{pts[b].code!r}) = {format_rational(d_ab)} "
-                        f"> {format_rational(d_am)} + {format_rational(d_mb)} "
-                        f"via {pts[mid].code!r}",
-                        (pts[a].code, pts[mid].code, pts[b].code),
-                    )
-                )
+            rj = num[j]
+            for k in range(j + 1, n):
+                dik, djk = ri[k], rj[k]
+                if dik is None or djk is None:
+                    continue
+                if dik > dij + djk:
+                    violations.append(triangle(i, j, k))
+                if djk > dij + dik:
+                    violations.append(triangle(j, i, k))
+                if dij > dik + djk:
+                    violations.append(triangle(i, k, j))
     return violations
 
 
@@ -385,18 +480,20 @@ def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
     """Report distinct points in one fiber at distance zero.
 
     Run after validate_pseudometric at the same budget; this check assumes
-    the pseudometric axioms already hold.
+    the pseudometric axioms already hold, and reads the forward entries of
+    the same ``DistanceMatrix``.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
-    pts = m.sample_points(budget)
+    dm = distance_matrix(m, budget)
+    pts = dm.points
     violations: list[Violation] = []
-    for x, x2 in combinations(pts, 2):
-        try:
-            d = m.distance(x, x2)
-        except EvaluatorError as e:
-            violations.append(Violation("evaluator", str(e), (x.code, x2.code)))
+    for i, j in combinations(range(len(pts)), 2):
+        d = dm.num[i][j]
+        if d is None:
+            violations.append(dm.evaluator_violation(i, j))
             continue
+        x, x2 = pts[i], pts[j]
         if d == 0 and m.fiber_of(x) == m.fiber_of(x2):
             violations.append(
                 Violation(
@@ -429,15 +526,16 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
     iff they hold for the smallest ball, so the two families give the
     same closures and the same limit points.
     """
-    pts = m.points()
-    values = {Fraction(0)}
-    for x, x2 in combinations(pts, 2):
-        values.add(m.distance(x, x2))
-    ordered = sorted(values)
+    dm = distance_matrix(m)
+    values = {0}
+    for i, x in enumerate(dm.points):
+        values.update(dm.row(x)[i + 1:])
+    # Numerators, doubled so that midpoints stay integers.
+    ordered = sorted(2 * v for v in values)
     radii = set(ordered)
     for a, b in zip(ordered, ordered[1:]):
-        radii.add((a + b) / 2)
-    positive = sorted(r for r in radii if r > 0)
+        radii.add((a + b) // 2)
+    positive = [Fraction(r, 2 * dm.den) for r in sorted(radii) if r > 0]
     # All distances zero: any positive radius realizes the one ball there is.
     return positive or [Fraction(1)]
 
@@ -454,18 +552,19 @@ def _neighborhoods(m: MetricMapping) -> dict[CarrierPoint, frozenset]:
     Built on the first call for ``m`` and reused by every later one."""
     table = _NEIGHBORHOODS.get(m)
     if table is None:
-        pts = m.points()
-        radii = closure_radii(m)
+        dm = distance_matrix(m)
+        pts = dm.points
+        cuts = [r * dm.den for r in closure_radii(m)]
         preimages = {o: fiber_preimage(m, map(BasePoint, o)) for o in m.base.basis}
         table = {}
         for x in pts:
             fx = m.fiber_of(x).id
             # The ball of radius r is the prefix of the points by distance
             # from x that stops at the first distance of r or more.
-            d = {v: m.distance(x, v) for v in pts}
-            order = sorted(pts, key=d.get)
+            d = dm.row(x)
+            order = sorted(range(len(pts)), key=d.__getitem__)
             ds = [d[v] for v in order]
-            balls = {frozenset(order[: bisect_left(ds, r)]) for r in radii}
+            balls = {frozenset(pts[v] for v in order[: bisect_left(ds, c)]) for c in cuts}
             table[x] = frozenset(
                 ball & preimages[o] for ball in balls for o in m.base.basis if fx in o
             )

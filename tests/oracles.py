@@ -4,8 +4,10 @@ larger finite instances to run them on.
 Nothing here may call the code paths it checks: the square-root oracle is
 interval arithmetic on raw Fractions, the closure oracle generates the
 whole finite topology instead of quantifying over basic neighborhoods,
-and the filter oracle sweeps every zero-diameter subset with its own
-threshold balls instead of calling closure_finite or the deciders.
+the filter oracle sweeps every zero-diameter subset with its own
+threshold balls instead of calling closure_finite or the deciders, and
+the pseudometric oracle evaluates every Fraction distance pair by pair
+instead of calling the validators or reading a DistanceMatrix.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from mapcomplete.base_topology import FiniteBase, all_opens_finite
+from mapcomplete.errors import EvaluatorError, Violation
 from mapcomplete.metric_mapping import table_mapping
+from mapcomplete.rationals import format_rational
 
 
 def sqrt_interval(a: Fraction, steps: int = 8) -> tuple[Fraction, Fraction]:
@@ -97,6 +101,83 @@ def limit_via_full_topology(m, region) -> frozenset:
         if all(a <= o for o in opens if x in o):
             out.add(x)
     return frozenset(out)
+
+
+def pseudometric_violations(m, budget: int) -> list[Violation]:
+    """The pseudometric axioms over ``m.sample_points(budget)``, checked on
+    Fractions straight from the evaluator: identity and diagonal failures
+    by point, forward failures by pair, back failures and symmetry breaks
+    by pair, then triangle breaks by triple (i, j, k) via j, i and k."""
+    pts = m.sample_points(budget)
+    violations = []
+    for x in pts:
+        try:
+            d = m.distance(x, x)
+        except EvaluatorError as e:
+            violations.append(Violation("evaluator", str(e), (x.code, x.code)))
+            continue
+        if d != 0:
+            violations.append(Violation(
+                "identity", f"d({x.code!r},{x.code!r}) = {format_rational(d)}, expected 0",
+                (x.code, x.code, d),
+            ))
+    pairs = list(combinations(range(len(pts)), 2))
+    dists = {}
+    for i, j in pairs:
+        try:
+            dists[(i, j)] = m.distance(pts[i], pts[j])
+        except EvaluatorError as e:
+            violations.append(Violation("evaluator", str(e), (pts[i].code, pts[j].code)))
+    for i, j in pairs:
+        if (i, j) not in dists:
+            continue
+        try:
+            back = m.distance(pts[j], pts[i])
+        except EvaluatorError as e:
+            violations.append(Violation("evaluator", str(e), (pts[j].code, pts[i].code)))
+            continue
+        if back != dists[(i, j)]:
+            violations.append(Violation(
+                "symmetry",
+                f"d({pts[i].code!r},{pts[j].code!r}) != d({pts[j].code!r},{pts[i].code!r})",
+                (pts[i].code, pts[j].code),
+            ))
+
+    def dist(a: int, b: int):
+        return dists.get((min(a, b), max(a, b)))
+
+    for i, j, k in combinations(range(len(pts)), 3):
+        for a, mid, b in ((i, j, k), (j, i, k), (i, k, j)):
+            d_ab, d_am, d_mb = dist(a, b), dist(a, mid), dist(mid, b)
+            if None in (d_ab, d_am, d_mb) or d_ab <= d_am + d_mb:
+                continue
+            violations.append(Violation(
+                "triangle",
+                f"d({pts[a].code!r},{pts[b].code!r}) = {format_rational(d_ab)} "
+                f"> {format_rational(d_am)} + {format_rational(d_mb)} via {pts[mid].code!r}",
+                (pts[a].code, pts[mid].code, pts[b].code),
+            ))
+    return violations
+
+
+def fiberwise_violations(m, budget: int) -> list[Violation]:
+    """Evaluator failures and zero distances between distinct points of one
+    fiber, over the pairs of ``m.sample_points(budget)`` in order."""
+    violations = []
+    for x, x2 in combinations(m.sample_points(budget), 2):
+        try:
+            d = m.distance(x, x2)
+        except EvaluatorError as e:
+            violations.append(Violation("evaluator", str(e), (x.code, x2.code)))
+            continue
+        if d == 0 and m.fiber_of(x) == m.fiber_of(x2):
+            violations.append(Violation(
+                "fiberwise",
+                f"distinct points {x.code!r} and {x2.code!r} share fiber "
+                f"{m.fiber_of(x).id!r} at distance 0",
+                (x.code, x2.code),
+            ))
+    return violations
 
 
 def filter_by_subset_sweep(m) -> tuple[bool, tuple | None]:

@@ -39,6 +39,9 @@ GRID_DOC = {
 }
 
 
+GOLDEN_INTERVAL = Path(__file__).parent / "golden" / "interval.json"
+
+
 def _write(tmp_path: Path, doc: dict, name: str = "instance.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -476,3 +479,44 @@ def test_cli_non_string_code_in_distance_entry_exits_2(tmp_path, capsys):
     path = _write(tmp_path, doc)
     assert run_command(["validate", path]) == 2
     assert capsys.readouterr().err.startswith("ERROR $.distance.entries[0]: expected [x, y, value]")
+
+
+def _count_distance_calls(monkeypatch) -> list:
+    from mapcomplete.metric_mapping import MetricMapping
+
+    calls = []
+    distance = MetricMapping.distance
+    monkeypatch.setattr(
+        MetricMapping, "distance", lambda m, x, x2: calls.append(1) or distance(m, x, x2)
+    )
+    return calls
+
+
+def test_cli_validate_evaluates_each_ordered_pair_once(monkeypatch, capsys):
+    # Both validators read one matrix: the diagonal plus both orders of
+    # each of the C(64, 2) pairs.
+    calls = _count_distance_calls(monkeypatch)
+    assert run_command(["validate", str(GOLDEN_INTERVAL), "--depth", "64"]) == 0
+    assert len(calls) == 64 + 2 * (64 * 63 // 2)
+
+
+def test_cli_complete_check_evaluates_each_ordered_pair_once(tmp_path, capsys, monkeypatch):
+    from oracles import stress_instance
+
+    n = 16
+    path = _write(tmp_path, instance_document(stress_instance(1, n, 4)))
+    calls = _count_distance_calls(monkeypatch)
+    assert run_command(["complete-check", path]) in (0, 1)
+    assert "complete_check" in capsys.readouterr().out
+    assert len(calls) <= n + n * (n - 1)
+
+
+def test_cli_depth_has_an_upper_bound(capsys):
+    from mapcomplete.cli import MAX_DEPTH
+
+    # Only the first value past the bound: the bound itself is cubic work.
+    depth = MAX_DEPTH + 1
+    assert run_command(["validate", str(GOLDEN_INTERVAL), "--depth", str(depth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR --depth must be at most {MAX_DEPTH}, got {depth}\n"

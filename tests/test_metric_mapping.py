@@ -11,7 +11,9 @@ from mapcomplete.base_topology import BasePoint, FiniteBase, OnePointBase
 from mapcomplete.errors import EvaluatorError, InputError
 from mapcomplete.metric_mapping import (
     CarrierPoint,
+    FiniteCarrier,
     MetricMapping,
+    RationalGridCarrier,
     RationalIntervalCarrier,
     closure_finite,
     fiber_preimage,
@@ -19,9 +21,9 @@ from mapcomplete.metric_mapping import (
     validate_fiberwise_metric,
     validate_pseudometric,
 )
-from mapcomplete.finite_oracle import random_instance
+from mapcomplete.finite_oracle import is_complete_filter, is_complete_net, random_instance
 
-from oracles import closure_via_full_topology
+from oracles import closure_via_full_topology, fiberwise_violations, pseudometric_violations
 
 
 def _line(points: dict[str, Fraction], fibers: dict[str, str], base) -> MetricMapping:
@@ -178,3 +180,88 @@ def test_interval_enumeration_total_injective():
 def test_abs_diff_identity_fiber(unit_interval_identity):
     x = CarrierPoint(Fraction(1, 3))
     assert unit_interval_identity.fiber_of(x) == BasePoint(Fraction(1, 3))
+
+
+# Mixed and coprime denominators, large primes among them, so the matrix's
+# common denominator is far from every single one.
+_DISTANCES = [
+    0, Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(1),
+    Fraction(3, 2), Fraction(1, 1000003), Fraction(999983, 7919), Fraction(100),
+]
+# Values the evaluator rejects: each makes one entry of the matrix fail.
+_BROKEN = [Fraction(-1, 3), -2, 0.5]
+
+
+@st.composite
+def _mappings(draw):
+    """Table mappings (symmetric, zero diagonal, triangle breaks from the
+    value mix) and custom evaluators that also override ordered entries
+    with asymmetric values, nonzero diagonals and rejected values."""
+    n = draw(st.integers(1, 7))
+    codes = [f"p{i}" for i in range(n)]
+    fibers = {c: draw(st.sampled_from(["a", "b"])) for c in codes}
+    base = FiniteBase.of(["a", "b"], [["a"], ["a", "b"]])
+    pairs = {(a, b): draw(st.sampled_from(_DISTANCES)) for a, b in combinations(codes, 2)}
+    if draw(st.booleans()):
+        return table_mapping(base, fibers, pairs)
+    table = {(c, c): Fraction(0) for c in codes}
+    table.update(pairs)
+    table.update({(b, a): v for (a, b), v in pairs.items()})
+    code = st.sampled_from(codes)
+    table.update(draw(st.dictionaries(
+        st.tuples(code, code), st.sampled_from(_DISTANCES + _BROKEN), max_size=4
+    )))
+    return MetricMapping(
+        FiniteCarrier.of(codes), base,
+        lambda x: BasePoint(fibers[x.code]), lambda x, x2: table[(x.code, x2.code)],
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=_mappings())
+def test_validators_match_the_fraction_oracle(m):
+    # Same kinds, text, witnesses and order as the pair-by-pair Fraction loop.
+    assert validate_pseudometric(m, 8) == pseudometric_violations(m, 8)
+    assert validate_fiberwise_metric(m, 8) == fiberwise_violations(m, 8)
+
+
+def test_validators_match_the_fraction_oracle_on_a_countable_carrier(interval_mapping):
+    base = OnePointBase("o")
+    carrier = RationalIntervalCarrier(Fraction(0), Fraction(1))
+    # Every fifth pair is rejected, and distances are scaled unevenly.
+    skewed = MetricMapping(
+        carrier, base, lambda x: base.point,
+        lambda x, x2: -1 if (x.code.denominator + x2.code.denominator) % 5 == 0
+        else abs(x.code - x2.code) * (x.code.denominator % 3 + 1),
+    )
+    for m in (interval_mapping, skewed):
+        assert validate_pseudometric(m, 24) == pseudometric_violations(m, 24)
+        assert validate_fiberwise_metric(m, 24) == fiberwise_violations(m, 24)
+    assert {v.kind for v in validate_pseudometric(skewed, 24)} == {"evaluator", "symmetry", "triangle"}
+
+
+def test_deciders_raise_the_failed_pair_error():
+    base = FiniteBase.of(["a"], [["a"]])
+    table = {("u", "v"): -1, ("v", "u"): -1}
+    m = MetricMapping(
+        FiniteCarrier.of(["u", "v"]), base, lambda x: BasePoint("a"),
+        lambda x, x2: table.get((x.code, x2.code), 0),
+    )
+    assert [v.message for v in validate_pseudometric(m, 2)] == [
+        "distance evaluator returned negative -1 for ('u', 'v')"
+    ]
+    for decider in (is_complete_filter, is_complete_net):
+        with pytest.raises(EvaluatorError, match=r"negative -1 for \('u', 'v'\)"):
+            decider(m)
+
+
+def test_grid_points_are_built_once(monkeypatch):
+    calls = []
+    axis_values = RationalGridCarrier.axis_values
+    monkeypatch.setattr(
+        RationalGridCarrier, "axis_values", lambda self: calls.append(self) or axis_values(self)
+    )
+    grid = RationalGridCarrier(Fraction(1, 64), Fraction(0), Fraction(1))
+    codes = {grid.enumerate_point(n * 21).code for n in range(200)}
+    assert len(codes) == 200 and len(grid.points) == 65 * 65
+    assert len(calls) == 1
