@@ -18,8 +18,9 @@ forces that class structure, so all the quantifiers discharge exactly (not
 heuristically) into finite enumerations. Both completeness deciders are
 polynomial: closure is monotone, so the filter side checks only the
 singletons {x} with x in T_y (see is_complete_filter), and the net side
-checks one cycle per zero class. lemma2_check still enumerates every
-zero-diameter subset of T_y.
+checks one cycle per zero class. lemma2_check is polynomial too: it
+compares the cluster and limit sets of the singletons of T_y, and the
+cluster sets of its zero-distance pairs (see lemma2_check).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable
 
 from .base_topology import BasePoint, FiniteBase
@@ -177,10 +179,10 @@ def _is_limit(
     )
 
 
-def _limit_set(m: MetricMapping, region: frozenset) -> frozenset:
-    """Points whose every basic neighborhood contains ``region`` entirely."""
+def _limit_set(m: MetricMapping, region: frozenset, around) -> frozenset:
+    """Points whose every basic neighborhood contains ``region`` entirely;
+    ``around`` is _preimages_around(m)."""
     dm = distance_matrix(m)
-    around = _preimages_around(m)
     return frozenset(x for x in dm.points if _is_limit(m, x, region, dm, around))
 
 
@@ -194,19 +196,13 @@ def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozens
     a = frozenset(region)
     if not a:
         raise InputError("region must be nonempty")
-    return closure_finite(m, a), _limit_set(m, a)
+    return closure_finite(m, a), _limit_set(m, a, _preimages_around(m))
 
 
 def _diam_zero(m: MetricMapping, subset) -> bool:
     dm = distance_matrix(m)
     rows = {x: dm.row(x) for x in subset}
     return all(rows[x][dm.index[x2]] == 0 for x, x2 in combinations(subset, 2))
-
-
-def _nonempty_subsets(pts: list[CarrierPoint]):
-    for r in range(1, len(pts) + 1):
-        for combo in combinations(pts, r):
-            yield frozenset(combo)
 
 
 def is_complete_filter(m: MetricMapping) -> OracleVerdict:
@@ -295,7 +291,7 @@ def net_cluster_limit(m: MetricMapping, seq: TailSequence) -> tuple[frozenset, f
     ensure_finite_instance(m)
     start = len(seq.prefix) + 1
     visited = frozenset(seq.at(n) for n in range(start, start + len(seq.tail)))
-    return closure_finite(m, visited), _limit_set(m, visited)
+    return closure_finite(m, visited), _limit_set(m, visited, _preimages_around(m))
 
 
 def lemma2_check(m: MetricMapping) -> OracleVerdict:
@@ -303,20 +299,44 @@ def lemma2_check(m: MetricMapping) -> OracleVerdict:
     points agree inside the target fiber.
 
     Realizable tied sequences correspond exactly to the nonempty
-    zero-diameter subsets of T_y (the set visited infinitely often), so
-    the check enumerates those. Returns the witnessing (y, S) on failure.
+    zero-diameter subsets S of T_y (the set visited infinitely often), and
+    the claim is cl(S) & F = lim(S) & F for each, F the fiber of y.
+    Returns the witnessing (y, S) on failure.
+
+    Singletons and zero-distance pairs suffice. On a valid basis the basic
+    neighborhoods of a point form a filter base, so closure commutes with
+    finite unions: cl(S) is the union of the cl({x}) over x in S. A point
+    is a limit of S iff each of its basic neighborhoods holds every x in S,
+    so lim(S) is the intersection of the lim({x}). When every singleton
+    passes, write L_x = cl({x}) & F = lim({x}) & F; then S passes iff the
+    union of its L_x equals their intersection, that is iff all L_x with x
+    in S are equal. A zero-diameter S lies in one zero class, so every S
+    passes iff every zero-distance pair has equal L_x. A sweep of all
+    zero-diameter subsets of T_y, by size and then in code order, meets the
+    singletons first and then the pairs in ``combinations`` order, so for
+    each y in base order this check returns the certificate that sweep
+    returns: (y, {x}) for the first x of T_y in code order whose cl({x})
+    and lim({x}) differ on F, else (y, {x, x'}) for the first zero-distance
+    pair whose cl differ on F. Each point's cl and lim are computed once.
     """
     ensure_finite_instance(m)
     pts = _sorted_points(m.points())
+    dm = distance_matrix(m)
+    around = _preimages_around(m)
+    clusters: dict[CarrierPoint, frozenset] = {}
+    limits: dict[CarrierPoint, frozenset] = {}
     for y in m.base.points:
         fiber_y = frozenset(x for x in pts if m.fiber_of(x) == y)
-        for s in _nonempty_subsets(_sorted_points(_tied_core(m, y))):
-            if not _diam_zero(m, s):
-                continue
-            clusters = closure_finite(m, s) & fiber_y
-            limits = _limit_set(m, s) & fiber_y
-            if clusters != limits:
-                return OracleVerdict(False, (y, s))
+        tied = _sorted_points(_tied_core(m, y))
+        for x in tied:
+            if x not in clusters:
+                clusters[x] = closure_finite(m, {x})
+                limits[x] = _limit_set(m, frozenset({x}), around)
+            if clusters[x] & fiber_y != limits[x] & fiber_y:
+                return OracleVerdict(False, (y, frozenset({x})))
+        for x, x2 in combinations(tied, 2):
+            if dm.row(x)[dm.index[x2]] == 0 and clusters[x] & fiber_y != clusters[x2] & fiber_y:
+                return OracleVerdict(False, (y, frozenset({x, x2})))
     return OracleVerdict(True)
 
 
@@ -386,26 +406,24 @@ _DISTANCE_PALETTE = (
 
 def _shortest_path_closure(codes: list[str], dist: dict) -> dict:
     """Min-plus closure of a symmetric distance table: repairs the triangle
-    inequality without ever increasing an entry."""
-    d = dict(dist)
+    inequality without ever increasing an entry.
 
-    def get(a: str, b: str) -> Fraction:
-        if a == b:
-            return Fraction(0)
-        return d[(a, b) if a <= b else (b, a)]
-
-    def put(a: str, b: str, v: Fraction) -> None:
-        d[(a, b) if a <= b else (b, a)] = v
-
-    for k in codes:
-        for i in codes:
-            for j in codes:
-                if i == j:
-                    continue
-                via = get(i, k) + get(k, j)
-                if via < get(i, j):
-                    put(i, j, via)
-    return d
+    Floyd-Warshall runs on integers: each entry is scaled by the LCM of the
+    table's denominators, which keeps order and sums exact (as in
+    DistanceMatrix), and the closed table is scaled back to Fractions.
+    """
+    den = lcm(*(v.denominator for v in dist.values()))
+    index = {c: i for i, c in enumerate(codes)}
+    d = [[0] * len(codes) for _ in codes]
+    for (a, b), v in dist.items():
+        d[index[a]][index[b]] = d[index[b]][index[a]] = v.numerator * (den // v.denominator)
+    for k, dk in enumerate(d):
+        for di in d:
+            dik = di[k]
+            for j, dkj in enumerate(dk):
+                if dik + dkj < di[j]:
+                    di[j] = dik + dkj
+    return {(a, b): Fraction(d[index[a]][index[b]], den) for a, b in dist}
 
 
 def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:

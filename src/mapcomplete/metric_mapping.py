@@ -143,12 +143,14 @@ def carrier_is_finite(c: Carrier) -> bool:
     return c.kind in ("finite", "rational_grid")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricMapping:
     """Carrier, base, fiber map and distance evaluator, bundled.
 
     ``fiber`` and ``dist`` must be pure: same inputs, same outputs, no side
     effects. Values are immutable and safe to share across threads.
+    Equality and hashing are by identity: each mapping is its own key in
+    the per-mapping caches, found without hashing its carrier and base.
     """
 
     carrier: Carrier
