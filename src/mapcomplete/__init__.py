@@ -8,7 +8,7 @@ completed distance to any requested precision with a certificate, and
 decides the relevant properties exactly on finite instances: completeness
 in polynomial time, by the filter criterion over singletons and by the
 tied-sequence criterion over zero classes, and the cluster/limit identity
-by enumerating zero-diameter sets.
+over the singletons and zero-distance pairs of each T_y.
 """
 
 from .base_topology import (

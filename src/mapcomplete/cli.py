@@ -32,13 +32,16 @@ from .finite_oracle import (
     lemma2_check,
     random_instance,
 )
-from .metric_mapping import validate_fiberwise_metric, validate_pseudometric
+from .metric_mapping import carrier_is_finite, validate_fiberwise_metric, validate_pseudometric
 from .rationals import decimal_approx, format_rational, parse_rational
 from .tied_cauchy import check_tying
 
-# The pseudometric check is cubic in the depth: validate on a rational
-# interval takes about 7 s at 512 (19 s at 768) on one Xeon core.
+# The pseudometric check is cubic in the points it checks: validate on a
+# rational interval takes about 7 s at depth 512 (19 s at 768) on one Xeon
+# core. The bound holds for --depth and for the points of a finite carrier,
+# which ignores --depth.
 MAX_DEPTH = 512
+MAX_COUNT = 100_000
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -85,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("theorem3", "lemma2"):
         p = add(name, "seeded random-instance suite", with_file=False)
         p.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
-        p.add_argument("--count", type=int, default=200, help="number of instances (default 200)")
+        p.add_argument("--count", type=int, default=200,
+                       help=f"number of instances (default 200, at most {MAX_COUNT})")
         p.add_argument("--maxx", type=int, default=6, help="max carrier size (default 6)")
         p.add_argument("--maxy", type=int, default=3, help="max base size (default 3)")
 
@@ -104,7 +108,12 @@ def _load_instance(path_text: str):
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read {path_text!r}: {e.strerror}") from None
-    return parse_instance(text)
+    m = parse_instance(text)
+    if carrier_is_finite(m.carrier) and m.carrier.size > MAX_DEPTH:
+        raise InputError(
+            f"finite carrier has {m.carrier.size} points, at most {MAX_DEPTH} can be checked"
+        )
+    return m
 
 
 def _validators_report(m, depth: int, report: Report) -> None:
@@ -223,6 +232,8 @@ def _cmd_suite(args) -> Report:
     name = args.command
     if args.count < 1:
         raise InputError(f"--count must be at least 1, got {args.count}")
+    if args.count > MAX_COUNT:
+        raise InputError(f"--count must be at most {MAX_COUNT}, got {args.count}")
     report = Report()
     for seed in range(args.seed, args.seed + args.count):
         m = random_instance(seed, args.maxx, args.maxy)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import floor, lcm
 from typing import Callable, ClassVar, Iterable, Union
 from weakref import WeakKeyDictionary
 
@@ -53,6 +53,10 @@ class FiniteCarrier:
         if len({p.code for p in pts}) != len(pts):
             raise InputError("duplicate carrier point codes")
         return cls(pts)
+
+    @property
+    def size(self) -> int:
+        return len(self.points)
 
     def __contains__(self, x: CarrierPoint) -> bool:
         return x in self.points
@@ -109,6 +113,11 @@ class RationalGridCarrier:
             vals.append(v)
             v += self.step
         return vals
+
+    @property
+    def size(self) -> int:
+        """The number of grid points, counted without building them."""
+        return (floor((self.hi - self.lo) / self.step) + 1) ** 2
 
     @cached_property
     def points(self) -> tuple[CarrierPoint, ...]:

@@ -4,10 +4,11 @@ larger finite instances to run them on.
 Nothing here may call the code paths it checks: the square-root oracle is
 interval arithmetic on raw Fractions, the closure oracle generates the
 whole finite topology instead of quantifying over basic neighborhoods,
-the filter oracle sweeps every zero-diameter subset with its own
-threshold balls instead of calling closure_finite or the deciders, and
-the pseudometric oracle evaluates every Fraction distance pair by pair
-instead of calling the validators or reading a DistanceMatrix.
+the filter and Lemma 2 oracles sweep every zero-diameter subset with
+their own threshold balls instead of calling closure_finite, the limit
+sets or the deciders, and the pseudometric oracle evaluates every
+Fraction distance pair by pair instead of calling the validators or
+reading a DistanceMatrix.
 """
 
 from __future__ import annotations
@@ -180,51 +181,114 @@ def fiberwise_violations(m, budget: int) -> list[Violation]:
     return violations
 
 
-def filter_by_subset_sweep(m) -> tuple[bool, tuple | None]:
-    """Completeness by the filter criterion, straight from its definition:
-    for each base point y in base order, every nonempty zero-diameter set A
-    inside T_y must have a closure point over y. Sets are swept by size and
-    then in code order; the first failure gives the certificate (y, A).
+class _SubsetSweep:
+    """The nonempty zero-diameter sets of a finite instance, by size and
+    then in code order, with their closures and limit sets over the
+    oracle's own threshold balls.
 
     Level r + 1 extends each zero-diameter r-set, in order, by later points
     at distance 0 from all of it, which keeps the sweep order and skips
     only sets of positive diameter.
     """
-    pts = sorted(m.points(), key=lambda p: str(p.code))
-    idx = range(len(pts))
-    zero = [[m.distance(pts[i], pts[j]) == 0 for j in idx] for i in idx]
-    candidates = []
-    level = [(i,) for i in idx]
-    while level:
-        candidates += level
-        level = [c + (j,) for c in level for j in range(c[-1] + 1, len(pts))
-                 if all(zero[i][j] for i in c)]
-    fiber = {x: m.fiber_of(x).id for x in pts}
-    balls = {x: _oracle_balls(m, x, pts) for x in pts}
 
-    def closure(a: frozenset) -> set:
-        return {
-            x for x in pts
-            if all(any(fiber[v] in o for v in ball & a)
-                   for ball in balls[x] for o in m.base.basis if fiber[x] in o)
-        }
+    def __init__(self, m):
+        self.m = m
+        pts = sorted(m.points(), key=lambda p: str(p.code))
+        idx = range(len(pts))
+        zero = [[m.distance(pts[i], pts[j]) == 0 for j in idx] for i in idx]
+        self.candidates = []
+        level = [(i,) for i in idx]
+        while level:
+            self.candidates += [frozenset(pts[i] for i in c) for c in level]
+            level = [c + (j,) for c in level for j in range(c[-1] + 1, len(pts))
+                     if all(zero[i][j] for i in c)]
+        self.pts = pts
+        self.fiber = {x: m.fiber_of(x).id for x in pts}
+        self.balls = {x: _oracle_balls(m, x, pts) for x in pts}
 
+    def tied(self, y):
+        """The candidates inside T_y, the points over every basis set around y."""
+        opens = [o for o in self.m.base.basis if y.id in o]
+        core = {x for x in self.pts if all(self.fiber[x] in o for o in opens)}
+        return [a for a in self.candidates if a <= core]
+
+    def _neighborhoods(self, x):
+        # (ball, basis set) pairs of x; a basic neighborhood is the ball's
+        # points whose fiber lies in the basis set.
+        return [(ball, o) for ball in self.balls[x] for o in self.m.base.basis
+                if self.fiber[x] in o]
+
+    def closure(self, a: frozenset) -> set:
+        return {x for x in self.pts
+                if all(any(self.fiber[v] in o for v in ball & a)
+                       for ball, o in self._neighborhoods(x))}
+
+    def limits(self, a: frozenset) -> set:
+        return {x for x in self.pts
+                if all(a <= ball and all(self.fiber[v] in o for v in a)
+                       for ball, o in self._neighborhoods(x))}
+
+
+def filter_by_subset_sweep(m) -> tuple[bool, tuple | None]:
+    """Completeness by the filter criterion, straight from its definition:
+    for each base point y in base order, every nonempty zero-diameter set A
+    inside T_y must have a closure point over y. Sets are swept by size and
+    then in code order; the first failure gives the certificate (y, A).
+    """
+    sweep = _SubsetSweep(m)
     closures = {}
     for y in m.base.points:
-        opens = [o for o in m.base.basis if y.id in o]
-        core = {x for x in pts if all(fiber[x] in o for o in opens)}
-        for c in candidates:
-            a = frozenset(pts[i] for i in c)
-            if not a <= core:
-                continue
+        for a in sweep.tied(y):
             if a not in closures:
-                closures[a] = closure(a)
-            if not any(fiber[x] == y.id for x in closures[a]):
+                closures[a] = sweep.closure(a)
+            if not any(sweep.fiber[x] == y.id for x in closures[a]):
                 return False, (y, a)
     return True, None
 
 
-def stress_instance(seed: int, n: int, n_base: int = 3):
+def lemma2_by_subset_sweep(m) -> tuple[bool, tuple | None]:
+    """Lemma 2 straight from its statement: for each base point y in base
+    order, every nonempty zero-diameter set S inside T_y must have the same
+    cluster points (closure) and limit points over y. Sets are swept by
+    size and then in code order; the first failure gives (y, S).
+    """
+    sweep = _SubsetSweep(m)
+    for y in m.base.points:
+        for s in sweep.tied(y):
+            clusters = {x for x in sweep.closure(s) if sweep.fiber[x] == y.id}
+            limits = {x for x in sweep.limits(s) if sweep.fiber[x] == y.id}
+            if clusters != limits:
+                return False, (y, s)
+    return True, None
+
+
+def _random_opens(rng, ys) -> set:
+    # Random sets, closed under nonempty intersection, plus singletons for
+    # the points they miss.
+    opens = {tuple(sorted(rng.sample(ys, rng.randint(1, len(ys))))) for _ in range(2 * len(ys))}
+    while True:
+        meets = {tuple(sorted(set(o1) & set(o2))) for o1, o2 in combinations(opens, 2)}
+        new = {o for o in meets if o} - opens
+        if not new:
+            break
+        opens |= new
+    return opens | {(y,) for y in ys if not any(y in o for o in opens)}
+
+
+def _coarse_opens(rng, ys) -> set:
+    # The whole base plus disjoint blocks of at least two points: no open
+    # is a singleton, and a point outside every block has the whole base
+    # as its smallest open.
+    rest = rng.sample(ys, len(ys))
+    opens = {tuple(sorted(ys))}
+    while len(rest) >= 2 and rng.random() < 0.6:
+        size = rng.randint(2, len(rest))
+        opens.add(tuple(sorted(rest[:size])))
+        rest = rest[size:]
+    return opens
+
+
+def stress_instance(seed: int, n: int, n_base: int = 3, coarse: bool = False):
     """A valid finite instance with ``n`` carrier points whose zero classes
     are built directly, not by palette and repair.
 
@@ -232,18 +296,15 @@ def stress_instance(seed: int, n: int, n_base: int = 3):
     |pos - pos'|, and a class holds at most one point per fiber, so the
     pseudometric and fiberwise axioms hold by construction. Class sizes run
     from 1 to ``n_base``; codes are shuffled against the classes. The basis
-    is random, closed under nonempty intersection and covering.
+    is random, closed under nonempty intersection and covering. With
+    ``coarse`` it is the whole base plus disjoint blocks of two or more
+    base points, so the smallest open around every y holds several base
+    points, T_y spans several fibers, and a zero class can meet T_y in up
+    to ``n_base`` points.
     """
     rng = random.Random(seed)
     ys = [f"y{i}" for i in range(n_base)]
-    opens = {tuple(sorted(rng.sample(ys, rng.randint(1, n_base)))) for _ in range(2 * n_base)}
-    while True:
-        meets = {tuple(sorted(set(o1) & set(o2))) for o1, o2 in combinations(opens, 2)}
-        new = {o for o in meets if o} - opens
-        if not new:
-            break
-        opens |= new
-    opens |= {(y,) for y in ys if not any(y in o for o in opens)}
+    opens = (_coarse_opens if coarse else _random_opens)(rng, ys)
 
     slots = []
     while len(slots) < n:

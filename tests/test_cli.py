@@ -217,6 +217,15 @@ def test_cli_suite_needs_a_positive_count(capsys, command, count):
     assert captured.err == f"ERROR --count must be at least 1, got {count}\n"
 
 
+@pytest.mark.parametrize("command", ["theorem3", "lemma2"])
+def test_cli_suite_count_has_an_upper_bound(capsys, command):
+    # Only the first value past the bound: the bound itself is minutes of work.
+    assert run_command([command, "--count", "100001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR --count must be at most 100000, got 100001\n"
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_cli_complete_check_decides_40_points(tmp_path, capsys, monkeypatch, seed):
     # 2^40 candidate sets would never finish; the decider closes at most
@@ -540,3 +549,19 @@ def test_suite_stdout_digests_are_frozen(capsys, argv, theorem3_digest, lemma2_d
         assert run_command([command, *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_cli_finite_carrier_has_an_upper_bound(tmp_path, capsys, monkeypatch):
+    # A finite carrier ignores --depth, so its point count is bounded
+    # instead: 23 x 23 = 529 grid points exit 2 before any evaluation.
+    from mapcomplete.cli import MAX_DEPTH
+
+    doc = dict(GRID_DOC, carrier={"kind": "rational_grid", "step": "1/22", "lo": "0", "hi": "1"})
+    calls = _count_distance_calls(monkeypatch)
+    assert run_command(["validate", _write(tmp_path, doc), "--depth", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ERROR finite carrier has 529 points, at most {MAX_DEPTH} can be checked\n"
+    )
+    assert calls == []

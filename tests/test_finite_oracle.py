@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,7 +30,13 @@ from mapcomplete.metric_mapping import closure_finite, table_mapping
 from mapcomplete.metric_mapping import validate_fiberwise_metric, validate_pseudometric
 from mapcomplete.base_topology import validate_basis
 
-from oracles import filter_by_subset_sweep, limit_via_full_topology, stress_instance
+from oracles import (
+    closure_via_full_topology,
+    filter_by_subset_sweep,
+    lemma2_by_subset_sweep,
+    limit_via_full_topology,
+    stress_instance,
+)
 
 
 def _codes(points) -> set[str]:
@@ -233,6 +240,26 @@ def test_shortest_path_closure_repairs_without_increasing():
             assert fixed[key(a, b)] <= fixed[key(a, via)] + fixed[key(via, b)]
 
 
+def test_shortest_path_closure_matches_a_fraction_floyd_warshall():
+    # The repair runs on scaled integers; a Fraction loop is the reference.
+    rng = random.Random(0)
+    palette = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1), Fraction(5, 2))
+
+    def key(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    for n in range(1, 12):
+        codes = [f"c{i}" for i in range(n)]
+        raw = {key(a, b): rng.choice(palette) for a, b in combinations(codes, 2)}
+        expected = dict(raw)
+        for k in codes:
+            for a, b in combinations(codes, 2):
+                if k not in (a, b):
+                    via = expected[key(a, k)] + expected[key(k, b)]
+                    expected[key(a, b)] = min(expected[key(a, b)], via)
+        assert _shortest_path_closure(codes, raw) == expected
+
+
 def test_closure_cluster_equivalence_on_random_instances():
     # cluster points of the principal filter of A are exactly closure(A)
     for seed in range(15):
@@ -315,3 +342,70 @@ def test_closure_table_is_built_once_per_mapping(monkeypatch):
     lemma2_check(m)
     cluster_and_limit_sets(m, m.points()[:3])
     assert calls == [m]
+
+
+def _lemma2_outcome(m):
+    verdict = lemma2_check(m)
+    return verdict.ok, verdict.certificate
+
+
+def _widest_tied_class(m) -> int:
+    # max |C & T_y| over zero classes C and base points y, from the tables.
+    pts = m.points()
+    width = 0
+    for y in m.base.points:
+        opens = [o for o in m.base.basis if y.id in o]
+        core = [x for x in pts if all(m.fiber_of(x).id in o for o in opens)]
+        for x in core:
+            width = max(width, sum(m.distance(x, v) == 0 for v in core))
+    return width
+
+
+def test_lemma2_matches_subset_sweep_on_random_instances():
+    for seed in range(120):
+        m = random_instance(seed, max_x=6 + seed % 5, max_y=3 + seed % 2)
+        assert _lemma2_outcome(m) == lemma2_by_subset_sweep(m), seed
+
+
+def test_lemma2_matches_subset_sweep_on_coarse_stress_instances():
+    # Every open holds several base points, so a zero class meets T_y in
+    # up to n_base points and the sweep reaches sets past size 2.
+    widths = []
+    for seed in range(20):
+        n, n_base = 12 + seed % 5, 3 + seed % 2
+        m = stress_instance(seed, n, n_base, coarse=True)
+        assert len(m.points()) == n
+        assert not validate_basis(m.base)
+        assert not validate_pseudometric(m, n) and not validate_fiberwise_metric(m, n)
+        assert _lemma2_outcome(m) == lemma2_by_subset_sweep(m), seed
+        widths.append(_widest_tied_class(m))
+    assert max(widths) >= 3
+
+
+def test_lemma2_singleton_sets_match_full_topology():
+    # lemma2_check decides from the cluster and limit sets of singletons.
+    instances = [random_instance(s, max_x=5) for s in range(10)]
+    instances += [stress_instance(s, 10, 3 + s % 2, coarse=True) for s in range(4)]
+    for m in instances:
+        for x in m.points():
+            assert cluster_and_limit_sets(m, {x}) == (
+                closure_via_full_topology(m, {x}), limit_via_full_topology(m, {x})
+            )
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_lemma2_decides_40_coarse_points(monkeypatch, seed):
+    # T_y can be the whole carrier, so a sweep of its subsets would never
+    # finish; the check closes each carrier point at most once.
+    from mapcomplete import finite_oracle
+
+    m = stress_instance(seed, 40, 4, coarse=True)
+    assert _widest_tied_class(m) >= 3
+    closures = []
+    closure_finite = finite_oracle.closure_finite
+    monkeypatch.setattr(
+        finite_oracle, "closure_finite",
+        lambda m, region: closures.append(region) or closure_finite(m, region),
+    )
+    assert _lemma2_outcome(m) == lemma2_by_subset_sweep(m)
+    assert 0 < len(closures) <= 40

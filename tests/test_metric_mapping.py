@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from mapcomplete.metric_mapping import (
     RationalGridCarrier,
     RationalIntervalCarrier,
     closure_finite,
+    distance_matrix,
     fiber_preimage,
     table_mapping,
     validate_fiberwise_metric,
@@ -265,3 +267,18 @@ def test_grid_points_are_built_once(monkeypatch):
     codes = {grid.enumerate_point(n * 21).code for n in range(200)}
     assert len(codes) == 200 and len(grid.points) == 65 * 65
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("step, lo, hi", [("1/64", "0", "1"), ("3/10", "0", "1"), ("1", "2", "2")])
+def test_grid_size_counts_the_points(step, lo, hi):
+    grid = RationalGridCarrier(Fraction(step), Fraction(lo), Fraction(hi))
+    assert grid.size == len(grid.points)
+
+
+def test_mappings_compare_and_hash_by_identity():
+    # The per-mapping caches key on identity, never on carrier and base.
+    m = random_instance(3)
+    copy = dataclasses.replace(m)
+    assert m == m and copy != m
+    assert distance_matrix(m) is distance_matrix(m)
+    assert distance_matrix(copy) is not distance_matrix(m)
