@@ -6,11 +6,12 @@ check between the two, the cluster/limit identity for tied sets, and an
 explicit finite completion. The two completeness deciders share plain
 set helpers such as fiber_preimage, and read distances from the one
 DistanceMatrix of the mapping that the validators filled, but share no
-decision logic: the filter side
-decides through closures over the radius-palette balls of metric_mapping,
-the net side through zero classes, tied cores and limit points over its
-own per-point balls. The value of the agreement suite rests on the two
-paths being independent.
+decision logic: the filter side decides through closures over the
+minimal basic neighborhoods of metric_mapping (each point's zero class,
+the ball of the smallest closure_radii radius, cut by the preimages of
+the basis sets around its fiber), the net side through zero classes,
+tied cores and limit points over its own per-point balls. The value of
+the agreement suite rests on the two paths being independent.
 
 On a finite carrier every filter is principal, every Cauchy sequence is
 eventually inside one zero-distance class, and the small-diameter condition
@@ -31,6 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterable
+from weakref import WeakKeyDictionary
 
 from .base_topology import BasePoint, FiniteBase
 from .errors import InputError
@@ -138,11 +140,12 @@ def zero_classes(m: MetricMapping) -> tuple[frozenset, ...]:
     return tuple(classes)
 
 
-def _tied_core(m: MetricMapping, y: BasePoint) -> frozenset:
-    """T_y: the carrier points in the preimage of every basic open around y."""
+def _tied_core(m: MetricMapping, preimages: list[frozenset]) -> frozenset:
+    """T_y: the carrier points in every one of ``preimages``, the preimages
+    of the basic opens around y (``_preimages_around(m)[y]``)."""
     core = frozenset(m.points())
-    for o in m.base.neighborhood_basis(y):
-        core &= fiber_preimage(m, map(BasePoint, o))
+    for pre in preimages:
+        core &= pre
     return core
 
 
@@ -153,6 +156,11 @@ def _balls_around(dm: DistanceMatrix, x: CarrierPoint) -> list[frozenset]:
     return [
         frozenset(v for v, dv in zip(dm.points, d) if dv <= t) for t in sorted(set(d))
     ]
+
+
+# Each point's balls, built on its first limit test per live mapping and
+# reused by every later one; it goes when the mapping does.
+_BALLS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _preimages_around(m: MetricMapping) -> dict[BasePoint, list[frozenset]]:
@@ -171,12 +179,11 @@ def _is_limit(
     neighborhood of x, a ball around x intersected with the preimage of a
     basic open around its fiber (``around``, from _preimages_around),
     contains all of ``region``."""
+    balls = _BALLS.setdefault(m, {})
+    if x not in balls:
+        balls[x] = _balls_around(dm, x)
     preimages = around[m.fiber_of(x)]
-    return all(
-        region <= (ball & pre)
-        for ball in _balls_around(dm, x)
-        for pre in preimages
-    )
+    return all(region <= (ball & pre) for ball in balls[x] for pre in preimages)
 
 
 def _limit_set(m: MetricMapping, region: frozenset, around) -> frozenset:
@@ -228,7 +235,7 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
     pts = _sorted_points(m.points())
     closures: dict[CarrierPoint, frozenset] = {}
     for y in m.base.points:
-        fiber_y = frozenset(x for x in pts if m.fiber_of(x) == y)
+        fiber_y = fiber_preimage(m, [y])
         constraints = [
             fiber_preimage(m, map(BasePoint, o))
             for o in m.base.basis
@@ -260,7 +267,7 @@ def is_complete_net(m: MetricMapping) -> OracleVerdict:
     dm = distance_matrix(m)
     around = _preimages_around(m)
     for y in m.base.points:
-        tied_core = _tied_core(m, y)
+        tied_core = _tied_core(m, around[y])
         fiber_y = [x for x in pts if m.fiber_of(x) == y]
         for c in classes:
             tied_set = c & tied_core
@@ -320,14 +327,13 @@ def lemma2_check(m: MetricMapping) -> OracleVerdict:
     pair whose cl differ on F. Each point's cl and lim are computed once.
     """
     ensure_finite_instance(m)
-    pts = _sorted_points(m.points())
     dm = distance_matrix(m)
     around = _preimages_around(m)
     clusters: dict[CarrierPoint, frozenset] = {}
     limits: dict[CarrierPoint, frozenset] = {}
     for y in m.base.points:
-        fiber_y = frozenset(x for x in pts if m.fiber_of(x) == y)
-        tied = _sorted_points(_tied_core(m, y))
+        fiber_y = fiber_preimage(m, [y])
+        tied = _sorted_points(_tied_core(m, around[y]))
         for x in tied:
             if x not in clusters:
                 clusters[x] = closure_finite(m, {x})
@@ -364,9 +370,10 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     classes = zero_classes(m)
     reps = {c: min(c, key=lambda p: str(p.code)) for c in classes}
 
+    around = _preimages_around(m)
     star: list[tuple[frozenset, BasePoint]] = []
     for y in m.base.points:
-        core = _tied_core(m, y)
+        core = _tied_core(m, around[y])
         for c in classes:
             if c & core:
                 star.append((c, y))

@@ -14,12 +14,11 @@ arithmetic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import floor, lcm
+from math import ceil, floor, lcm
 from typing import Callable, ClassVar, Iterable, Union
 from weakref import WeakKeyDictionary
 
@@ -517,25 +516,37 @@ def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
     return violations
 
 
+# One fiber index per live mapping: its carrier points grouped by the id
+# of their base point, in carrier order.
+_FIBERS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def fiber_preimage(m: MetricMapping, region: Iterable[BasePoint]) -> frozenset:
-    """Carrier points whose fiber lies in ``region`` (finite carriers)."""
-    ids = {y.id for y in region}
-    return frozenset(x for x in m.points() if m.fiber_of(x).id in ids)
+    """Carrier points whose fiber lies in ``region`` (finite carriers),
+    read from the mapping's fiber index, built on the first call."""
+    by_id = _FIBERS.get(m)
+    if by_id is None:
+        by_id = {}
+        for x in m.points():
+            by_id.setdefault(m.fiber_of(x).id, []).append(x)
+        _FIBERS[m] = by_id
+    return frozenset(x for i in {y.id for y in region} for x in by_id.get(i, ()))
 
 
 def closure_radii(m: MetricMapping) -> list[Fraction]:
     """Ball radii that distinguish every ball on a finite carrier: the
     realized pairwise distances plus midpoints of consecutive values,
-    positive ones only. Balls change only at realized distances; the
-    midpoints capture the strict inequalities.
+    positive ones only, in increasing order. Balls change only at
+    realized distances; the midpoints capture the strict inequalities.
 
-    The limit side (finite_oracle._balls_around) builds its balls per
-    point instead, as {v : d(x, v) <= t} over the distances t realized
-    from x. Both families hold the smallest ball around x, its zero class
-    {v : d(x, v) = 0}, and only their largest balls can differ. "Every
-    neighborhood meets A" and "every neighborhood contains A" both hold
-    iff they hold for the smallest ball, so the two families give the
-    same closures and the same limit points.
+    The first radius is half the smallest positive distance (1 when every
+    distance is zero), so its ball around x is x's zero class
+    {v : d(x, v) = 0}: the smallest ball around x, inside every other.
+    The filter side keeps only that ball (see _neighborhoods). The limit
+    side (finite_oracle._balls_around) builds its balls per point
+    instead, as {v : d(x, v) <= t} over the distances t realized from x;
+    that family holds the zero class too, so the two sides see the same
+    smallest ball and give the same closures and limit points.
     """
     dm = distance_matrix(m)
     values = {0}
@@ -557,28 +568,30 @@ _NEIGHBORHOODS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _neighborhoods(m: MetricMapping) -> dict[CarrierPoint, frozenset]:
-    """The distinct basic neighborhoods of every point of a finite
-    instance: each ball of a ``closure_radii`` radius around the point,
-    intersected with the preimage of each basis set holding its fiber.
-    Built on the first call for ``m`` and reused by every later one."""
+    """The minimal basic neighborhoods of every point of a finite
+    instance: the ball of the smallest ``closure_radii`` radius around the
+    point, its zero class, intersected with the preimage of each basis set
+    holding its fiber. Built on the first call for ``m`` and reused by
+    every later one.
+
+    Only these decide a closure, with no assumption on the basis or the
+    metric. Every ball of a palette radius r around x contains the
+    smallest one, so each basic neighborhood ball_r & pre(o) contains
+    ball_r0 & pre(o) for the same basis set o. If the minimal ones all
+    meet a set A, every basic neighborhood does; the converse is plain.
+    """
     table = _NEIGHBORHOODS.get(m)
     if table is None:
         dm = distance_matrix(m)
         pts = dm.points
-        cuts = [r * dm.den for r in closure_radii(m)]
+        # For an integer numerator v: v < r0 * den iff v < ceil(r0 * den).
+        cut = ceil(closure_radii(m)[0] * dm.den)
         preimages = {o: fiber_preimage(m, map(BasePoint, o)) for o in m.base.basis}
         table = {}
         for x in pts:
             fx = m.fiber_of(x).id
-            # The ball of radius r is the prefix of the points by distance
-            # from x that stops at the first distance of r or more.
-            d = dm.row(x)
-            order = sorted(range(len(pts)), key=d.__getitem__)
-            ds = [d[v] for v in order]
-            balls = {frozenset(pts[v] for v in order[: bisect_left(ds, c)]) for c in cuts}
-            table[x] = frozenset(
-                ball & preimages[o] for ball in balls for o in m.base.basis if fx in o
-            )
+            ball = frozenset(v for v, dv in zip(pts, dm.row(x)) if dv < cut)
+            table[x] = frozenset(ball & preimages[o] for o in m.base.basis if fx in o)
         _NEIGHBORHOODS[m] = table
     return table
 
@@ -588,7 +601,9 @@ def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozense
 
     A point belongs to the closure iff every basic neighborhood, a metric
     ball intersected with the preimage of a basis set containing the
-    point's fiber, meets the region.
+    point's fiber, meets the region. The minimal basic neighborhoods of
+    _neighborhoods decide this: each basic neighborhood of x contains one
+    of them, so every one meets the region iff every minimal one does.
     """
     if not m.is_finite_instance():
         raise InputError("closure_finite needs a finite carrier and a finite base")

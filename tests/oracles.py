@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 from mapcomplete.base_topology import FiniteBase, all_opens_finite
 from mapcomplete.errors import EvaluatorError, Violation
@@ -52,10 +53,21 @@ def _oracle_balls(m, x, pts):
     return {frozenset(v for v in pts if m.distance(x, v) <= t) for t in thresholds}
 
 
+# One generated topology per live mapping.
+_TOPOLOGIES: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def full_topology(m) -> frozenset:
     """Every open set of the mapping topology on a finite instance,
     generated from scratch: balls intersected with preimages of *all*
-    opens of the base (not just basis sets), closed under union."""
+    opens of the base (not just basis sets), closed under union. Generated
+    once per mapping."""
+    if m not in _TOPOLOGIES:
+        _TOPOLOGIES[m] = _generate_topology(m)
+    return _TOPOLOGIES[m]
+
+
+def _generate_topology(m) -> frozenset:
     pts = tuple(m.points())
     opens_of_base = all_opens_finite(m.base)
     preimages = {

@@ -226,6 +226,21 @@ def test_cli_suite_count_has_an_upper_bound(capsys, command):
     assert captured.err == "ERROR --count must be at most 100000, got 100001\n"
 
 
+@pytest.mark.parametrize("command", ["theorem3", "lemma2"])
+@pytest.mark.parametrize("flag, value", [("--maxx", "65"), ("--maxy", "13")])
+def test_cli_suite_generator_sizes_have_an_upper_bound(monkeypatch, capsys, command, flag, value):
+    # Refused before any instance is generated.
+    from mapcomplete import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "random_instance", lambda *args: calls.append(args))
+    assert run_command([command, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {flag} must be at most {int(value) - 1}, got {value}\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_cli_complete_check_decides_40_points(tmp_path, capsys, monkeypatch, seed):
     # 2^40 candidate sets would never finish; the decider closes at most

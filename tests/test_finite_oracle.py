@@ -393,6 +393,24 @@ def test_lemma2_singleton_sets_match_full_topology():
             )
 
 
+def test_closure_and_limit_sets_match_full_topology_on_coarse_instances():
+    # 8-12 points, past random_instance's sizes: the topology is generated
+    # once per instance, and every region of one or two points is checked.
+    grown = limited = 0
+    for n in range(8, 13):
+        for seed in range(4):
+            m = stress_instance(seed, n, 3, coarse=True)
+            pts = m.points()
+            for region in [{x} for x in pts] + [set(pair) for pair in combinations(pts, 2)]:
+                clusters = closure_via_full_topology(m, region)
+                limits = limit_via_full_topology(m, region)
+                assert closure_finite(m, region) == clusters, (n, seed, region)
+                assert cluster_and_limit_sets(m, region) == (clusters, limits), (n, seed, region)
+                grown += clusters > region
+                limited += bool(limits)
+    assert grown and limited
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_lemma2_decides_40_coarse_points(monkeypatch, seed):
     # T_y can be the whole carrier, so a sweep of its subsets would never
