@@ -427,3 +427,43 @@ def test_lemma2_decides_40_coarse_points(monkeypatch, seed):
     )
     assert _lemma2_outcome(m) == lemma2_by_subset_sweep(m)
     assert 0 < len(closures) <= 40
+
+
+def _topology_record(m) -> str:
+    # The three verdicts with their certificates, then the cluster and
+    # limit sets of every region of one or two points, all by code.
+    def codes(points) -> str:
+        return ",".join(sorted(str(p.code) for p in points))
+
+    def verdict(v) -> str:
+        if v.certificate is None:
+            return str(v.ok)
+        y, s = v.certificate
+        return f"{v.ok} {y.id} {codes(s)}"
+
+    pts = sorted(m.points(), key=lambda p: str(p.code))
+    lines = [verdict(is_complete_filter(m)), verdict(is_complete_net(m)), verdict(lemma2_check(m))]
+    for region in [(x,) for x in pts] + list(combinations(pts, 2)):
+        clusters, limits = cluster_and_limit_sets(m, region)
+        lines.append(f"{codes(region)}: {codes(clusters)} | {codes(limits)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_finite_topology_digest_is_frozen():
+    # sha256 over 300 random instances and 20 default plus 20 coarse
+    # stress instances of 12-16 points, frozen before both finite sides
+    # moved to zero classes: a simpler closure or limit test must give the
+    # same sets, verdicts and certificates.
+    import hashlib
+
+    digest = hashlib.sha256()
+    for seed in range(300):
+        m = random_instance(seed, max_x=6 + seed % 5, max_y=3 + seed % 2)
+        digest.update(_topology_record(m).encode())
+    for seed in range(20):
+        for coarse in (False, True):
+            m = stress_instance(seed, 12 + seed % 5, 3 + seed % 2, coarse=coarse)
+            digest.update(_topology_record(m).encode())
+    assert digest.hexdigest() == (
+        "185428636b15c8435351381c812764bf595fe11cf69a3d86de2e61b6edee5013"
+    )
