@@ -7,11 +7,17 @@ explicit finite completion. The two completeness deciders share plain
 set helpers such as fiber_preimage, and read distances from the one
 DistanceMatrix of the mapping that the validators filled, but share no
 decision logic: the filter side decides through closures over the
-minimal basic neighborhoods of metric_mapping (each point's zero class,
-the ball of the smallest closure_radii radius, cut by the preimages of
-the basis sets around its fiber), the net side through zero classes,
-tied cores and limit points over its own per-point balls. The value of
-the agreement suite rests on the two paths being independent.
+minimal basic neighborhoods of metric_mapping (each point's zero class
+cut by the preimages of the basis sets around its fiber), the net side
+through zero classes, tied cores and a limit test of its own (see
+_is_limit). The value of the agreement suite rests on the two paths
+being independent.
+
+Both sides read only one ball per point, its zero class
+{v : d(x, v) = 0}. Every ball of positive radius around x contains it,
+and it is itself the ball of any radius up to the smallest positive
+distance from x, so a condition on every ball around x ("meets A" for a
+closure, "contains A" for a limit) holds iff it holds for the zero class.
 
 On a finite carrier every filter is principal, every Cauchy sequence is
 eventually inside one zero-distance class, and the small-diameter condition
@@ -32,7 +38,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterable
-from weakref import WeakKeyDictionary
 
 from .base_topology import BasePoint, FiniteBase
 from .errors import InputError
@@ -149,20 +154,6 @@ def _tied_core(m: MetricMapping, preimages: list[frozenset]) -> frozenset:
     return core
 
 
-def _balls_around(dm: DistanceMatrix, x: CarrierPoint) -> list[frozenset]:
-    # Every distinct open ball around x arises as {v : d(x,v) <= t} for a
-    # realized threshold t; derived per point, without the radius palette.
-    d = dm.row(x)
-    return [
-        frozenset(v for v, dv in zip(dm.points, d) if dv <= t) for t in sorted(set(d))
-    ]
-
-
-# Each point's balls, built on its first limit test per live mapping and
-# reused by every later one; it goes when the mapping does.
-_BALLS: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _preimages_around(m: MetricMapping) -> dict[BasePoint, list[frozenset]]:
     """For each base point, the preimages of the basic opens around it."""
     return {
@@ -178,12 +169,17 @@ def _is_limit(
     and so of every sequence that cycles through ``region``: each basic
     neighborhood of x, a ball around x intersected with the preimage of a
     basic open around its fiber (``around``, from _preimages_around),
-    contains all of ``region``."""
-    balls = _BALLS.setdefault(m, {})
-    if x not in balls:
-        balls[x] = _balls_around(dm, x)
-    preimages = around[m.fiber_of(x)]
-    return all(region <= (ball & pre) for ball in balls[x] for pre in preimages)
+    contains all of ``region``.
+
+    Two checks decide this: ``region`` lies in x's zero class, and in each
+    of those preimages. Every ball {v : d(x, v) <= t} around x contains
+    the t = 0 ball, the zero class, so ``region`` lies in ball & pre for
+    every ball and preimage iff it lies in the zero class and every pre.
+    """
+    d, index = dm.row(x), dm.index
+    return all(d[index[v]] == 0 for v in region) and all(
+        region <= pre for pre in around[m.fiber_of(x)]
+    )
 
 
 def _limit_set(m: MetricMapping, region: frozenset, around) -> frozenset:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, lcm
+from math import floor, lcm
 from typing import Callable, ClassVar, Iterable, Union
 from weakref import WeakKeyDictionary
 
@@ -539,14 +539,12 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
     positive ones only, in increasing order. Balls change only at
     realized distances; the midpoints capture the strict inequalities.
 
-    The first radius is half the smallest positive distance (1 when every
-    distance is zero), so its ball around x is x's zero class
-    {v : d(x, v) = 0}: the smallest ball around x, inside every other.
-    The filter side keeps only that ball (see _neighborhoods). The limit
-    side (finite_oracle._balls_around) builds its balls per point
-    instead, as {v : d(x, v) <= t} over the distances t realized from x;
-    that family holds the zero class too, so the two sides see the same
-    smallest ball and give the same closures and limit points.
+    No decider calls this any more. The first radius is half the smallest
+    positive distance (1 when every distance is zero), so its ball around
+    x is x's zero class {v : d(x, v) = 0}, and that ball lies inside the
+    ball of every other radius. Closures and limit points need no other
+    ball, so both finite sides read the zero class straight from x's
+    distance-matrix row (see _neighborhoods and finite_oracle._is_limit).
     """
     dm = distance_matrix(m)
     values = {0}
@@ -569,29 +567,29 @@ _NEIGHBORHOODS: WeakKeyDictionary = WeakKeyDictionary()
 
 def _neighborhoods(m: MetricMapping) -> dict[CarrierPoint, frozenset]:
     """The minimal basic neighborhoods of every point of a finite
-    instance: the ball of the smallest ``closure_radii`` radius around the
-    point, its zero class, intersected with the preimage of each basis set
+    instance: the point's zero class {v : d(x, v) = 0}, the zeros of its
+    distance-matrix row, intersected with the preimage of each basis set
     holding its fiber. Built on the first call for ``m`` and reused by
     every later one.
 
     Only these decide a closure, with no assumption on the basis or the
-    metric. Every ball of a palette radius r around x contains the
-    smallest one, so each basic neighborhood ball_r & pre(o) contains
-    ball_r0 & pre(o) for the same basis set o. If the minimal ones all
-    meet a set A, every basic neighborhood does; the converse is plain.
+    metric. Every ball of positive radius around x contains x's zero
+    class, so each basic neighborhood ball & pre(o) contains
+    zero(x) & pre(o) for the same basis set o. If the minimal ones all
+    meet a set A, every basic neighborhood does; the converse is plain,
+    because the zero class is itself the ball of any radius up to the
+    smallest positive distance from x.
     """
     table = _NEIGHBORHOODS.get(m)
     if table is None:
         dm = distance_matrix(m)
         pts = dm.points
-        # For an integer numerator v: v < r0 * den iff v < ceil(r0 * den).
-        cut = ceil(closure_radii(m)[0] * dm.den)
         preimages = {o: fiber_preimage(m, map(BasePoint, o)) for o in m.base.basis}
         table = {}
         for x in pts:
             fx = m.fiber_of(x).id
-            ball = frozenset(v for v, dv in zip(pts, dm.row(x)) if dv < cut)
-            table[x] = frozenset(ball & preimages[o] for o in m.base.basis if fx in o)
+            zero = frozenset(v for v, dv in zip(pts, dm.row(x)) if dv == 0)
+            table[x] = frozenset(zero & preimages[o] for o in m.base.basis if fx in o)
         _NEIGHBORHOODS[m] = table
     return table
 
@@ -602,8 +600,10 @@ def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozense
     A point belongs to the closure iff every basic neighborhood, a metric
     ball intersected with the preimage of a basis set containing the
     point's fiber, meets the region. The minimal basic neighborhoods of
-    _neighborhoods decide this: each basic neighborhood of x contains one
-    of them, so every one meets the region iff every minimal one does.
+    _neighborhoods decide this: every ball around x contains x's zero
+    class, so each basic neighborhood of x contains the zero class cut by
+    the same preimage, and every one meets the region iff every minimal
+    one does.
     """
     if not m.is_finite_instance():
         raise InputError("closure_finite needs a finite carrier and a finite base")

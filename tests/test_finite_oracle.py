@@ -290,7 +290,7 @@ def test_deciders_share_no_decision_logic(monkeypatch, sierpinski, incomplete_in
 
     sides = {
         "filter": ("is_complete_filter", "closure_finite", "closure_radii", "_neighborhoods"),
-        "net": ("zero_classes", "_tied_core", "_is_limit", "_balls_around", "_preimages_around"),
+        "net": ("zero_classes", "_tied_core", "_is_limit", "_preimages_around"),
     }
     instances = [sierpinski, incomplete_instance] + [random_instance(s) for s in range(30)]
     for decider, other in ((is_complete_filter, "net"), (is_complete_net, "filter")):
@@ -332,16 +332,25 @@ def test_filter_decider_matches_subset_sweep_on_stress_instances():
 
 
 def test_closure_table_is_built_once_per_mapping(monkeypatch):
+    # Every build of the neighborhood table ends by storing it for its
+    # mapping; a table rebuilt on each closure would be stored each time.
+    from weakref import WeakKeyDictionary
+
     from mapcomplete import metric_mapping
 
-    calls = []
-    original = metric_mapping.closure_radii
-    monkeypatch.setattr(metric_mapping, "closure_radii", lambda m: calls.append(m) or original(m))
+    builds = []
+
+    class Recording(WeakKeyDictionary):
+        def __setitem__(self, key, value):
+            builds.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(metric_mapping, "_NEIGHBORHOODS", Recording())
     m = stress_instance(3, 14)
     is_complete_filter(m)
     lemma2_check(m)
     cluster_and_limit_sets(m, m.points()[:3])
-    assert calls == [m]
+    assert builds == [m]
 
 
 def _lemma2_outcome(m):
