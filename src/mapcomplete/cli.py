@@ -32,7 +32,12 @@ from .finite_oracle import (
     lemma2_check,
     random_instance,
 )
-from .metric_mapping import carrier_is_finite, validate_fiberwise_metric, validate_pseudometric
+from .metric_mapping import (
+    carrier_is_finite,
+    distance_matrix,
+    validate_fiberwise_metric,
+    validate_pseudometric,
+)
 from .rationals import decimal_approx, format_rational, parse_rational
 from .tied_cauchy import check_tying
 
@@ -282,11 +287,12 @@ def _cmd_complete_construct(args) -> Report:
     verdict = is_complete_filter(completed.instance)
     report.add("completion_complete", verdict.ok,
                f"points={len(completed.instance.points())}")
+    dm, star = distance_matrix(m), distance_matrix(completed.instance)
+    image = [star.index[completed.embedding[x]] for x in dm.points]
     iso_ok = all(
-        completed.instance.distance(completed.embedding[a], completed.embedding[b])
-        == m.distance(a, b)
-        for a in m.points()
-        for b in m.points()
+        star.value(image[i], image[j]) == dm.value(i, j)
+        for i in range(len(image))
+        for j in range(len(image))
     )
     report.add("embedding_isometric", iso_ok, "exact")
     if args.out is not None:

@@ -355,7 +355,8 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     """The explicit completion of a finite instance.
 
     New carrier: one point per (zero class C, base point y) with C meeting
-    T_y; its fiber is y, and distances are read off class representatives.
+    T_y; its fiber is y, and distances are read off class representatives
+    in the DistanceMatrix of m, not from its evaluator.
     Its code is ``<representative code>*<y>``, with backslash and ``*``
     escaped in both parts so that distinct pairs never share a code.
     The original carrier embeds as x -> (class of x, fiber of x), which is
@@ -363,6 +364,7 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     result is complete under both oracle criteria.
     """
     ensure_finite_instance(m)
+    dm = distance_matrix(m)
     classes = zero_classes(m)
     reps = {c: min(c, key=lambda p: str(p.code)) for c in classes}
 
@@ -384,7 +386,7 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     distance_table = {}
     for (c1, y1), (c2, y2) in combinations(star, 2):
         key = (star_code(c1, y1), star_code(c2, y2))
-        distance_table[key] = m.distance(reps[c1], reps[c2])
+        distance_table[key] = dm.value(dm.index[reps[c1]], dm.index[reps[c2]])
 
     instance = table_mapping(m.base, fiber_table, distance_table)
     by_code = {p.code: p for p in instance.points()}

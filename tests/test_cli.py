@@ -535,6 +535,26 @@ def test_cli_complete_check_evaluates_each_ordered_pair_once(tmp_path, capsys, m
     assert len(calls) <= n + n * (n - 1)
 
 
+def test_cli_complete_construct_evaluates_each_ordered_pair_once(tmp_path, capsys, monkeypatch):
+    # The validators, the completion's distance table and the isometry
+    # check all read the one matrix of the input; calls the completed
+    # instance makes on its own evaluator are not counted.
+    from mapcomplete.metric_mapping import MetricMapping
+    from oracles import stress_instance
+
+    n = 16
+    path = _write(tmp_path, instance_document(stress_instance(1, n, 4)))
+    callers = []
+    distance = MetricMapping.distance
+    monkeypatch.setattr(
+        MetricMapping, "distance", lambda m, x, x2: callers.append(m) or distance(m, x, x2)
+    )
+    assert run_command(["complete-construct", path, "--out", str(tmp_path / "star.json")]) == 0
+    m = callers[0]
+    assert len(m.points()) == n
+    assert sum(c is m for c in callers) == n + n * (n - 1)
+
+
 def test_cli_depth_has_an_upper_bound(capsys):
     from mapcomplete.cli import MAX_DEPTH
 
