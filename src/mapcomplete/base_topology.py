@@ -202,24 +202,28 @@ def validate_basis(b: FiniteBase) -> list[Violation]:
 
     Covering: every point lies in some basis set. Refinement: whenever a
     point sits in the intersection of two basis sets, some basis set fits
-    between the point and that intersection.
+    between the point and that intersection. Each basis set becomes a
+    frozenset once, and each point keeps the list of those that contain
+    it, so a refinement test scans only the sets around its point.
     """
     ids = b.point_ids()
     if len(set(ids)) != len(ids):
         raise InputError("duplicate point ids in base space")
+    sets = [frozenset(o) for o in b.basis]
+    containing: dict[PointId, list[frozenset]] = {}
+    for s in sets:
+        for pid in s:
+            containing.setdefault(pid, []).append(s)
     violations: list[Violation] = []
-    covered = set()
-    for o in b.basis:
-        covered.update(o)
     for pid in ids:
-        if pid not in covered:
+        if pid not in containing:
             violations.append(
                 Violation("cover", f"point {pid!r} lies in no basis set", (pid,))
             )
-    for o1, o2 in combinations(b.basis, 2):
-        meet = set(o1) & set(o2)
+    for (o1, s1), (o2, s2) in combinations(zip(b.basis, sets), 2):
+        meet = s1 & s2
         for pid in sorted(meet):
-            if not any(pid in o3 and set(o3) <= meet for o3 in b.basis):
+            if not any(s <= meet for s in containing[pid]):
                 violations.append(
                     Violation(
                         "intersection",

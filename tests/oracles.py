@@ -8,7 +8,9 @@ the filter and Lemma 2 oracles sweep every zero-diameter subset with
 their own threshold balls instead of calling closure_finite, the limit
 sets or the deciders, and the pseudometric oracle evaluates every
 Fraction distance pair by pair instead of calling the validators or
-reading a DistanceMatrix.
+reading a DistanceMatrix. The basis oracle is the plain cubic scan that
+validate_basis replaced: every pair of basis sets, then the whole basis
+for each point they share.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
-from mapcomplete.base_topology import FiniteBase, all_opens_finite
+from mapcomplete.base_topology import FiniteBase, all_opens_finite, describe_open
 from mapcomplete.errors import EvaluatorError, Violation
 from mapcomplete.metric_mapping import table_mapping
 from mapcomplete.rationals import format_rational
@@ -272,6 +274,31 @@ def lemma2_by_subset_sweep(m) -> tuple[bool, tuple | None]:
             if clusters != limits:
                 return False, (y, s)
     return True, None
+
+
+def basis_violations_by_scan(b) -> list[Violation]:
+    """The basis axioms of a FiniteBase, in validate_basis's report order:
+    uncovered points by id order, then, for each pair of basis sets in
+    order, each shared point with no basis set between it and the pair's
+    intersection, found by scanning the whole basis."""
+    violations = []
+    covered = set()
+    for o in b.basis:
+        covered.update(o)
+    for pid in b.point_ids():
+        if pid not in covered:
+            violations.append(Violation("cover", f"point {pid!r} lies in no basis set", (pid,)))
+    for o1, o2 in combinations(b.basis, 2):
+        meet = set(o1) & set(o2)
+        for pid in sorted(meet):
+            if not any(pid in o3 and set(o3) <= meet for o3 in b.basis):
+                violations.append(Violation(
+                    "intersection",
+                    f"no basis set contains {pid!r} inside "
+                    f"{describe_open(o1)} & {describe_open(o2)}",
+                    (pid, o1, o2),
+                ))
+    return violations
 
 
 def _random_opens(rng, ys) -> set:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -16,6 +17,8 @@ from mapcomplete.base_topology import (
     validate_basis,
 )
 from mapcomplete.errors import InputError
+
+from oracles import _coarse_opens, _random_opens, basis_violations_by_scan
 
 
 def test_validate_basis_accepts_nested_basis():
@@ -135,3 +138,27 @@ def test_neighborhood_basis_limit_parameter():
     b = RationalOrderBase()
     opens = neighborhood_basis(b, BasePoint(Fraction(5)), limit=3)
     assert isinstance(opens, list) and len(opens) == 3
+
+
+def test_validate_basis_matches_the_whole_basis_scan():
+    # Valid random and coarse bases, and invalid ones: random sets never
+    # closed under intersection, with some points left uncovered. Basis
+    # sets come in shuffled order, since the report follows it.
+    rng = random.Random(0)
+    kinds = {"valid": 0}
+    for trial in range(300):
+        ys = [f"y{i}" for i in range(1 + trial % 9)]
+        if trial % 3 == 0:
+            opens = _random_opens(rng, ys)
+        elif trial % 3 == 1:
+            opens = _coarse_opens(rng, ys)
+        else:
+            opens = {tuple(sorted(rng.sample(ys, rng.randint(1, len(ys)))))
+                     for _ in range(rng.randint(0, 2 * len(ys)))}
+        b = FiniteBase.of(ys, rng.sample(sorted(opens), len(opens)))
+        report = validate_basis(b)
+        assert report == basis_violations_by_scan(b), trial
+        kinds["valid"] += not report
+        for v in report:
+            kinds[v.kind] = kinds.get(v.kind, 0) + 1
+    assert kinds["valid"] >= 50 and kinds["cover"] >= 20 and kinds["intersection"] >= 50
