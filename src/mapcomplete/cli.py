@@ -56,8 +56,24 @@ MAX_SUITE_X = 64
 MAX_SUITE_Y = 12
 
 
+def _echo(text: str) -> str:
+    """``text`` quoted for an error message, cut to its ends when long, so
+    a bad argument of thousands of digits still gives a short line."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20] + '...' + text[-10:]!r} ({len(text)} characters)"
+
+
 def _rational_arg(text: str) -> Fraction:
-    value = parse_rational(text)
+    try:
+        value = parse_rational(text)
+    except InputError:
+        raise argparse.ArgumentTypeError(
+            f"expected an exact rational like '1/1000', got {_echo(text)}"
+        ) from None
+    except ValueError:
+        # int() refuses a numeral past Python's digit limit (4300 by default).
+        raise argparse.ArgumentTypeError(f"too many digits in {_echo(text)}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive rational")
     return value

@@ -555,6 +555,20 @@ def test_cli_complete_construct_evaluates_each_ordered_pair_once(tmp_path, capsy
     assert sum(c is m for c in callers) == n + n * (n - 1)
 
 
+@pytest.mark.parametrize("eps", ["1/1" + "0" * 5000, "1/" + "7" * 5000 + "x"])
+def test_cli_long_bad_eps_gives_one_short_error_line(capsys, eps):
+    # Past Python's int-string limit, and malformed: either way the error
+    # echoes only the ends of the argument.
+    argv = ["dstar", str(GOLDEN_INTERVAL), "--point", "const(1)", "--point", "const(2)"]
+    assert run_command([*argv, "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    [error] = [line for line in lines if "argument --eps" in line]
+    assert f"({len(eps)} characters)" in error
+    assert max(map(len, lines)) < 200
+
+
 def test_cli_depth_has_an_upper_bound(capsys):
     from mapcomplete.cli import MAX_DEPTH
 
