@@ -202,9 +202,8 @@ def validate_basis(b: FiniteBase) -> list[Violation]:
 
     Covering: every point lies in some basis set. Refinement: whenever a
     point sits in the intersection of two basis sets, some basis set fits
-    between the point and that intersection. Each basis set becomes a
-    frozenset once, and each point keeps the list of those that contain
-    it, so a refinement test scans only the sets around its point.
+    between the point and that intersection. A refinement test scans only
+    the basis sets that contain its point, each a frozenset built once.
     """
     ids = b.point_ids()
     if len(set(ids)) != len(ids):

@@ -13,11 +13,9 @@ through zero classes, tied cores and a limit test of its own (see
 _is_limit). The value of the agreement suite rests on the two paths
 being independent.
 
-Both sides read only one ball per point, its zero class
-{v : d(x, v) = 0}. Every ball of positive radius around x contains it,
-and it is itself the ball of any radius up to the smallest positive
-distance from x, so a condition on every ball around x ("meets A" for a
-closure, "contains A" for a limit) holds iff it holds for the zero class.
+Both sides read one ball per point, its zero class {v : d(x, v) = 0}: it
+lies in every ball around x and is itself one, so every ball around x
+meets (closure) or contains (limit) a set iff the zero class does.
 
 On a finite carrier every filter is principal, every Cauchy sequence is
 eventually inside one zero-distance class, and the small-diameter condition
@@ -171,10 +169,9 @@ def _is_limit(
     basic open around its fiber (``around``, from _preimages_around),
     contains all of ``region``.
 
-    Two checks decide this: ``region`` lies in x's zero class, and in each
-    of those preimages. Every ball {v : d(x, v) <= t} around x contains
-    the t = 0 ball, the zero class, so ``region`` lies in ball & pre for
-    every ball and preimage iff it lies in the zero class and every pre.
+    Every ball {v : d(x, v) <= t} contains the t = 0 ball, x's zero
+    class, so this holds iff ``region`` lies in the zero class and in
+    each of those preimages.
     """
     d, index = dm.row(x), dm.index
     return all(d[index[v]] == 0 for v in region) and all(
@@ -204,8 +201,7 @@ def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozens
 
 def _diam_zero(m: MetricMapping, subset) -> bool:
     dm = distance_matrix(m)
-    rows = {x: dm.row(x) for x in subset}
-    return all(rows[x][dm.index[x2]] == 0 for x, x2 in combinations(subset, 2))
+    return all(dm.row(x)[dm.index[x2]] == 0 for x, x2 in combinations(subset, 2))
 
 
 def is_complete_filter(m: MetricMapping) -> OracleVerdict:
@@ -232,11 +228,7 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
     closures: dict[CarrierPoint, frozenset] = {}
     for y in m.base.points:
         fiber_y = fiber_preimage(m, [y])
-        constraints = [
-            fiber_preimage(m, map(BasePoint, o))
-            for o in m.base.basis
-            if y.id in o
-        ]
+        constraints = [fiber_preimage(m, map(BasePoint, o)) for o in m.base.basis if y.id in o]
         for x in pts:
             if not all(x in p for p in constraints):
                 continue
@@ -391,10 +383,8 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     instance = table_mapping(m.base, fiber_table, distance_table)
     by_code = {p.code: p for p in instance.points()}
 
-    embedding = {}
-    class_lookup = {x: c for c in classes for x in c}
-    for x in m.points():
-        embedding[x] = by_code[star_code(class_lookup[x], m.fiber_of(x))]
+    class_of = {x: c for c in classes for x in c}
+    embedding = {x: by_code[star_code(class_of[x], m.fiber_of(x))] for x in m.points()}
     return FiniteCompletion(instance, embedding)
 
 

@@ -575,10 +575,9 @@ def _neighborhoods(m: MetricMapping) -> dict[CarrierPoint, frozenset]:
     Only these decide a closure, with no assumption on the basis or the
     metric. Every ball of positive radius around x contains x's zero
     class, so each basic neighborhood ball & pre(o) contains
-    zero(x) & pre(o) for the same basis set o. If the minimal ones all
-    meet a set A, every basic neighborhood does; the converse is plain,
-    because the zero class is itself the ball of any radius up to the
-    smallest positive distance from x.
+    zero(x) & pre(o). If the minimal ones all meet a set A, every basic
+    neighborhood does; the converse is plain, since the zero class is
+    itself a ball (of radius the smallest positive distance from x).
     """
     table = _NEIGHBORHOODS.get(m)
     if table is None:
@@ -601,9 +600,8 @@ def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozense
     ball intersected with the preimage of a basis set containing the
     point's fiber, meets the region. The minimal basic neighborhoods of
     _neighborhoods decide this: every ball around x contains x's zero
-    class, so each basic neighborhood of x contains the zero class cut by
-    the same preimage, and every one meets the region iff every minimal
-    one does.
+    class, so each basic neighborhood ball & pre(o) contains the minimal
+    zero(x) & pre(o), and all meet the region iff all minimal ones do.
     """
     if not m.is_finite_instance():
         raise InputError("closure_finite needs a finite carrier and a finite base")

@@ -555,7 +555,9 @@ def test_cli_complete_construct_evaluates_each_ordered_pair_once(tmp_path, capsy
     assert sum(c is m for c in callers) == n + n * (n - 1)
 
 
-@pytest.mark.parametrize("eps", ["1/1" + "0" * 5000, "1/" + "7" * 5000 + "x"])
+@pytest.mark.parametrize(
+    "eps", ["1/1" + "0" * 5000, "1/" + "7" * 5000 + "x"], ids=["past-digit-limit", "malformed"]
+)
 def test_cli_long_bad_eps_gives_one_short_error_line(capsys, eps):
     # Past Python's int-string limit, and malformed: either way the error
     # echoes only the ends of the argument.
