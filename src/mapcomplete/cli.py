@@ -56,8 +56,7 @@ def _rational_arg(text: str) -> Fraction:
     try:
         value = parse_rational(text)
     except ValueError:
-        # Malformed, or a numeral past Python's int-string limit: a long
-        # argument is echoed by its ends, so the error stays one short line.
+        # Malformed, or past Python's int-string limit: echo a long one by its ends.
         shown = repr(text) if len(text) <= 40 else (
             f"{text[:20] + '...' + text[-10:]!r} ({len(text)} characters)")
         raise argparse.ArgumentTypeError(

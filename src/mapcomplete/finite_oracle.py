@@ -228,7 +228,11 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
     closures: dict[CarrierPoint, frozenset] = {}
     for y in m.base.points:
         fiber_y = fiber_preimage(m, [y])
-        constraints = [fiber_preimage(m, map(BasePoint, o)) for o in m.base.basis if y.id in o]
+        constraints = [
+            fiber_preimage(m, map(BasePoint, o))
+            for o in m.base.basis
+            if y.id in o
+        ]
         for x in pts:
             if not all(x in p for p in constraints):
                 continue
@@ -250,13 +254,12 @@ def is_complete_net(m: MetricMapping) -> OracleVerdict:
     the fiber of y. Independent of is_complete_filter by construction.
     """
     ensure_finite_instance(m)
-    pts = _sorted_points(m.points())
     classes = zero_classes(m)
     dm = distance_matrix(m)
     around = _preimages_around(m)
     for y in m.base.points:
         tied_core = _tied_core(m, around[y])
-        fiber_y = [x for x in pts if m.fiber_of(x) == y]
+        fiber_y = fiber_preimage(m, [y])
         for c in classes:
             tied_set = c & tied_core
             if tied_set and not any(_is_limit(m, x, tied_set, dm, around) for x in fiber_y):
@@ -283,10 +286,8 @@ def net_of_filter(m: MetricMapping, flt: PrincipalFilter) -> TailSequence:
 def net_cluster_limit(m: MetricMapping, seq: TailSequence) -> tuple[frozenset, frozenset]:
     """Cluster and limit sets of an eventually-cycling sequence, computed
     from the terms themselves (one full cycle past the prefix)."""
-    ensure_finite_instance(m)
     start = len(seq.prefix) + 1
-    visited = frozenset(seq.at(n) for n in range(start, start + len(seq.tail)))
-    return closure_finite(m, visited), _limit_set(m, visited, _preimages_around(m))
+    return cluster_and_limit_sets(m, (seq.at(n) for n in range(start, start + len(seq.tail))))
 
 
 def lemma2_check(m: MetricMapping) -> OracleVerdict:
