@@ -535,7 +535,7 @@ def test_cli_complete_check_evaluates_each_ordered_pair_once(tmp_path, capsys, m
     assert len(calls) <= n + n * (n - 1)
 
 
-def test_cli_complete_construct_evaluates_each_ordered_pair_once(tmp_path, capsys, monkeypatch):
+def test_cli_complete_construct_evaluates_each_ordered_pair_once(tmp_path, monkeypatch):
     # The validators, the completion's distance table and the isometry
     # check all read the one matrix of the input; calls the completed
     # instance makes on its own evaluator are not counted.
