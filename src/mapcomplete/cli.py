@@ -32,15 +32,15 @@ from .finite_oracle import (
     lemma2_check,
     random_instance,
 )
-from .metric_mapping import carrier_is_finite, distance_matrix
+from .metric_mapping import carrier_is_finite, closure_finite, distance_matrix
 from .metric_mapping import validate_fiberwise_metric, validate_pseudometric
 from .rationals import decimal_approx, format_rational, parse_rational
 from .tied_cauchy import check_tying
 
 # The pseudometric check is cubic in the points it checks: validate on a
-# rational interval takes about 7 s at depth 512 (19 s at 768) on one Xeon
-# core. The bound holds for --depth and for the points of a finite carrier,
-# which ignores --depth.
+# rational interval takes about 6 s at depth 512 (20 s at 768) on one Xeon
+# core, nearly all of it in the triangle loop. The bound holds for --depth
+# and for the points of a finite carrier, which ignores --depth.
 MAX_DEPTH = 512
 MAX_COUNT = 100_000
 # The suites' generator: its pairwise repair is cubic in --maxx, and its
@@ -298,6 +298,9 @@ def _cmd_complete_construct(args) -> Report:
         for j in range(len(image))
     )
     report.add("embedding_isometric", iso_ok, "exact")
+    closure = closure_finite(completed.instance, completed.embedding.values())
+    report.add("embedding_dense", len(closure) == len(star.points),
+               f"closure={len(closure)}/{len(star.points)}")
     if args.out is not None:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         report.add("document_written", True, args.out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import floor, lcm
+from math import floor, gcd, lcm
 from typing import Callable, ClassVar, Iterable, Union
 from weakref import WeakKeyDictionary
 
@@ -159,6 +159,13 @@ class MetricMapping:
     effects. Values are immutable and safe to share across threads.
     Equality and hashing are by identity: each mapping is its own key in
     the per-mapping caches, found without hashing its carrier and base.
+
+    ``dist_kind`` names the distance. ``abs_diff`` promises that every
+    code is a Fraction and ``dist`` is |x - x'|; ``max_metric`` promises
+    that every code is a pair of Fractions and ``dist`` is the larger
+    coordinate difference. ``DistanceMatrix`` computes these two from the
+    codes without calling ``dist``, so a mapping whose ``dist`` breaks the
+    promise must use another kind (``custom``, the default, or ``table``).
     """
 
     carrier: Carrier
@@ -315,17 +322,25 @@ _MATRICES: WeakKeyDictionary = WeakKeyDictionary()
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Every distance among ``points``, each evaluated once.
+    """Every distance among ``points``, each computed once.
 
     ``num[i][j] / den`` is d(points[i], points[j]) exactly: ``den`` is the
     least common multiple of the denominators of all realized values, and
-    ``num`` holds the integer numerators over it. The evaluations are made
-    in the order the validators report them: the diagonal, then every
-    pair i < j (forward) in ``combinations`` order, then d(points[j],
-    points[i]) (back) for each forward pair that evaluated. An entry is
-    None where its evaluation raised an ``EvaluatorError`` or was not
-    made; ``failures`` maps each failed (i, j) to the error's message, in
-    evaluation order.
+    ``num`` holds the integer numerators over it.
+
+    The ``abs_diff`` and ``max_metric`` kinds never call the evaluator:
+    their distance is the Chebyshev distance of the point codes, computed
+    on integer coordinates (``_chebyshev``) with the same ``den`` and
+    ``num``, and ``failures`` is empty, since those evaluators cannot
+    fail. Each ordered entry is still computed on its own, so the
+    symmetry check compares two separate values.
+
+    Every other kind goes through ``MetricMapping.distance``, in the order
+    the validators report: the diagonal, then every pair i < j (forward)
+    in ``combinations`` order, then d(points[j], points[i]) (back) for
+    each forward pair that evaluated. An entry is None where its
+    evaluation raised an ``EvaluatorError`` or was not made; ``failures``
+    maps each failed (i, j) to the error's message, in evaluation order.
 
     Exactness: ``den`` is positive, and scaling by a positive constant
     keeps both order and sums, so for rationals a, b, c: a == b iff
@@ -342,6 +357,10 @@ class DistanceMatrix:
 
     @classmethod
     def build(cls, m: MetricMapping, pts: tuple[CarrierPoint, ...]) -> DistanceMatrix:
+        index = {x: i for i, x in enumerate(pts)}
+        if m.dist_kind in ("abs_diff", "max_metric"):
+            den, num = _chebyshev(pts, m.dist_kind == "abs_diff")
+            return cls(pts, index, den, num, {})
         n = len(pts)
         values: list[list] = [[None] * n for _ in range(n)]
         failures: dict[tuple[int, int], str] = {}
@@ -365,7 +384,7 @@ class DistanceMatrix:
             [None if v is None else v.numerator * (den // v.denominator) for v in row]
             for row in values
         ]
-        return cls(pts, {x: i for i, x in enumerate(pts)}, den, num, failures)
+        return cls(pts, index, den, num, failures)
 
     def value(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
@@ -389,6 +408,28 @@ class DistanceMatrix:
         return Violation(
             "evaluator", self.failures[(i, j)], (self.points[i].code, self.points[j].code)
         )
+
+
+def _chebyshev(pts: tuple[CarrierPoint, ...], one_dim: bool) -> tuple[int, list[list[int]]]:
+    """``den`` and ``num`` of the Chebyshev distance max_k |a_k - b_k| of
+    the point codes, a Fraction each (``one_dim``) or a pair of them.
+
+    Every coordinate is scaled once to an integer over the LCM ``L`` of
+    their denominators, so each ordered entry is an integer max of
+    differences, made on its own. Dividing ``L`` and every numerator by
+    their gcd leaves ``den`` the LCM of the realized denominators: the
+    value num/L reduces to denominator L / gcd(L, num), and the LCM of
+    those is L / gcd(L, every num).
+    """
+    coords = [(x.code,) if one_dim else x.code for x in pts]
+    scale = lcm(*(c.denominator for xs in coords for c in xs))
+    ints = [[c.numerator * (scale // c.denominator) for c in xs] for xs in coords]
+    if one_dim:
+        num = [[abs(a - b) for [b] in ints] for [a] in ints]
+    else:
+        num = [[max(abs(a - c), abs(b - d)) for c, d in ints] for a, b in ints]
+    g = gcd(scale, *(gcd(*row) for row in num))
+    return scale // g, [[v // g for v in row] for row in num]
 
 
 def distance_matrix(m: MetricMapping, budget: int | None = None) -> DistanceMatrix:
@@ -539,12 +580,14 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
     positive ones only, in increasing order. Balls change only at
     realized distances; the midpoints capture the strict inequalities.
 
-    No decider calls this any more. The first radius is half the smallest
-    positive distance (1 when every distance is zero), so its ball around
-    x is x's zero class {v : d(x, v) = 0}, and that ball lies inside the
-    ball of every other radius. Closures and limit points need no other
-    ball, so both finite sides read the zero class straight from x's
-    distance-matrix row (see _neighborhoods and finite_oracle._is_limit).
+    Nothing in the package or its tests calls this any more; only
+    ``benchmark/tracing.py`` still looks it up by name. The first radius
+    is half the smallest positive distance (1 when every distance is
+    zero), so its ball around x is x's zero class {v : d(x, v) = 0}, and
+    that ball lies inside the ball of every other radius. Closures and
+    limit points need no other ball, so both finite sides read the zero
+    class straight from x's distance-matrix row (see _neighborhoods and
+    finite_oracle._is_limit).
     """
     dm = distance_matrix(m)
     values = {0}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -394,6 +395,25 @@ def test_cli_complete_construct_codes_with_stars(tmp_path, capsys):
     assert '"a\\\\*c*b"' in out and '"a*c\\\\*b"' in out
 
 
+def test_cli_complete_construct_fails_a_non_dense_image(tmp_path, monkeypatch, capsys):
+    # A completion with a point at distance 1 from the image, in the same
+    # fiber: its zero class misses the image, so the closure leaves it out.
+    from mapcomplete import cli
+    from mapcomplete.finite_oracle import FiniteCompletion
+    from mapcomplete.metric_mapping import table_mapping
+
+    def padded(m):
+        star = table_mapping(m.base, {"x_b": "b", "z": "b"}, {("x_b", "z"): 1})
+        return FiniteCompletion(star, {x: star.points()[0] for x in m.points()})
+
+    monkeypatch.setattr(cli, "finite_completion", padded)
+    path = _write(tmp_path, INCOMPLETE_DOC)
+    assert run_command(["complete-construct", path, "--out", str(tmp_path / "star.json")]) == 1
+    out = capsys.readouterr().out
+    assert "PROP embedding_isometric PASS exact" in out
+    assert "PROP embedding_dense FAIL closure=1/2" in out
+
+
 def test_cli_suite_reports_invalid_instance_as_fail(monkeypatch, capsys):
     from mapcomplete import cli
     from mapcomplete.base_topology import FiniteBase
@@ -516,11 +536,23 @@ def _count_distance_calls(monkeypatch) -> list:
     return calls
 
 
-def test_cli_validate_evaluates_each_ordered_pair_once(monkeypatch, capsys):
-    # Both validators read one matrix: the diagonal plus both orders of
-    # each of the C(64, 2) pairs.
+@pytest.mark.parametrize("name", ["interval.json", "grid.json"])
+def test_cli_validate_makes_no_evaluator_calls_on_coordinate_kinds(monkeypatch, capsys, name):
+    # abs_diff and max_metric distances are computed from the codes.
     calls = _count_distance_calls(monkeypatch)
-    assert run_command(["validate", str(GOLDEN_INTERVAL), "--depth", "64"]) == 0
+    assert run_command(["validate", str(GOLDEN_INTERVAL.parent / name), "--depth", "64"]) == 0
+    assert calls == []
+
+
+def test_validators_evaluate_each_ordered_pair_once(monkeypatch, interval_mapping):
+    # On an evaluator kind both validators read one matrix: the diagonal
+    # plus both orders of each of the C(64, 2) pairs.
+    from mapcomplete.metric_mapping import validate_fiberwise_metric, validate_pseudometric
+
+    m = dataclasses.replace(interval_mapping, dist_kind="custom")
+    calls = _count_distance_calls(monkeypatch)
+    assert validate_pseudometric(m, 64) == []
+    assert validate_fiberwise_metric(m, 64) == []
     assert len(calls) == 64 + 2 * (64 * 63 // 2)
 
 

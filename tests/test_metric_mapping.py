@@ -12,13 +12,16 @@ from mapcomplete.base_topology import BasePoint, FiniteBase, OnePointBase
 from mapcomplete.errors import EvaluatorError, InputError
 from mapcomplete.metric_mapping import (
     CarrierPoint,
+    DistanceMatrix,
     FiniteCarrier,
     MetricMapping,
     RationalGridCarrier,
     RationalIntervalCarrier,
+    abs_diff_mapping,
     closure_finite,
     distance_matrix,
     fiber_preimage,
+    max_metric_mapping,
     table_mapping,
     validate_fiberwise_metric,
     validate_pseudometric,
@@ -227,7 +230,9 @@ def test_validators_match_the_fraction_oracle(m):
     assert validate_fiberwise_metric(m, 8) == fiberwise_violations(m, 8)
 
 
-def test_validators_match_the_fraction_oracle_on_a_countable_carrier(interval_mapping):
+def test_validators_match_the_fraction_oracle_on_a_countable_carrier(
+    interval_mapping, grid_mapping
+):
     base = OnePointBase("o")
     carrier = RationalIntervalCarrier(Fraction(0), Fraction(1))
     # Every fifth pair is rejected, and distances are scaled unevenly.
@@ -236,10 +241,42 @@ def test_validators_match_the_fraction_oracle_on_a_countable_carrier(interval_ma
         lambda x, x2: -1 if (x.code.denominator + x2.code.denominator) % 5 == 0
         else abs(x.code - x2.code) * (x.code.denominator % 3 + 1),
     )
-    for m in (interval_mapping, skewed):
-        assert validate_pseudometric(m, 24) == pseudometric_violations(m, 24)
-        assert validate_fiberwise_metric(m, 24) == fiberwise_violations(m, 24)
+    # The oracle calls the evaluator, so on interval_mapping and
+    # grid_mapping it checks the integer coordinate path.
+    for m in (interval_mapping, grid_mapping, skewed):
+        for budget in (24, 64):
+            assert validate_pseudometric(m, budget) == pseudometric_violations(m, budget)
+            assert validate_fiberwise_metric(m, budget) == fiberwise_violations(m, budget)
     assert {v.kind for v in validate_pseudometric(skewed, 24)} == {"evaluator", "symmetry", "triangle"}
+
+
+def _matches_the_evaluator_path(m, pts) -> None:
+    fast = DistanceMatrix.build(m, pts)
+    slow = DistanceMatrix.build(dataclasses.replace(m, dist_kind="custom"), pts)
+    assert (fast.den, fast.num, fast.failures) == (slow.den, slow.num, slow.failures)
+
+
+# On (-7/2, -3/2) and the grid from 1/2 the realized distances have a
+# smaller common denominator than the coordinates.
+@pytest.mark.parametrize("lo, hi, budget", [
+    *((lo, hi, b) for lo, hi in [("-5/3", "7/2"), ("-9/4", "-1/6"), ("-7/2", "-3/2")]
+      for b in (1, 2, 64)),
+    # The evaluator path takes about 2 s at the depth cap.
+    ("-5/3", "7/2", 512),
+])
+def test_abs_diff_matrix_matches_the_evaluator_path(lo, hi, budget):
+    m = abs_diff_mapping(RationalIntervalCarrier(Fraction(lo), Fraction(hi)), OnePointBase("o"))
+    _matches_the_evaluator_path(m, m.sample_points(budget))
+
+
+@pytest.mark.parametrize("step, lo, hi", [
+    ("1/7", "0", "1"), ("3/10", "-1/2", "2"), ("1/3", "2/5", "2/5"), ("1", "1/2", "5/2"),
+])
+def test_max_metric_matrix_matches_the_evaluator_path(step, lo, hi):
+    m = max_metric_mapping(
+        RationalGridCarrier(Fraction(step), Fraction(lo), Fraction(hi)), OnePointBase("o")
+    )
+    _matches_the_evaluator_path(m, m.points())
 
 
 def test_deciders_raise_the_failed_pair_error():
