@@ -18,7 +18,6 @@ from .base_topology import (
     RationalInterval,
     RationalOrderBase,
     all_opens_finite,
-    neighborhood_basis,
     validate_basis,
 )
 from .completion import (
@@ -126,7 +125,6 @@ __all__ = [
     "lift_seq",
     "limit_point",
     "max_metric_mapping",
-    "neighborhood_basis",
     "net_of_filter",
     "newton_sqrt_seq",
     "random_instance",

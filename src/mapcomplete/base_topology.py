@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, islice
+from itertools import combinations, count
 from typing import Iterable, Iterator, Union
 
 from .errors import InputError, Violation
@@ -232,14 +232,6 @@ def validate_basis(b: FiniteBase) -> list[Violation]:
                     )
                 )
     return violations
-
-
-def neighborhood_basis(b: Base, y: BasePoint, limit: int | None = None):
-    """Basic opens containing ``y``: a list for finite and one-point bases,
-    else a stream. Pass ``limit`` to keep only the first ``limit`` of them.
-    """
-    opens = b.neighborhood_basis(y)
-    return opens if limit is None else list(islice(opens, limit))
 
 
 def all_opens_finite(b: FiniteBase) -> frozenset:

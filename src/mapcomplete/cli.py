@@ -1,9 +1,18 @@
 """Command-line verification harness.
 
-Subcommands: validate, dstar, density, complete-check, theorem3, lemma2,
-complete-construct, limit-demo. Output is the PROP/SUMMARY report format
-of cli_io on stdout; exit code 0 means all PASS, 1 means some FAIL, 2
-means input error (diagnostics on stderr).
+Each subcommand declares only the options it reads:
+
+- ``validate``, ``complete-check``: instance, ``--depth``
+- ``dstar``: instance, ``--point`` (twice), ``--eps``, ``--depth``
+- ``density``: instance, ``--point``, ``--open``, ``--eps``, ``--depth``
+- ``complete-construct``: instance, ``--out``, ``--depth``
+- ``limit-demo``: instance, ``--point``, ``--depth``
+- ``theorem3``, ``lemma2``: ``--seed``, ``--count``, ``--maxx``, ``--maxy``
+
+``--eps`` is the precision of the completed distance d*, which only
+``dstar`` and ``density`` evaluate to a requested precision. Output is the
+PROP/SUMMARY report format of cli_io on stdout; exit code 0 means all
+PASS, 1 means some FAIL, 2 means input error (diagnostics on stderr).
 """
 
 from __future__ import annotations
@@ -74,21 +83,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, with_file: bool = True):
+    def add(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
-        if with_file:
-            p.add_argument("instance", help="path to an instance JSON document")
-        p.add_argument("--eps", type=_rational_arg, default=Fraction(1, 1_000_000),
-                       help="precision as an exact rational (default 1/1000000)")
+        p.add_argument("instance", help="path to an instance JSON document")
         p.add_argument("--depth", type=int, default=64,
-                       help=f"check depth / enumeration budget (default 64, at most {MAX_DEPTH})")
+                       help=f"check depth / enumeration budget (default 64, from 1 to {MAX_DEPTH})")
         return p
+
+    eps = dict(type=_rational_arg, default=Fraction(1, 1_000_000),
+               help="precision of d* as an exact rational (default 1/1000000)")
 
     add("validate", "run the basis, pseudometric and fiberwise validators")
 
     p = add("dstar", "certified distance between two completion points")
     p.add_argument("--point", action="append", required=True,
                    help="completion point spec; give exactly twice")
+    p.add_argument("--eps", **eps)
 
     p = add("density", "carrier point near a completion point, fiber inside a basic open")
     p.add_argument("--point", action="append", required=True,
@@ -96,12 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--open", dest="basic_open", default=None,
                    help="basic open as comma-separated base ids (finite base); "
                         "default: first basic open containing the point's base point")
+    p.add_argument("--eps", **eps)
 
     add("complete-check", "decide completeness of a finite instance exactly, "
         "closing each point of T_y for each base point y")
 
     for name in ("theorem3", "lemma2"):
-        p = add(name, "seeded random-instance suite", with_file=False)
+        p = sub.add_parser(name, help="seeded random-instance suite")
         p.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
         p.add_argument("--count", type=int, default=200,
                        help=f"number of instances (default 200, at most {MAX_COUNT})")
@@ -113,7 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("complete-construct", "emit the finite completion as an instance document")
     p.add_argument("--out", default=None, help="write the document here instead of stdout")
 
-    p = add("limit-demo", "take the limit of a lifted sequence and check convergence")
+    p = add("limit-demo", "take the limit of a lifted sequence and check convergence "
+            "for k = 1..min(depth, 12)")
     p.add_argument("--point", action="append", required=True,
                    help="completion point spec to lift; give exactly once")
     return parser
@@ -346,8 +358,11 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.depth > MAX_DEPTH:
-            raise InputError(f"--depth must be at most {MAX_DEPTH}, got {args.depth}")
+        if "depth" in vars(args):  # the suites take no --depth
+            if args.depth < 1:
+                raise InputError(f"--depth must be at least 1, got {args.depth}")
+            if args.depth > MAX_DEPTH:
+                raise InputError(f"--depth must be at most {MAX_DEPTH}, got {args.depth}")
         report = _COMMANDS[args.command](args)
     except (InputError, WitnessError) as e:
         print(f"ERROR {e}", file=sys.stderr)

@@ -165,7 +165,8 @@ class MetricMapping:
     that every code is a pair of Fractions and ``dist`` is the larger
     coordinate difference. ``DistanceMatrix`` computes these two from the
     codes without calling ``dist``, so a mapping whose ``dist`` breaks the
-    promise must use another kind (``custom``, the default, or ``table``).
+    promise must use another kind: ``custom``, the default, or ``table``,
+    which ``table_mapping`` always sets.
     """
 
     carrier: Carrier
@@ -212,7 +213,6 @@ def table_mapping(
     base: Base,
     fiber_table: dict[str, object],
     distance_table,
-    dist_kind: str = "table",
 ) -> MetricMapping:
     """Build a finite mapping from explicit tables, checking them.
 
@@ -284,7 +284,7 @@ def table_mapping(
         except KeyError:
             raise InputError(f"unknown carrier pair ({x.code!r}, {x2.code!r})") from None
 
-    return MetricMapping(carrier, base, fiber, dist, dist_kind)
+    return MetricMapping(carrier, base, fiber, dist, "table")
 
 
 def abs_diff_mapping(

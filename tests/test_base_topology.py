@@ -13,7 +13,6 @@ from mapcomplete.base_topology import (
     RationalInterval,
     RationalOrderBase,
     all_opens_finite,
-    neighborhood_basis,
     validate_basis,
 )
 from mapcomplete.errors import InputError
@@ -53,19 +52,19 @@ def test_unknown_basis_member_is_an_input_error():
 
 def test_neighborhood_basis_finite_in_input_order():
     b = FiniteBase.of(["a", "b"], [["a"], ["a", "b"]])
-    assert neighborhood_basis(b, BasePoint("b")) == [("a", "b")]
-    assert neighborhood_basis(b, BasePoint("a")) == [("a",), ("a", "b")]
+    assert b.neighborhood_basis(BasePoint("b")) == [("a", "b")]
+    assert b.neighborhood_basis(BasePoint("a")) == [("a",), ("a", "b")]
 
 
 def test_neighborhood_basis_unknown_point():
     b = FiniteBase.of(["a"], [["a"]])
     with pytest.raises(InputError):
-        neighborhood_basis(b, BasePoint("z"))
+        b.neighborhood_basis(BasePoint("z"))
 
 
 def test_one_point_base_neighborhoods():
     b = OnePointBase("o")
-    opens = list(neighborhood_basis(b, BasePoint("o")))
+    opens = b.neighborhood_basis(BasePoint("o"))
     assert opens == [("o",)]
     assert b.contains_point(BasePoint("o"))
     assert not b.contains_point(BasePoint("x"))
@@ -122,7 +121,7 @@ def test_rational_order_opens_enumeration():
 def test_rational_order_neighborhoods_contain_the_point():
     b = RationalOrderBase()
     y = BasePoint(Fraction(1, 3))
-    opens = list(islice(neighborhood_basis(b, y), 10))
+    opens = list(islice(b.neighborhood_basis(y), 10))
     assert len(opens) == 10
     assert all(o.contains_id(Fraction(1, 3)) for o in opens)
 
@@ -130,14 +129,8 @@ def test_rational_order_neighborhoods_contain_the_point():
 def test_rational_order_neighborhoods_shrink_arbitrarily():
     b = RationalOrderBase()
     y = BasePoint(Fraction(0))
-    widths = [o.hi - o.lo for o in islice(neighborhood_basis(b, y), 200)]
+    widths = [o.hi - o.lo for o in islice(b.neighborhood_basis(y), 200)]
     assert min(widths) < Fraction(1, 20)
-
-
-def test_neighborhood_basis_limit_parameter():
-    b = RationalOrderBase()
-    opens = neighborhood_basis(b, BasePoint(Fraction(5)), limit=3)
-    assert isinstance(opens, list) and len(opens) == 3
 
 
 def test_validate_basis_matches_the_whole_basis_scan():

@@ -614,6 +614,83 @@ def test_cli_depth_has_an_upper_bound(capsys):
     assert captured.err == f"ERROR --depth must be at most {MAX_DEPTH}, got {depth}\n"
 
 
+GOLDEN_SIERPINSKI = str(GOLDEN_INTERVAL.parent / "sierpinski.json")
+
+# The arguments each subcommand needs to get past argparse, then the
+# options it declares (21 flags in all), each with a value that parses.
+REQUIRED = {
+    "validate": [GOLDEN_SIERPINSKI],
+    "dstar": [GOLDEN_SIERPINSKI, "--point", "const(x_a)", "--point", "const(x_b)"],
+    "density": [GOLDEN_SIERPINSKI, "--point", "const(x_b)"],
+    "complete-check": [GOLDEN_SIERPINSKI],
+    "theorem3": [],
+    "lemma2": [],
+    "complete-construct": [GOLDEN_SIERPINSKI],
+    "limit-demo": [GOLDEN_SIERPINSKI, "--point", "const(x_a)"],
+}
+SUITE_OPTIONS = {"--seed": "3", "--count": "3", "--maxx": "3", "--maxy": "3"}
+OPTIONS = {
+    "validate": {"--depth": "3"},
+    "dstar": {"--point": "const(x_a)", "--eps": "1/2", "--depth": "3"},
+    "density": {"--point": "const(x_b)", "--open": "a,b", "--eps": "1/2", "--depth": "3"},
+    "complete-check": {"--depth": "3"},
+    "theorem3": SUITE_OPTIONS,
+    "lemma2": SUITE_OPTIONS,
+    "complete-construct": {"--out": "star.json", "--depth": "3"},
+    "limit-demo": {"--point": "const(x_a)", "--depth": "3"},
+}
+EVERY_OPTION = {flag: value for options in OPTIONS.values() for flag, value in options.items()}
+DEPTH_COMMANDS = [c for c in OPTIONS if "--depth" in OPTIONS[c]]
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_cli_help_lists_exactly_the_declared_options(capsys, command):
+    import re
+
+    assert run_command([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z]+", capsys.readouterr().out))
+    assert listed == {"-h", "--help", *OPTIONS[command]}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_cli_parses_the_options_a_subcommand_declares(command):
+    from mapcomplete.cli import _build_parser
+
+    argv = [command, *REQUIRED[command]]
+    for flag, value in OPTIONS[command].items():
+        argv += [flag, value]
+    args = _build_parser().parse_args(argv)
+    assert args.command == command
+    assert getattr(args, "depth", None) == (3 if "--depth" in OPTIONS[command] else None)
+    assert getattr(args, "eps", None) == (Fraction(1, 2) if "--eps" in OPTIONS[command] else None)
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in OPTIONS for flag in EVERY_OPTION
+    if flag not in OPTIONS[command]
+])
+def test_cli_rejects_an_option_the_subcommand_does_not_declare(capsys, command, flag):
+    # Among them the options no code path read: --eps outside dstar and
+    # density, --depth on the suites.
+    assert run_command([command, *REQUIRED[command], flag, EVERY_OPTION[flag]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {EVERY_OPTION[flag]}" in captured.err
+
+
+@pytest.mark.parametrize("command", DEPTH_COMMANDS)
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_cli_depth_has_a_lower_bound(tmp_path, capsys, command, depth):
+    out = ["--out", str(tmp_path / "star.json")] if command == "complete-construct" else []
+    argv = [command, *REQUIRED[command], *out]
+    assert run_command([*argv, "--depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR --depth must be at least 1, got {depth}\n"
+    # The bound itself is accepted: on this finite carrier every command passes.
+    assert run_command([*argv, "--depth", "1"]) == 0
+
+
 @pytest.mark.parametrize("argv, theorem3_digest, lemma2_digest", [
     (["--seed", "0", "--count", "2000"],
      "ac020ae2e12cd26f35638e7256db6a0cc5787784724e4641c0688ffd7aedf38b",
