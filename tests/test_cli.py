@@ -698,6 +698,11 @@ def test_cli_depth_has_a_lower_bound(tmp_path, capsys, command, depth):
     (["--seed", "0", "--count", "500", "--maxx", "10", "--maxy", "4"],
      "ac677ba7f13c31e76cfd3c10644defd95770d756cdf520354f5f40fca5a1e888",
      "841fcc9fe726c285d880197786c98e610d581f5f93d65f009dedfad05c39cb2e"),
+    # At the generator's bounds, where the palette's zero entries collapse
+    # most of the 64 drawn points.
+    (["--seed", "0", "--count", "60", "--maxx", "64", "--maxy", "12"],
+     "3a2527d1f1399cf9e706fb2c742f7322492ce0b497a772004aca52e91e2b3cdc",
+     "03013599f545cc3ef0768cdc3bd8a887f591faa2174bf8ae34ba0f49788861a3"),
 ])
 def test_suite_stdout_digests_are_frozen(capsys, argv, theorem3_digest, lemma2_digest):
     # sha256 of the whole stdout, frozen from the subset-sweep Lemma 2 and
