@@ -52,11 +52,13 @@ from .tied_cauchy import check_tying
 # and for the points of a finite carrier, which ignores --depth.
 MAX_DEPTH = 512
 MAX_COUNT = 100_000
-# The suites' generator: its pairwise repair is cubic in --maxx, and its
-# intersection closure of the basis grows fast in --maxy. On one Xeon
-# core the worst of 300 seeds at --maxx 64 takes 15 ms (the palette's
-# zero entries collapse such carriers to a few points anyway) and at
-# --maxy 12 about 0.11 s, against 0.36 s at --maxy 16.
+# The suites' generator: its shortest-path repair is cubic in the number
+# of zero classes, which the palette's zero entries keep to a few even
+# at --maxx 64, and its intersection closure of the basis grows fast in
+# --maxy. Over 300 seeds on one core of a shared 2-core Xeon host, an
+# instance at --maxx 64 takes 0.7 ms in the median and 5 ms at worst; at
+# --maxy 12 the worst takes 0.2 s (median 0.9 ms), against 2.6 s at
+# --maxy 16.
 MAX_SUITE_X = 64
 MAX_SUITE_Y = 12
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .base_topology import BasePoint, FiniteBase, OnePointBase, RationalOrderBase
 from .completion import CompletionPoint
@@ -24,6 +25,7 @@ from .metric_mapping import (
     RationalGridCarrier,
     RationalIntervalCarrier,
     abs_diff_mapping,
+    distance_matrix,
     max_metric_mapping,
     table_mapping,
 )
@@ -258,7 +260,8 @@ def _rational_fiber(obj, kind, base, carrier):
 
 
 def instance_document(m: MetricMapping) -> dict:
-    """Serialize a finite instance back into document form. Inverse of
+    """Serialize a finite instance back into document form, reading its
+    distances from the instance's DistanceMatrix. Inverse of
     parse_instance up to entry order; all rationals in lowest terms."""
     if not m.is_finite_instance() or m.carrier.kind != "finite":
         raise InputError("only finite table instances can be serialized")
@@ -269,6 +272,7 @@ def instance_document(m: MetricMapping) -> dict:
         "basis": [[str(i) for i in o] for o in base.basis],
     }
     points = list(m.points())
+    dm = distance_matrix(m)
     doc = {
         "base": doc_base,
         "carrier": {"kind": "finite", "points": [p.code for p in points]},
@@ -279,9 +283,9 @@ def instance_document(m: MetricMapping) -> dict:
         "distance": {
             "kind": "table",
             "entries": [
-                [a.code, b.code, format_rational(m.distance(a, b))]
+                [a.code, b.code, format_rational(Fraction(d, dm.den))]
                 for i, a in enumerate(points)
-                for b in points[i + 1 :]
+                for b, d in zip(points[i + 1 :], dm.row(a)[i + 1 :])
             ],
         },
     }

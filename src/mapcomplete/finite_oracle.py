@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterable
 
 from .base_topology import BasePoint, FiniteBase
@@ -43,10 +41,10 @@ from .metric_mapping import (
     CarrierPoint,
     DistanceMatrix,
     MetricMapping,
+    _table_mapping_from_rows,
     closure_finite,
     distance_matrix,
     fiber_preimage,
-    table_mapping,
 )
 
 
@@ -348,10 +346,12 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     """The explicit completion of a finite instance.
 
     New carrier: one point per (zero class C, base point y) with C meeting
-    T_y; its fiber is y, and distances are read off class representatives
-    in the DistanceMatrix of m, not from its evaluator.
+    T_y; its fiber is y, and its distances are the numerators between
+    class representatives in the DistanceMatrix of m, over the same
+    ``den``, checked on those integers (_table_mapping_from_rows).
     Its code is ``<representative code>*<y>``, with backslash and ``*``
-    escaped in both parts so that distinct pairs never share a code.
+    escaped in both parts so that distinct pairs never share a code; each
+    class and base point is escaped once.
     The original carrier embeds as x -> (class of x, fiber of x), which is
     exact, injective up to the fiberwise metric, and has dense image; the
     result is complete under both oracle criteria.
@@ -359,78 +359,92 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     ensure_finite_instance(m)
     dm = distance_matrix(m)
     classes = zero_classes(m)
-    reps = {c: min(c, key=lambda p: str(p.code)) for c in classes}
-
-    around = _preimages_around(m)
-    star: list[tuple[frozenset, BasePoint]] = []
-    for y in m.base.points:
-        core = _tied_core(m, around[y])
-        for c in classes:
-            if c & core:
-                star.append((c, y))
+    rep_index = {c: dm.index[min(c, key=lambda p: str(p.code))] for c in classes}
 
     def escape(part) -> str:
         return str(part).replace("\\", "\\\\").replace("*", "\\*")
 
-    def star_code(c: frozenset, y: BasePoint) -> str:
-        return f"{escape(reps[c].code)}*{escape(y.id)}"
+    rep_code = {c: escape(dm.points[i].code) for c, i in rep_index.items()}
+    around = _preimages_around(m)
+    codes: dict[tuple[frozenset, BasePoint], str] = {}
+    for y in m.base.points:
+        core = _tied_core(m, around[y])
+        y_code = escape(y.id)
+        for c in classes:
+            if c & core:
+                codes[(c, y)] = f"{rep_code[c]}*{y_code}"
 
-    fiber_table = {star_code(c, y): y.id for c, y in star}
-    distance_table = {}
-    for (c1, y1), (c2, y2) in combinations(star, 2):
-        key = (star_code(c1, y1), star_code(c2, y2))
-        distance_table[key] = dm.value(dm.index[reps[c1]], dm.index[reps[c2]])
-
-    instance = table_mapping(m.base, fiber_table, distance_table)
-    by_code = {p.code: p for p in instance.points()}
+    fiber_table = {code: y.id for (_, y), code in codes.items()}
+    idx = [rep_index[c] for c, _ in codes]
+    rows = [[row[j] for j in idx] for row in (dm.num[i] for i in idx)]
+    instance = _table_mapping_from_rows(m.base, fiber_table, dm.den, rows)
+    # The completed carrier keeps the order of ``codes``.
+    star = dict(zip(codes, instance.points()))
 
     class_of = {x: c for c in classes for x in c}
-    embedding = {x: by_code[star_code(class_of[x], m.fiber_of(x))] for x in m.points()}
+    embedding = {x: star[(class_of[x], m.fiber_of(x))] for x in m.points()}
     return FiniteCompletion(instance, embedding)
 
 
-_DISTANCE_PALETTE = (
-    Fraction(0),
-    Fraction(0),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(3, 2),
-    Fraction(2),
-)
+# The distances random_instance draws, as numerators over _PALETTE_DEN:
+# 0, 0, 1/4, 1/2, 1, 3/2 and 2.
+_PALETTE_DEN = 4
+_DISTANCE_PALETTE = (0, 0, 1, 2, 4, 6, 8)
 
 
-def _shortest_path_closure(codes: list[str], dist: dict) -> dict:
-    """Min-plus closure of a symmetric distance table: repairs the triangle
-    inequality without ever increasing an entry.
+def _shortest_path_closure(n: int, weights: dict[tuple[int, int], int]) -> tuple[list, list]:
+    """Min-plus closure of a symmetric table of nonnegative integer
+    distances on the points 0 .. n-1, given as ``weights[(i, j)]`` for
+    every pair i < j: repairs the triangle inequality without ever
+    increasing an entry.
 
-    Floyd-Warshall runs on integers: each entry is scaled by the LCM of the
-    table's denominators, which keeps order and sums exact (as in
-    DistanceMatrix), and the closed table is scaled back to Fractions.
+    Returns ``(cls, d)``: the closed distance between points i and j is
+    ``d[cls[i]][cls[j]]``, where ``cls[i]`` numbers the zero class of i.
+
+    The zero entries are contracted first, with one union-find. This is
+    exact: weights are nonnegative, so a path has length 0 only if every
+    edge on it is 0, and the points at closed distance 0 from each other
+    are the components of the zero entries; inside one, moves are free.
+    Floyd-Warshall then runs on one representative per class, each class
+    pair starting at its least entry. Integers keep order and sums exact
+    (as in DistanceMatrix).
     """
-    den = lcm(*(v.denominator for v in dist.values()))
-    index = {c: i for i, c in enumerate(codes)}
-    d = [[0] * len(codes) for _ in codes]
-    for (a, b), v in dist.items():
-        d[index[a]][index[b]] = d[index[b]][index[a]] = v.numerator * (den // v.denominator)
+    uf = _UnionFind(range(n))
+    for (i, j), w in weights.items():
+        if w == 0:
+            uf.union(i, j)
+    label: dict[int, int] = {}
+    cls = [label.setdefault(uf.find(i), len(label)) for i in range(n)]
+    # Every class pair has an entry, and none exceeds the largest weight.
+    top = max(weights.values(), default=0)
+    d = [[top] * len(label) for _ in label]
+    for (i, j), w in weights.items():
+        a, b = cls[i], cls[j]
+        if w < d[a][b]:
+            d[a][b] = d[b][a] = w
+    for a, da in enumerate(d):
+        da[a] = 0
     for k, dk in enumerate(d):
         for di in d:
             dik = di[k]
             for j, dkj in enumerate(dk):
                 if dik + dkj < di[j]:
                     di[j] = dik + dkj
-    return {(a, b): Fraction(d[index[a]][index[b]], den) for a, b in dist}
+    return cls, d
 
 
 def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
     """A deterministic pseudo-random finite instance that always passes the
     validators.
 
-    Distances are drawn from a small rational palette and repaired by
-    shortest-path closure; zero distances inside one fiber are repaired by
-    dropping duplicate points (one survivor per class and fiber); the basis
-    is repaired by closing under pairwise intersection and covering
-    stragglers with singletons.
+    Distances are drawn from a small rational palette, as integers over
+    one denominator, and repaired by shortest-path closure, which first
+    contracts the zero entries into classes (see _shortest_path_closure).
+    Zero distances inside one fiber are repaired by dropping duplicate
+    points: one survivor per zero class and fiber, the one with the least
+    code. The basis is repaired by closing under pairwise intersection and
+    covering stragglers with singletons. The closed integer table goes to
+    table_mapping's integer entry, with no Fraction per entry.
     """
     if max_x < 1 or max_y < 1:
         raise InputError("max_x and max_y must be at least 1")
@@ -458,28 +472,18 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
 
     n_x = rng.randint(1, max_x)
     x_ids = [f"x{i}" for i in range(n_x)]
-    fiber_choice = {x: rng.choice(y_ids) for x in x_ids}
-    dist: dict[tuple[str, str], Fraction] = {}
-    for a, b in combinations(x_ids, 2):
-        key = (a, b) if a <= b else (b, a)
-        dist[key] = rng.choice(_DISTANCE_PALETTE)
-    dist = _shortest_path_closure(x_ids, dist)
+    fiber_choice = [rng.choice(y_ids) for _ in x_ids]
+    weights = {pair: rng.choice(_DISTANCE_PALETTE) for pair in combinations(range(n_x), 2)}
+    cls, d = _shortest_path_closure(n_x, weights)
 
     # Fiberwise repair: inside each zero class keep one point per fiber.
-    uf = _UnionFind(x_ids)
-    for (a, b), v in dist.items():
-        if v == 0:
-            uf.union(a, b)
-    keep = {}
-    for x in x_ids:
-        key = (uf.find(x), fiber_choice[x])
-        if key not in keep or x < keep[key]:
-            keep[key] = x
-    survivors = [x for x in x_ids if x in set(keep.values())]
+    keep: dict[tuple[int, str], int] = {}
+    for i, x in enumerate(x_ids):
+        key = (cls[i], fiber_choice[i])
+        if key not in keep or x < x_ids[keep[key]]:
+            keep[key] = i
+    survivors = sorted(keep.values())
 
-    fiber_table = {x: fiber_choice[x] for x in survivors}
-    distance_table = {
-        (a, b): dist[(a, b) if a <= b else (b, a)]
-        for a, b in combinations(survivors, 2)
-    }
-    return table_mapping(base, fiber_table, distance_table)
+    fiber_table = {x_ids[i]: fiber_choice[i] for i in survivors}
+    rows = [[d[cls[i]][cls[j]] for j in survivors] for i in survivors]
+    return _table_mapping_from_rows(base, fiber_table, _PALETTE_DEN, rows)

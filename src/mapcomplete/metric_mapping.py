@@ -163,10 +163,11 @@ class MetricMapping:
     ``dist_kind`` names the distance. ``abs_diff`` promises that every
     code is a Fraction and ``dist`` is |x - x'|; ``max_metric`` promises
     that every code is a pair of Fractions and ``dist`` is the larger
-    coordinate difference. ``DistanceMatrix`` computes these two from the
-    codes without calling ``dist``, so a mapping whose ``dist`` breaks the
-    promise must use another kind: ``custom``, the default, or ``table``,
-    which ``table_mapping`` always sets.
+    coordinate difference. ``table`` promises that ``dist`` is the integer
+    table ``table_mapping`` checked, which only ``table_mapping`` builds.
+    ``DistanceMatrix`` computes these three without calling ``dist``, so a
+    mapping whose ``dist`` breaks the promise must use ``custom``, the
+    default, whose matrix calls ``distance`` on every ordered pair.
     """
 
     carrier: Carrier
@@ -224,7 +225,93 @@ def table_mapping(
     symmetric duplicates equal. An error's path locates the offending
     entry: ``fiber_table.<code>``, ``distance_table[<i>]`` for the i-th
     item, or ``distance_table`` for a missing pair.
+
+    The checks run on each value's reduced numerator and denominator, and
+    the mapping keeps the checked table as integers (``_DistanceTable``).
     """
+    carrier, fiber = _carrier_and_fiber(base, fiber_table)
+    index = {code: i for i, code in enumerate(fiber_table)}
+    items = distance_table.items() if isinstance(distance_table, dict) else distance_table
+    # (i, j) with i < j in carrier order -> reduced (numerator, denominator)
+    table: dict[tuple[int, int], tuple[int, int]] = {}
+    for k, ((a, b), value) in enumerate(items):
+        for code in (a, b):
+            if code not in index:
+                raise InputError(
+                    f"distance entry references unknown carrier point {code!r}",
+                    path=f"distance_table[{k}]",
+                )
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        p, q = value.numerator, value.denominator
+        if p < 0:
+            raise InputError(
+                f"negative distance {format_rational(Fraction(p, q))} for ({a!r}, {b!r})",
+                path=f"distance_table[{k}]",
+            )
+        if a == b:
+            if p != 0:
+                raise InputError(
+                    f"nonzero diagonal distance {format_rational(Fraction(p, q))} for {a!r}",
+                    path=f"distance_table[{k}]",
+                )
+            continue
+        i, j = index[a], index[b]
+        key = (i, j) if i < j else (j, i)
+        seen = table.setdefault(key, (p, q))
+        if seen != (p, q):
+            raise InputError(
+                f"non-symmetric distance table at ({a!r}, {b!r}): "
+                f"{format_rational(Fraction(*seen))} vs {format_rational(Fraction(p, q))}",
+                path=f"distance_table[{k}]",
+            )
+    n = len(index)
+    if len(table) < n * (n - 1) // 2:
+        for a, b in combinations(sorted(index), 2):
+            if tuple(sorted((index[a], index[b]))) not in table:
+                raise InputError(
+                    f"missing distance entry for ({a!r}, {b!r})", path="distance_table"
+                )
+
+    # den is the LCM of the reduced denominators, so no factor divides out.
+    den = lcm(*{q for _, q in table.values()})
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), (p, q) in table.items():
+        rows[i][j] = rows[j][i] = p * (den // q)
+    return MetricMapping(carrier, base, fiber, _DistanceTable(index, den, rows), "table")
+
+
+def _table_mapping_from_rows(
+    base: Base, fiber_table: dict[str, object], den: int, rows: list[list[int]]
+) -> MetricMapping:
+    """``table_mapping`` for a table already on integers: ``rows[i][j] / den``
+    is the distance between the i-th and j-th codes of ``fiber_table``.
+
+    For the package's own generated tables. The checks are the same rules
+    on the integers: a square table in carrier order, nonnegative, zero on
+    the diagonal and symmetric; a table that breaks one is a bug, and
+    raises. Numerators and ``den`` are divided by their gcd, so ``den`` is
+    the LCM of the realized denominators, as from ``table_mapping``.
+    """
+    carrier, fiber = _carrier_and_fiber(base, fiber_table)
+    n = len(fiber_table)
+    if not (
+        len(rows) == n
+        and all(len(row) == n and row[i] == 0 for i, row in enumerate(rows))
+        and all(rows[i][j] == rows[j][i] >= 0 for i, j in combinations(range(n), 2))
+    ):
+        raise InputError("generated distance table is not square, symmetric and "
+                         "nonnegative with zero diagonal")
+    g = gcd(den, *(gcd(*row) for row in rows))
+    if g > 1:
+        den, rows = den // g, [[v // g for v in row] for row in rows]
+    index = {code: i for i, code in enumerate(fiber_table)}
+    return MetricMapping(carrier, base, fiber, _DistanceTable(index, den, rows), "table")
+
+
+def _carrier_and_fiber(base: Base, fiber_table: dict[str, object]):
+    """The carrier of ``fiber_table``, in its order, and its fiber map;
+    a token that names no base point raises at ``fiber_table.<code>``."""
     carrier = FiniteCarrier.of(list(fiber_table))
     fibers = {}
     for code, token in fiber_table.items():
@@ -235,56 +322,36 @@ def table_mapping(
                 f"fiber of {code!r} targets {e.message}", path=f"fiber_table.{code}"
             ) from None
 
-    items = distance_table.items() if isinstance(distance_table, dict) else distance_table
-    table: dict[tuple[str, str], Fraction] = {}
-    for i, ((a, b), value) in enumerate(items):
-        for code in (a, b):
-            if code not in fibers:
-                raise InputError(
-                    f"distance entry references unknown carrier point {code!r}",
-                    path=f"distance_table[{i}]",
-                )
-        value = Fraction(value)
-        if value < 0:
-            raise InputError(
-                f"negative distance {format_rational(value)} for ({a!r}, {b!r})",
-                path=f"distance_table[{i}]",
-            )
-        if a == b:
-            if value != 0:
-                raise InputError(
-                    f"nonzero diagonal distance {format_rational(value)} for {a!r}",
-                    path=f"distance_table[{i}]",
-                )
-            continue
-        key = (a, b) if a <= b else (b, a)
-        if key in table and table[key] != value:
-            raise InputError(
-                f"non-symmetric distance table at ({a!r}, {b!r}): "
-                f"{format_rational(table[key])} vs {format_rational(value)}",
-                path=f"distance_table[{i}]",
-            )
-        table[key] = value
-    for a, b in combinations(sorted(fibers), 2):
-        if (a, b) not in table:
-            raise InputError(f"missing distance entry for ({a!r}, {b!r})", path="distance_table")
-
     def fiber(x: CarrierPoint) -> BasePoint:
         try:
             return fibers[x.code]
         except KeyError:
             raise InputError(f"unknown carrier point {x.code!r}") from None
 
-    def dist(x: CarrierPoint, x2: CarrierPoint) -> Fraction:
+    return carrier, fiber
+
+
+@dataclass(frozen=True, eq=False)
+class _DistanceTable:
+    """The checked table of ``table_mapping``, and the ``dist`` of its
+    mapping: ``rows[i][j] / den`` is the distance between the carrier
+    points whose codes ``index`` numbers i and j. ``den`` is the LCM of
+    the realized denominators, so ``DistanceMatrix.build`` reads ``den``
+    and ``rows`` as they are for the whole carrier; no one writes to
+    them."""
+
+    index: dict[str, int]
+    den: int
+    rows: list[list[int]]
+
+    def __call__(self, x: CarrierPoint, x2: CarrierPoint) -> Fraction:
         if x.code == x2.code:
             return Fraction(0)
-        key = (x.code, x2.code) if x.code <= x2.code else (x2.code, x.code)
         try:
-            return table[key]
+            i, j = self.index[x.code], self.index[x2.code]
         except KeyError:
             raise InputError(f"unknown carrier pair ({x.code!r}, {x2.code!r})") from None
-
-    return MetricMapping(carrier, base, fiber, dist, "table")
+        return Fraction(self.rows[i][j], self.den)
 
 
 def abs_diff_mapping(
@@ -328,14 +395,17 @@ class DistanceMatrix:
     least common multiple of the denominators of all realized values, and
     ``num`` holds the integer numerators over it.
 
-    The ``abs_diff`` and ``max_metric`` kinds never call the evaluator:
-    their distance is the Chebyshev distance of the point codes, computed
-    on integer coordinates (``_chebyshev``) with the same ``den`` and
-    ``num``, and ``failures`` is empty, since those evaluators cannot
-    fail. Each ordered entry is still computed on its own, so the
-    symmetry check compares two separate values.
+    The built-in kinds never call the evaluator. Their ``failures`` is
+    empty, since they cannot fail, and each gives the ``den`` and ``num``
+    the evaluator path would. A ``table`` matrix over the whole carrier is
+    the integer table ``table_mapping`` checked (``_DistanceTable``). The
+    ``abs_diff`` and ``max_metric`` distances are the Chebyshev distance
+    of the point codes, computed on integer coordinates (``_chebyshev``);
+    each ordered entry is computed on its own, so the symmetry check
+    compares two separate values.
 
-    Every other kind goes through ``MetricMapping.distance``, in the order
+    The ``custom`` kind, and a table over a sample that is not its whole
+    carrier, go through ``MetricMapping.distance``, in the order
     the validators report: the diagonal, then every pair i < j (forward)
     in ``combinations`` order, then d(points[j], points[i]) (back) for
     each forward pair that evaluated. An entry is None where its
@@ -358,6 +428,8 @@ class DistanceMatrix:
     @classmethod
     def build(cls, m: MetricMapping, pts: tuple[CarrierPoint, ...]) -> DistanceMatrix:
         index = {x: i for i, x in enumerate(pts)}
+        if m.dist_kind == "table" and pts == m.points():
+            return cls(pts, index, m.dist.den, m.dist.rows, {})
         if m.dist_kind in ("abs_diff", "max_metric"):
             den, num = _chebyshev(pts, m.dist_kind == "abs_diff")
             return cls(pts, index, den, num, {})
@@ -399,7 +471,9 @@ class DistanceMatrix:
         if i is None:
             raise InputError(f"point {x.code!r} is not in the carrier")
         r = self.num[i]
-        if None in r:
+        # Entries are None only where an evaluation failed or was skipped
+        # after one, so without failures there is nothing to look for.
+        if self.failures and None in r:
             j = r.index(None)
             raise EvaluatorError(self.failures.get((i, j)) or self.failures[(j, i)])
         return r

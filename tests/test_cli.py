@@ -556,26 +556,39 @@ def test_validators_evaluate_each_ordered_pair_once(monkeypatch, interval_mappin
     assert len(calls) == 64 + 2 * (64 * 63 // 2)
 
 
+def _load_custom_copy(monkeypatch) -> None:
+    # The loaded table mapping, relabelled so that its matrix calls the
+    # evaluator: the table kind reads its checked integers instead.
+    from mapcomplete import cli
+
+    load = cli._load_instance
+    monkeypatch.setattr(
+        cli, "_load_instance", lambda path: dataclasses.replace(load(path), dist_kind="custom")
+    )
+
+
 def test_cli_complete_check_evaluates_each_ordered_pair_once(tmp_path, capsys, monkeypatch):
     from oracles import stress_instance
 
     n = 16
     path = _write(tmp_path, instance_document(stress_instance(1, n, 4)))
+    _load_custom_copy(monkeypatch)
     calls = _count_distance_calls(monkeypatch)
     assert run_command(["complete-check", path]) in (0, 1)
     assert "complete_check" in capsys.readouterr().out
-    assert len(calls) <= n + n * (n - 1)
+    assert len(calls) == n + n * (n - 1)
 
 
 def test_cli_complete_construct_evaluates_each_ordered_pair_once(tmp_path, monkeypatch):
     # The validators, the completion's distance table and the isometry
-    # check all read the one matrix of the input; calls the completed
-    # instance makes on its own evaluator are not counted.
+    # check all read the one matrix of the input; the completed instance
+    # is a table, so it and its document make no call.
     from mapcomplete.metric_mapping import MetricMapping
     from oracles import stress_instance
 
     n = 16
     path = _write(tmp_path, instance_document(stress_instance(1, n, 4)))
+    _load_custom_copy(monkeypatch)
     callers = []
     distance = MetricMapping.distance
     monkeypatch.setattr(
@@ -583,8 +596,28 @@ def test_cli_complete_construct_evaluates_each_ordered_pair_once(tmp_path, monke
     )
     assert run_command(["complete-construct", path, "--out", str(tmp_path / "star.json")]) == 0
     m = callers[0]
-    assert len(m.points()) == n
-    assert sum(c is m for c in callers) == n + n * (n - 1)
+    assert len(m.points()) == n and m.dist_kind == "custom"
+    assert len(callers) == n + n * (n - 1)
+    assert all(c is m for c in callers)
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete-check"],
+    ["complete-construct"],
+    ["theorem3", "--count", "30", "--maxx", "12"],
+    ["lemma2", "--count", "30", "--maxx", "12"],
+], ids=lambda argv: argv[0])
+def test_cli_table_instances_make_no_evaluator_calls(tmp_path, capsys, monkeypatch, argv):
+    # Documents and generated instances are tables: every distance is read
+    # from the integers table_mapping checked.
+    from oracles import stress_instance
+
+    if argv[0].startswith("complete"):
+        argv = [*argv, _write(tmp_path, instance_document(stress_instance(1, 16, 4)))]
+    calls = _count_distance_calls(monkeypatch)
+    assert run_command(argv) in (0, 1)
+    assert "PROP" in capsys.readouterr().out
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -222,42 +222,54 @@ def test_random_instance_respects_bounds_and_validators():
         assert not validate_fiberwise_metric(m, len(m.points()))
 
 
+def _closed(n, weights) -> dict:
+    # The closure's answer for every pair i < j, read through its classes.
+    cls, d = _shortest_path_closure(n, weights)
+    return {(i, j): d[cls[i]][cls[j]] for i, j in combinations(range(n), 2)}
+
+
 def test_shortest_path_closure_repairs_without_increasing():
-    codes = ["p", "q", "r"]
-    raw = {
-        ("p", "q"): Fraction(1),
-        ("q", "r"): Fraction(1),
-        ("p", "r"): Fraction(3),
-    }
-    fixed = _shortest_path_closure(codes, raw)
-    assert fixed[("p", "r")] == 2
+    raw = {(0, 1): 1, (1, 2): 1, (0, 2): 3}
+    fixed = _closed(3, raw)
+    assert fixed[(0, 2)] == 2
     assert all(fixed[k] <= raw[k] for k in raw)
-    for a, b in combinations(codes, 2):
-        for via in codes:
+    for a, b in combinations(range(3), 2):
+        for via in range(3):
             if via in (a, b):
                 continue
             key = lambda u, v: (u, v) if u <= v else (v, u)
             assert fixed[key(a, b)] <= fixed[key(a, via)] + fixed[key(via, b)]
 
 
+def test_shortest_path_closure_numbers_the_zero_classes():
+    cls, d = _shortest_path_closure(4, {(0, 1): 2, (0, 2): 0, (0, 3): 5,
+                                        (1, 2): 1, (1, 3): 0, (2, 3): 7})
+    assert cls == [0, 1, 0, 1]
+    assert d == [[0, 1], [1, 0]]
+
+
 def test_shortest_path_closure_matches_a_fraction_floyd_warshall():
-    # The repair runs on scaled integers; a Fraction loop is the reference.
+    # The repair contracts zero entries and runs on integers; a Fraction
+    # loop over every point is the reference. Scaled by 12, the palettes'
+    # values are the integers the closure takes. With two zeros in six,
+    # as in random_instance, 32 or 64 points collapse to one class; with
+    # one in forty they leave many classes for the loop over classes.
     rng = random.Random(0)
-    palette = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1), Fraction(5, 2))
-
-    def key(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    for n in range(1, 12):
-        codes = [f"c{i}" for i in range(n)]
-        raw = {key(a, b): rng.choice(palette) for a, b in combinations(codes, 2)}
+    dense = (Fraction(0), Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1),
+             Fraction(5, 2))
+    sparse = (Fraction(0), Fraction(1, 3), *(Fraction(k, 4) for k in range(1, 39)))
+    for palette, n in [(dense, n) for n in range(1, 12)] + [
+        (p, n) for p in (dense, sparse) for n in (32, 64)
+    ]:
+        raw = {pair: rng.choice(palette) for pair in combinations(range(n), 2)}
         expected = dict(raw)
-        for k in codes:
-            for a, b in combinations(codes, 2):
-                if k not in (a, b):
-                    via = expected[key(a, k)] + expected[key(k, b)]
-                    expected[key(a, b)] = min(expected[key(a, b)], via)
-        assert _shortest_path_closure(codes, raw) == expected
+        for k in range(n):
+            for i, j in combinations(range(n), 2):
+                if k not in (i, j):
+                    via = expected[min(i, k), max(i, k)] + expected[min(k, j), max(k, j)]
+                    expected[(i, j)] = min(expected[(i, j)], via)
+        scaled = {pair: int(v * 12) for pair, v in raw.items()}
+        assert _closed(n, scaled) == {pair: v * 12 for pair, v in expected.items()}
 
 
 def test_closure_cluster_equivalence_on_random_instances():

@@ -17,6 +17,7 @@ from mapcomplete.metric_mapping import (
     MetricMapping,
     RationalGridCarrier,
     RationalIntervalCarrier,
+    _table_mapping_from_rows,
     abs_diff_mapping,
     closure_finite,
     distance_matrix,
@@ -28,7 +29,12 @@ from mapcomplete.metric_mapping import (
 )
 from mapcomplete.finite_oracle import is_complete_filter, is_complete_net, random_instance
 
-from oracles import closure_via_full_topology, fiberwise_violations, pseudometric_violations
+from oracles import (
+    closure_via_full_topology,
+    fiberwise_violations,
+    pseudometric_violations,
+    stress_instance,
+)
 
 
 def _line(points: dict[str, Fraction], fibers: dict[str, str], base) -> MetricMapping:
@@ -277,6 +283,88 @@ def test_max_metric_matrix_matches_the_evaluator_path(step, lo, hi):
         RationalGridCarrier(Fraction(step), Fraction(lo), Fraction(hi)), OnePointBase("o")
     )
     _matches_the_evaluator_path(m, m.points())
+
+
+# Mixed denominators, as ints and Fractions, one value given both ways.
+_TABLE_VALUES = [0, 1, 2, Fraction(0), Fraction(2), Fraction(1, 3), Fraction(5, 6),
+                 Fraction(7, 4)]
+
+
+@st.composite
+def _tables(draw):
+    """table_mapping input with zero diagonal entries and equal symmetric
+    duplicates among the items, in a drawn order."""
+    n = draw(st.integers(1, 8))
+    codes = [f"p{i}" for i in range(n)]
+    items = [((a, b), draw(st.sampled_from(_TABLE_VALUES))) for a, b in combinations(codes, 2)]
+    for (a, b), v in list(items):
+        if draw(st.booleans()):
+            items.append(((b, a), Fraction(v) if isinstance(v, int) else v))
+    for c in codes:
+        if draw(st.booleans()):
+            items.append(((c, c), draw(st.sampled_from([0, Fraction(0)]))))
+    fibers = {c: draw(st.sampled_from(["a", "b"])) for c in codes}
+    base = FiniteBase.of(["a", "b"], [["a"], ["a", "b"]])
+    return table_mapping(base, fibers, draw(st.permutations(items)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=_tables())
+def test_table_matrix_matches_the_evaluator_path(m):
+    _matches_the_evaluator_path(m, m.points())
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_stress_table_matrix_matches_the_evaluator_path(n):
+    m = stress_instance(1, n, 4)
+    _matches_the_evaluator_path(m, m.points())
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [2, 0]], [[0, -1], [-1, 0]], [[1, 1], [1, 0]], [[0, 1]], [[0, 1, 1], [1, 0, 1]],
+], ids=["asymmetric", "negative", "diagonal", "short", "ragged"])
+def test_integer_tables_are_checked(rows):
+    # The generator's and the completion's tables skip table_mapping's
+    # item checks, so a bug that breaks the rules still raises.
+    base = FiniteBase.of(["a"], [["a"]])
+    with pytest.raises(InputError, match="generated distance table"):
+        _table_mapping_from_rows(base, {"u": "a", "v": "a"}, 4, rows)
+
+
+def test_integer_tables_keep_the_realized_denominator():
+    base = FiniteBase.of(["a"], [["a"]])
+    m = _table_mapping_from_rows(base, {"u": "a", "v": "a", "w": "a"}, 12,
+                                 [[0, 6, 4], [6, 0, 2], [4, 2, 0]])
+    dm = distance_matrix(m)
+    assert (dm.den, dm.num) == (6, [[0, 3, 2], [3, 0, 1], [2, 1, 0]])
+    _matches_the_evaluator_path(m, m.points())
+
+
+class _Unscanned(list):
+    def __contains__(self, item):
+        raise AssertionError("row scanned for None")
+
+
+def test_row_scans_for_none_only_after_a_failure():
+    # Entries are None only where an evaluation failed, so a matrix with
+    # no failures hands out its rows without reading them.
+    dm = distance_matrix(stress_instance(1, 16, 4))
+    clean = dataclasses.replace(dm, num=[_Unscanned(r) for r in dm.num])
+    assert [clean.row(x) for x in clean.points] == dm.num
+
+    base = FiniteBase.of(["a"], [["a"]])
+    table = {("u", "v"): -1}
+    m = MetricMapping(
+        FiniteCarrier.of(["u", "v", "w"]), base, lambda x: BasePoint("a"),
+        lambda x, x2: table.get((x.code, x2.code), 0 if x == x2 else 1),
+    )
+    dm = DistanceMatrix.build(m, m.points())
+    assert dm.failures == {(0, 1): "distance evaluator returned negative -1 for ('u', 'v')"}
+    u, v, w = m.points()
+    for x in (u, v):
+        with pytest.raises(EvaluatorError, match=r"negative -1 for \('u', 'v'\)"):
+            dm.row(x)
+    assert dm.row(w) == [1, 1, 0]
 
 
 def test_deciders_raise_the_failed_pair_error():
