@@ -54,11 +54,11 @@ MAX_DEPTH = 512
 MAX_COUNT = 100_000
 # The suites' generator: its shortest-path repair is cubic in the number
 # of zero classes, which the palette's zero entries keep to a few even
-# at --maxx 64, and its intersection closure of the basis grows fast in
-# --maxy. Over 300 seeds on one core of a shared 2-core Xeon host, an
-# instance at --maxx 64 takes 0.7 ms in the median and 5 ms at worst; at
-# --maxy 12 the worst takes 0.2 s (median 0.9 ms), against 2.6 s at
-# --maxy 16.
+# at --maxx 64, and its intersection closure of the basis is quadratic in
+# the number of sets it closes, which grows fast in --maxy. Over 300 seeds
+# on one core of a shared 2-core Xeon host, an instance at --maxx 64 takes
+# 0.6 ms in the median and 5 ms at worst; at --maxy 12 the worst takes
+# 12 ms (median 0.2 ms), against 0.13 s at --maxy 16.
 MAX_SUITE_X = 64
 MAX_SUITE_Y = 12
 
@@ -66,10 +66,13 @@ MAX_SUITE_Y = 12
 def _rational_arg(text: str) -> Fraction:
     try:
         value = parse_rational(text)
-    except ValueError:
-        # Malformed, or past Python's int-string limit: echo a long one by its ends.
+    except ValueError as e:
+        # Malformed, past Python's int-string limit, or a zero denominator:
+        # echo a long one by its ends.
         shown = repr(text) if len(text) <= 40 else (
             f"{text[:20] + '...' + text[-10:]!r} ({len(text)} characters)")
+        if getattr(e, "message", None) == "zero denominator":
+            raise argparse.ArgumentTypeError(f"zero denominator in {shown}") from None
         raise argparse.ArgumentTypeError(
             f"expected an exact rational like '1/1000', got {shown}") from None
     if value <= 0:

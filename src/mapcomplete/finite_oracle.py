@@ -452,23 +452,31 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
 
     n_y = rng.randint(1, max_y)
     y_ids = [f"y{i}" for i in range(n_y)]
-    sets = set()
+    # Each basis set is kept as its sorted ids under a bitmask key.
+    bit = {y: 1 << i for i, y in enumerate(y_ids)}
+    sets = {}
     for _ in range(rng.randint(1, 2 * n_y)):
         size = rng.randint(1, n_y)
-        sets.add(tuple(sorted(rng.sample(y_ids, size))))
-    changed = True
-    while changed:
-        changed = False
-        for s1, s2 in combinations(sorted(sets), 2):
-            meet = tuple(sorted(set(s1) & set(s2)))
+        members = tuple(sorted(rng.sample(y_ids, size)))
+        sets[sum(map(bit.__getitem__, members))] = members
+    # Close under nonempty pairwise intersection as a worklist: each set
+    # meets every set taken before it once, and only new meets are queued.
+    todo, done = list(sets), []
+    while todo:
+        s1 = todo.pop()
+        for s2 in done:
+            meet = s1 & s2
             if meet and meet not in sets:
-                sets.add(meet)
-                changed = True
-    covered = {pid for s in sets for pid in s}
-    for pid in y_ids:
-        if pid not in covered:
-            sets.add((pid,))
-    base = FiniteBase.of(y_ids, sorted(sets))
+                sets[meet] = tuple(y for y in sets[s1] if bit[y] & meet)
+                todo.append(meet)
+        done.append(s1)
+    covered = 0
+    for s1 in sets:
+        covered |= s1
+    for y, b in bit.items():
+        if not covered & b:
+            sets[b] = (y,)
+    base = FiniteBase.of(y_ids, sorted(sets.values()))
 
     n_x = rng.randint(1, max_x)
     x_ids = [f"x{i}" for i in range(n_x)]

@@ -28,10 +28,10 @@ def parse_rational(text: object, path: str | None = None) -> Fraction:
         )
     s = text.strip()
     if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
+        num, den = map(int, s.split("/"))
+        if den == 0:
             raise InputError("zero denominator", path=path)
-        return Fraction(int(num), int(den))
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

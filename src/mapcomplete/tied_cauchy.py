@@ -161,6 +161,11 @@ class _NewtonSqrtTerms:
     gives |at(n) - sqrt(a)| < 1/n, which implies regularity under the
     absolute-difference distance.
 
+    Both steps run on integers. With a = p/q and x = u/v in lowest terms,
+    the next iterate is (x^2 + a)/(2x) = (q*u^2 + p*v^2) / (2*q*u*v),
+    normalised once as a Fraction. The stopping rule multiplied by
+    q*v^2*n > 0 is |q*u^2 - p*v^2| * n <= q*u*v, the same test exactly.
+
     The iterate list is memoized; the lock keeps concurrent evaluation
     observationally transparent.
     """
@@ -172,15 +177,17 @@ class _NewtonSqrtTerms:
         self._lock = threading.Lock()
 
     def __call__(self, n: int) -> CarrierPoint:
-        a = self._a
+        p, q = self._a.numerator, self._a.denominator
         with self._lock:
             i = 0
             while True:
                 if i == len(self._iterates):
-                    x = self._iterates[-1]
-                    self._iterates.append(x / 2 + a / (2 * x))
+                    # qu2, pv2 and quv are the previous iterate's, from its test.
+                    self._iterates.append(Fraction(qu2 + pv2, 2 * quv))
                 x = self._iterates[i]
-                if abs(x * x - a) <= Fraction(x, n):
+                u, v = x.numerator, x.denominator
+                qu2, pv2, quv = q * u * u, p * v * v, q * u * v
+                if abs(qu2 - pv2) * n <= quv:
                     point = CarrierPoint(x)
                     _check_membership(self._mapping, point)
                     return point

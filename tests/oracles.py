@@ -10,7 +10,10 @@ sets or the deciders, and the pseudometric oracle evaluates every
 Fraction distance pair by pair instead of calling the validators or
 reading a DistanceMatrix. The basis oracle is the plain cubic scan that
 validate_basis replaced: every pair of basis sets, then the whole basis
-for each point they share.
+for each point they share. The Newton oracle is the Fraction recurrence
+and stopping rule that the integer term evaluator replaced, and the
+generator's basis oracle rescans every pair of sets in each round, as
+random_instance did before its worklist.
 """
 
 from __future__ import annotations
@@ -39,6 +42,18 @@ def sqrt_interval(a: Fraction, steps: int = 8) -> tuple[Fraction, Fraction]:
     for _ in range(steps):
         u = u / 2 + a / (2 * u)
     return a / u, u
+
+
+def newton_term_by_fractions(a: Fraction, n: int) -> Fraction:
+    """Term n of newton_sqrt(a), by Fraction arithmetic throughout: iterate
+    x -> x/2 + a/(2x) from (a+1)/2 and stop at the first iterate with
+    |x^2 - a| <= x/n."""
+    a = Fraction(a)
+    x = (a + 1) / 2
+    while True:
+        if abs(x * x - a) <= Fraction(x, n):
+            return x
+        x = x / 2 + a / (2 * x)
 
 
 # |sqrt(2) - 3/2| to 50 digits, frozen from sqrt_interval(2):
@@ -299,6 +314,33 @@ def basis_violations_by_scan(b) -> list[Violation]:
                     (pid, o1, o2),
                 ))
     return violations
+
+
+def random_basis_by_rescan(seed: int, max_y: int) -> list[tuple]:
+    """The basis random_instance(seed, max_x, max_y) draws, for any max_x:
+    the same draws, closed under nonempty pairwise intersection by
+    rescanning every pair of sets until a round adds none, then covered
+    with singletons and sorted."""
+    rng = random.Random(seed)
+    n_y = rng.randint(1, max_y)
+    y_ids = [f"y{i}" for i in range(n_y)]
+    sets = set()
+    for _ in range(rng.randint(1, 2 * n_y)):
+        size = rng.randint(1, n_y)
+        sets.add(tuple(sorted(rng.sample(y_ids, size))))
+    changed = True
+    while changed:
+        changed = False
+        for s1, s2 in combinations(sorted(sets), 2):
+            meet = tuple(sorted(set(s1) & set(s2)))
+            if meet and meet not in sets:
+                sets.add(meet)
+                changed = True
+    covered = {pid for s in sets for pid in s}
+    for pid in y_ids:
+        if pid not in covered:
+            sets.add((pid,))
+    return sorted(sets)
 
 
 def _random_opens(rng, ys) -> set:

@@ -636,6 +636,35 @@ def test_cli_long_bad_eps_gives_one_short_error_line(capsys, eps):
     assert max(map(len, lines)) < 200
 
 
+@pytest.mark.parametrize("command", ["dstar", "density"])
+def test_cli_eps_zero_denominator_is_reported_as_one(capsys, command):
+    argv = [command, str(GOLDEN_INTERVAL), "--point", "const(1)", "--eps", "1/0"]
+    if command == "dstar":
+        argv += ["--point", "const(2)"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"mapcomplete {command}: error: argument --eps: zero denominator in '1/0'")
+
+
+def test_cli_dstar_at_the_top_of_the_ladder(capsys):
+    from oracles import sqrt_interval
+
+    radius = "1/1" + "0" * 4299
+    eps = Fraction(1, 10**4299)
+    argv = ["dstar", str(GOLDEN_INTERVAL), "--point", "newton_sqrt(2)",
+            "--point", "const(3/2)", "--eps", radius]
+    assert run_command(argv) == 0
+    out = capsys.readouterr().out
+    assert f" radius={radius}\n" in out
+    value = Fraction(out.split("value=")[1].split()[0])
+    lo, hi = sqrt_interval(Fraction(2), steps=15)
+    assert hi - lo < eps
+    # 3/2 - sqrt(2) lies in [3/2 - hi, 3/2 - lo], which lies within eps of value.
+    assert value - eps <= Fraction(3, 2) - hi and Fraction(3, 2) - lo <= value + eps
+
+
 def test_cli_depth_has_an_upper_bound(capsys):
     from mapcomplete.cli import MAX_DEPTH
 

@@ -35,6 +35,7 @@ from oracles import (
     filter_by_subset_sweep,
     lemma2_by_subset_sweep,
     limit_via_full_topology,
+    random_basis_by_rescan,
     stress_instance,
 )
 
@@ -202,6 +203,13 @@ def test_finite_completion_agrees_with_certified_distances():
 def test_theorem3_on_worked_instances(sierpinski, sierpinski_discrete, incomplete_instance):
     for m in (sierpinski, sierpinski_discrete, incomplete_instance):
         assert is_complete_filter(m).ok == is_complete_net(m).ok
+
+
+@pytest.mark.parametrize("max_y", [3, 12])
+def test_random_instance_basis_matches_the_rescan_closure(max_y):
+    for seed in range(300):
+        basis = random_instance(seed, 6, max_y).base.basis
+        assert basis == tuple(random_basis_by_rescan(seed, max_y)), seed
 
 
 def test_random_instance_reproducible():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from mapcomplete.tied_cauchy import (
     table_seq,
 )
 
-from oracles import sqrt_interval
+from oracles import newton_term_by_fractions, sqrt_interval
 
 
 def test_const_seq_defaults(sierpinski, by_code):
@@ -52,6 +53,37 @@ def test_newton_terms_approach_the_oracle_interval(interval_mapping):
     for n in (1, 10, 204, 205, 4096):
         x = s.at(n).code
         assert max(abs(x - lo), abs(x - hi)) < Fraction(1, n)
+
+
+# Log-spaced digit counts up to the top of the dstar ladder, 10^-4299.
+NEWTON_DIGITS = (1, 3, 9, 27, 81, 243, 729, 2187, 4299)
+
+
+@pytest.mark.parametrize(
+    "a", [Fraction(1), Fraction(2), Fraction(9, 4), Fraction(7, 3), Fraction(5, 2),
+          Fraction(1000003, 999983)], ids=str)
+def test_newton_terms_match_the_fraction_recurrence(interval_mapping, a):
+    s = newton_sqrt_seq(interval_mapping, a)
+    for n in [2 * 10**k for k in NEWTON_DIGITS] + list(range(1, 65)):
+        code = s.at(n).code
+        assert code == newton_term_by_fractions(a, n), n
+        assert math.gcd(code.numerator, code.denominator) == 1
+
+
+def test_newton_top_rung_term_normalises_once_per_iterate(interval_mapping, monkeypatch):
+    # The term dstar evaluates at eps = 10^-4299; Fraction calls math.gcd
+    # once per normalisation.
+    s = newton_sqrt_seq(interval_mapping, Fraction(2))
+    calls = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    code = s.at(2 * 10**4299).code
+    monkeypatch.undo()
+    iterates = s.seq.at_fn._iterates
+    assert len(iterates) == 13
+    assert code == iterates[-1]
+    assert code.denominator.bit_length() == 10416
+    assert len(calls) <= len(iterates) - 1
 
 
 def test_newton_preconditions(unit_interval_identity, sierpinski):
