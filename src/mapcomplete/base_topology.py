@@ -63,14 +63,14 @@ class FiniteBase:
         if len(set(ids)) != len(ids):
             raise InputError("duplicate point ids in base space")
         known = set(ids)
-        canon: list[FiniteOpen] = []
+        # Canonical sets as dict keys: duplicates drop out, first seen first.
+        canon: dict[FiniteOpen, None] = {}
         for raw in basis_sets:
             members = tuple(sorted(set(raw)))
             for pid in members:
                 if pid not in known:
                     raise InputError(f"basis set references unknown point {pid!r}")
-            if members not in canon:
-                canon.append(members)
+            canon[members] = None
         return cls(tuple(BasePoint(i) for i in ids), tuple(canon))
 
     def point_ids(self) -> tuple[PointId, ...]:

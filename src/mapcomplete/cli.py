@@ -61,6 +61,9 @@ MAX_COUNT = 100_000
 # 12 ms (median 0.2 ms), against 0.13 s at --maxy 16.
 MAX_SUITE_X = 64
 MAX_SUITE_Y = 12
+# Each integer option a subcommand declares must lie in 1..bound; checked
+# in this order.
+_BOUNDS = {"depth": MAX_DEPTH, "count": MAX_COUNT, "maxx": MAX_SUITE_X, "maxy": MAX_SUITE_Y}
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -264,14 +267,6 @@ def _instance_violations(m) -> list:
 
 def _cmd_suite(args) -> Report:
     name = args.command
-    if args.count < 1:
-        raise InputError(f"--count must be at least 1, got {args.count}")
-    if args.count > MAX_COUNT:
-        raise InputError(f"--count must be at most {MAX_COUNT}, got {args.count}")
-    if args.maxx > MAX_SUITE_X:
-        raise InputError(f"--maxx must be at most {MAX_SUITE_X}, got {args.maxx}")
-    if args.maxy > MAX_SUITE_Y:
-        raise InputError(f"--maxy must be at most {MAX_SUITE_Y}, got {args.maxy}")
     report = Report()
     for seed in range(args.seed, args.seed + args.count):
         m = random_instance(seed, args.maxx, args.maxy)
@@ -319,7 +314,10 @@ def _cmd_complete_construct(args) -> Report:
     report.add("embedding_dense", len(closure) == len(star.points),
                f"closure={len(closure)}/{len(star.points)}")
     if args.out is not None:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as e:
+            raise InputError(f"cannot write {args.out!r}: {e.strerror}") from None
         report.add("document_written", True, args.out)
     else:
         print(text)
@@ -363,11 +361,14 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if "depth" in vars(args):  # the suites take no --depth
-            if args.depth < 1:
-                raise InputError(f"--depth must be at least 1, got {args.depth}")
-            if args.depth > MAX_DEPTH:
-                raise InputError(f"--depth must be at most {MAX_DEPTH}, got {args.depth}")
+        for option, bound in _BOUNDS.items():
+            value = vars(args).get(option)
+            if value is None:  # not an option of this subcommand
+                continue
+            if value < 1:
+                raise InputError(f"--{option} must be at least 1, got {value}")
+            if value > bound:
+                raise InputError(f"--{option} must be at most {bound}, got {value}")
         report = _COMMANDS[args.command](args)
     except (InputError, WitnessError) as e:
         print(f"ERROR {e}", file=sys.stderr)

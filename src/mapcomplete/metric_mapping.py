@@ -163,8 +163,8 @@ class MetricMapping:
     ``dist_kind`` names the distance. ``abs_diff`` promises that every
     code is a Fraction and ``dist`` is |x - x'|; ``max_metric`` promises
     that every code is a pair of Fractions and ``dist`` is the larger
-    coordinate difference. ``table`` promises that ``dist`` is the integer
-    table ``table_mapping`` checked, which only ``table_mapping`` builds.
+    coordinate difference. ``table`` promises that ``dist`` is the
+    ``DistanceMatrix`` ``table_mapping`` checked, which only it builds.
     ``DistanceMatrix`` computes these three without calling ``dist``, so a
     mapping whose ``dist`` breaks the promise must use ``custom``, the
     default, whose matrix calls ``distance`` on every ordered pair.
@@ -221,13 +221,13 @@ def table_mapping(
     each code to a token naming its base point (see ``base.point``).
     ``distance_table`` is a dict from code pairs to values, or a sequence
     of ``((a, b), value)`` items, with an entry for every unordered pair of
-    distinct codes. Values must be nonnegative, diagonal entries zero and
-    symmetric duplicates equal. An error's path locates the offending
-    entry: ``fiber_table.<code>``, ``distance_table[<i>]`` for the i-th
-    item, or ``distance_table`` for a missing pair.
+    distinct codes. Values must be ints or Fractions, nonnegative, zero on
+    the diagonal and equal at symmetric duplicates. An error's path locates
+    the offending entry: ``fiber_table.<code>``, ``distance_table[<i>]``
+    for the i-th item, or ``distance_table`` for a missing pair.
 
     The checks run on each value's reduced numerator and denominator, and
-    the mapping keeps the checked table as integers (``_DistanceTable``).
+    the mapping's ``dist`` is the checked table as a ``DistanceMatrix``.
     """
     carrier, fiber = _carrier_and_fiber(base, fiber_table)
     index = {code: i for i, code in enumerate(fiber_table)}
@@ -242,7 +242,8 @@ def table_mapping(
                     path=f"distance_table[{k}]",
                 )
         if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+            raise InputError(f"distance {value!r} for ({a!r}, {b!r}) is not an int or "
+                             "Fraction", path=f"distance_table[{k}]")
         p, q = value.numerator, value.denominator
         if p < 0:
             raise InputError(
@@ -278,7 +279,7 @@ def table_mapping(
     rows = [[0] * n for _ in range(n)]
     for (i, j), (p, q) in table.items():
         rows[i][j] = rows[j][i] = p * (den // q)
-    return MetricMapping(carrier, base, fiber, _DistanceTable(index, den, rows), "table")
+    return _table(carrier, base, fiber, den, rows)
 
 
 def _table_mapping_from_rows(
@@ -302,11 +303,23 @@ def _table_mapping_from_rows(
     ):
         raise InputError("generated distance table is not square, symmetric and "
                          "nonnegative with zero diagonal")
-    g = gcd(den, *(gcd(*row) for row in rows))
-    if g > 1:
-        den, rows = den // g, [[v // g for v in row] for row in rows]
-    index = {code: i for i, code in enumerate(fiber_table)}
-    return MetricMapping(carrier, base, fiber, _DistanceTable(index, den, rows), "table")
+    return _table(carrier, base, fiber, *_reduced(den, rows))
+
+
+def _table(carrier: FiniteCarrier, base: Base, fiber, den: int, rows: list[list[int]]):
+    """The ``table`` mapping whose ``dist`` is the checked matrix rows / den."""
+    pts = carrier.points
+    dm = DistanceMatrix(pts, {x: i for i, x in enumerate(pts)}, den, rows, {})
+    return MetricMapping(carrier, base, fiber, dm, "table")
+
+
+def _reduced(den: int, num: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """``den`` and ``num`` over their gcd g: v/den reduces to denominator
+    den / gcd(den, v), so den / g is the LCM of the realized denominators."""
+    g = gcd(den, *(gcd(*row) for row in num))
+    if g == 1:
+        return den, num
+    return den // g, [[v // g for v in row] for row in num]
 
 
 def _carrier_and_fiber(base: Base, fiber_table: dict[str, object]):
@@ -329,29 +342,6 @@ def _carrier_and_fiber(base: Base, fiber_table: dict[str, object]):
             raise InputError(f"unknown carrier point {x.code!r}") from None
 
     return carrier, fiber
-
-
-@dataclass(frozen=True, eq=False)
-class _DistanceTable:
-    """The checked table of ``table_mapping``, and the ``dist`` of its
-    mapping: ``rows[i][j] / den`` is the distance between the carrier
-    points whose codes ``index`` numbers i and j. ``den`` is the LCM of
-    the realized denominators, so ``DistanceMatrix.build`` reads ``den``
-    and ``rows`` as they are for the whole carrier; no one writes to
-    them."""
-
-    index: dict[str, int]
-    den: int
-    rows: list[list[int]]
-
-    def __call__(self, x: CarrierPoint, x2: CarrierPoint) -> Fraction:
-        if x.code == x2.code:
-            return Fraction(0)
-        try:
-            i, j = self.index[x.code], self.index[x2.code]
-        except KeyError:
-            raise InputError(f"unknown carrier pair ({x.code!r}, {x2.code!r})") from None
-        return Fraction(self.rows[i][j], self.den)
 
 
 def abs_diff_mapping(
@@ -397,8 +387,8 @@ class DistanceMatrix:
 
     The built-in kinds never call the evaluator. Their ``failures`` is
     empty, since they cannot fail, and each gives the ``den`` and ``num``
-    the evaluator path would. A ``table`` matrix over the whole carrier is
-    the integer table ``table_mapping`` checked (``_DistanceTable``). The
+    the evaluator path would. A ``table`` mapping's matrix over its whole
+    carrier is its ``dist``, the table ``table_mapping`` checked. The
     ``abs_diff`` and ``max_metric`` distances are the Chebyshev distance
     of the point codes, computed on integer coordinates (``_chebyshev``);
     each ordered entry is computed on its own, so the symmetry check
@@ -427,9 +417,9 @@ class DistanceMatrix:
 
     @classmethod
     def build(cls, m: MetricMapping, pts: tuple[CarrierPoint, ...]) -> DistanceMatrix:
-        index = {x: i for i, x in enumerate(pts)}
         if m.dist_kind == "table" and pts == m.points():
-            return cls(pts, index, m.dist.den, m.dist.rows, {})
+            return m.dist
+        index = {x: i for i, x in enumerate(pts)}
         if m.dist_kind in ("abs_diff", "max_metric"):
             den, num = _chebyshev(pts, m.dist_kind == "abs_diff")
             return cls(pts, index, den, num, {})
@@ -461,6 +451,16 @@ class DistanceMatrix:
     def value(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
 
+    def __call__(self, x: CarrierPoint, x2: CarrierPoint) -> Fraction:
+        """d(x, x2) as a Fraction: the ``dist`` of a table mapping."""
+        if x.code == x2.code:
+            return Fraction(0)
+        try:
+            i, j = self.index[x], self.index[x2]
+        except KeyError:
+            raise InputError(f"unknown carrier pair ({x.code!r}, {x2.code!r})") from None
+        return Fraction(self.num[i][j], self.den)
+
     def row(self, x: CarrierPoint) -> list[int]:
         """Numerators of d(x, v) for every point v, in point order.
 
@@ -488,12 +488,10 @@ def _chebyshev(pts: tuple[CarrierPoint, ...], one_dim: bool) -> tuple[int, list[
     """``den`` and ``num`` of the Chebyshev distance max_k |a_k - b_k| of
     the point codes, a Fraction each (``one_dim``) or a pair of them.
 
-    Every coordinate is scaled once to an integer over the LCM ``L`` of
-    their denominators, so each ordered entry is an integer max of
-    differences, made on its own. Dividing ``L`` and every numerator by
-    their gcd leaves ``den`` the LCM of the realized denominators: the
-    value num/L reduces to denominator L / gcd(L, num), and the LCM of
-    those is L / gcd(L, every num).
+    Every coordinate is scaled once to an integer over the LCM of their
+    denominators, so each ordered entry is an integer max of differences,
+    made on its own; ``_reduced`` then leaves ``den`` the LCM of the
+    realized denominators.
     """
     coords = [(x.code,) if one_dim else x.code for x in pts]
     scale = lcm(*(c.denominator for xs in coords for c in xs))
@@ -502,8 +500,7 @@ def _chebyshev(pts: tuple[CarrierPoint, ...], one_dim: bool) -> tuple[int, list[
         num = [[abs(a - b) for [b] in ints] for [a] in ints]
     else:
         num = [[max(abs(a - c), abs(b - d)) for c, d in ints] for a, b in ints]
-    g = gcd(scale, *(gcd(*row) for row in num))
-    return scale // g, [[v // g for v in row] for row in num]
+    return _reduced(scale, num)
 
 
 def distance_matrix(m: MetricMapping, budget: int | None = None) -> DistanceMatrix:

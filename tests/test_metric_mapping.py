@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapcomplete.base_topology import BasePoint, FiniteBase, OnePointBase
+from mapcomplete.cli_io import instance_document, parse_instance
 from mapcomplete.errors import EvaluatorError, InputError
 from mapcomplete.metric_mapping import (
     CarrierPoint,
@@ -113,6 +115,31 @@ def test_fiberwise_valid_when_distances_positive():
     base = FiniteBase.of(["a"], [["a"]])
     m = table_mapping(base, {"u": "a", "v": "a"}, {("u", "v"): Fraction(1, 3)})
     assert validate_fiberwise_metric(m, 8) == []
+
+
+@pytest.mark.parametrize("value", [0.5, "1/3"])
+def test_table_values_must_be_exact(value):
+    # A float or a string is refused, not coerced: no float enters the core.
+    base = FiniteBase.of(["a"], [["a"]])
+    table = [(("u", "v"), Fraction(1)), (("u", "w"), value), (("v", "w"), 1)]
+    with pytest.raises(InputError) as e:
+        table_mapping(base, {"u": "a", "v": "a", "w": "a"}, table)
+    assert e.value.path == "distance_table[1]"
+    assert e.value.message == f"distance {value!r} for ('u', 'w') is not an int or Fraction"
+
+
+def test_table_dist_is_the_distance_matrix(sierpinski):
+    base = FiniteBase.of(["a"], [["a"]])
+    m = table_mapping(base, {"u": "a", "v": "a"}, {("u", "v"): Fraction(1, 3)})
+    document = parse_instance(json.dumps(instance_document(sierpinski)))
+    for table in (m, document, random_instance(5), stress_instance(2, 20, 3)):
+        assert isinstance(table.dist, DistanceMatrix)
+        assert distance_matrix(table) is table.dist
+    u, v = m.points()
+    assert m.distance(u, v) == m.distance(v, u) == Fraction(1, 3)
+    assert m.distance(u, CarrierPoint("u")) == m.distance(CarrierPoint("z"), CarrierPoint("z")) == 0
+    with pytest.raises(InputError, match=r"^unknown carrier pair \('u', 'z'\)$"):
+        m.distance(u, CarrierPoint("z"))
 
 
 def test_budget_precondition():
@@ -405,5 +432,10 @@ def test_mappings_compare_and_hash_by_identity():
     m = random_instance(3)
     copy = dataclasses.replace(m)
     assert m == m and copy != m
-    assert distance_matrix(m) is distance_matrix(m)
-    assert distance_matrix(copy) is not distance_matrix(m)
+    assert distance_matrix(m) is distance_matrix(m) is m.dist
+    # A table copy shares the read-only matrix that is its dist; a custom
+    # copy builds its own.
+    assert distance_matrix(copy) is m.dist
+    custom = dataclasses.replace(m, dist_kind="custom")
+    assert custom != m
+    assert distance_matrix(custom) is not distance_matrix(m)
