@@ -18,7 +18,7 @@ from itertools import combinations, count
 from typing import Iterable, Iterator, Union
 
 from .errors import InputError, Violation
-from .rationals import cantor_unpair, nth_rational, parse_rational
+from .rationals import _DigitLimitError, cantor_unpair, nth_rational, parse_rational
 
 PointId = Union[str, Fraction]
 
@@ -141,6 +141,8 @@ class RationalOrderBase:
             return BasePoint(token)
         try:
             return BasePoint(parse_rational(token))
+        except _DigitLimitError:
+            raise
         except InputError:
             raise InputError(
                 f"unknown base point {format_id(token)}; "

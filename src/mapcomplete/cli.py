@@ -35,6 +35,7 @@ from .completion import (
 )
 from .errors import InputError, WitnessError
 from .finite_oracle import (
+    MAX_POINTS,
     finite_completion,
     is_complete_filter,
     is_complete_net,
@@ -48,9 +49,9 @@ from .tied_cauchy import check_tying
 
 # The pseudometric check is cubic in the points it checks: validate on a
 # rational interval takes about 6 s at depth 512 (20 s at 768) on one Xeon
-# core, nearly all of it in the triangle loop. The bound holds for --depth
-# and for the points of a finite carrier, which ignores --depth.
-MAX_DEPTH = 512
+# core, nearly all of it in the triangle loop. --depth shares the bound on
+# a finite carrier's points; a finite carrier ignores --depth.
+MAX_DEPTH = MAX_POINTS
 MAX_COUNT = 100_000
 # The suites' generator: its shortest-path repair is cubic in the number
 # of zero classes, which the palette's zero entries keep to a few even
@@ -91,8 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str):
+    def add(name: str, help_text: str, handler):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("instance", help="path to an instance JSON document")
         p.add_argument("--depth", type=int, default=64,
                        help=f"check depth / enumeration budget (default 64, from 1 to {MAX_DEPTH})")
@@ -101,14 +103,15 @@ def _build_parser() -> argparse.ArgumentParser:
     eps = dict(type=_rational_arg, default=Fraction(1, 1_000_000),
                help="precision of d* as an exact rational (default 1/1000000)")
 
-    add("validate", "run the basis, pseudometric and fiberwise validators")
+    add("validate", "run the basis, pseudometric and fiberwise validators", _cmd_validate)
 
-    p = add("dstar", "certified distance between two completion points")
+    p = add("dstar", "certified distance between two completion points", _cmd_dstar)
     p.add_argument("--point", action="append", required=True,
                    help="completion point spec; give exactly twice")
     p.add_argument("--eps", **eps)
 
-    p = add("density", "carrier point near a completion point, fiber inside a basic open")
+    p = add("density", "carrier point near a completion point, fiber inside a basic open",
+            _cmd_density)
     p.add_argument("--point", action="append", required=True,
                    help="completion point spec; give exactly once")
     p.add_argument("--open", dest="basic_open", default=None,
@@ -117,10 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", **eps)
 
     add("complete-check", "decide completeness of a finite instance exactly, "
-        "closing each point of T_y for each base point y")
+        "closing each point of T_y for each base point y", _cmd_complete_check)
 
     for name in ("theorem3", "lemma2"):
         p = sub.add_parser(name, help="seeded random-instance suite")
+        p.set_defaults(handler=_cmd_suite)
         p.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
         p.add_argument("--count", type=int, default=200,
                        help=f"number of instances (default 200, at most {MAX_COUNT})")
@@ -129,11 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--maxy", type=int, default=3,
                        help=f"max base size (default 3, at most {MAX_SUITE_Y})")
 
-    p = add("complete-construct", "emit the finite completion as an instance document")
+    p = add("complete-construct", "emit the finite completion as an instance document",
+            _cmd_complete_construct)
     p.add_argument("--out", default=None, help="write the document here instead of stdout")
 
     p = add("limit-demo", "take the limit of a lifted sequence and check convergence "
-            "for k = 1..min(depth, 12)")
+            "for k = 1..min(depth, 12)", _cmd_limit_demo)
     p.add_argument("--point", action="append", required=True,
                    help="completion point spec to lift; give exactly once")
     return parser
@@ -146,9 +151,9 @@ def _load_instance(path_text: str):
     except OSError as e:
         raise InputError(f"cannot read {path_text!r}: {e.strerror}") from None
     m = parse_instance(text)
-    if carrier_is_finite(m.carrier) and m.carrier.size > MAX_DEPTH:
+    if carrier_is_finite(m.carrier) and m.carrier.size > MAX_POINTS:
         raise InputError(
-            f"finite carrier has {m.carrier.size} points, at most {MAX_DEPTH} can be checked"
+            f"finite carrier has {m.carrier.size} points, at most {MAX_POINTS} can be checked"
         )
     return m
 
@@ -341,18 +346,6 @@ def _cmd_limit_demo(args) -> Report:
     return report
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "dstar": _cmd_dstar,
-    "density": _cmd_density,
-    "complete-check": _cmd_complete_check,
-    "theorem3": _cmd_suite,
-    "lemma2": _cmd_suite,
-    "complete-construct": _cmd_complete_construct,
-    "limit-demo": _cmd_limit_demo,
-}
-
-
 def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; prints the report, returns the exit code."""
     parser = _build_parser()
@@ -369,7 +362,7 @@ def run_command(argv: list[str]) -> int:
                 raise InputError(f"--{option} must be at least 1, got {value}")
             if value > bound:
                 raise InputError(f"--{option} must be at most {bound}, got {value}")
-        report = _COMMANDS[args.command](args)
+        report = args.handler(args)
     except (InputError, WitnessError) as e:
         print(f"ERROR {e}", file=sys.stderr)
         return 2

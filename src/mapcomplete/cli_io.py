@@ -59,25 +59,59 @@ class Report:
         return "\n".join(lines)
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], path: str) -> None:
+# Each section's kinds, and the fields each kind takes besides "kind".
+_FIELDS = {
+    "base": {"finite": ("points", "basis"), "one_point": ("point",), "rational_order": ()},
+    "carrier": {
+        "finite": ("points",),
+        "rational_interval": ("lo", "hi"),
+        "rational_grid": ("step", "lo", "hi"),
+    },
+    "fiber_map": {"table": ("entries",), "constant": ("to",), "identity": ()},
+    "distance": {"table": ("entries",), "abs_diff": (), "max_metric": ()},
+}
+# Each distance kind: the carrier kind it needs, and the fiber kinds that
+# carrier takes.
+_PAIRINGS = {
+    "table": ("finite", ("table", "constant")),
+    "abs_diff": ("rational_interval", ("identity", "constant")),
+    "max_metric": ("rational_grid", ("constant",)),
+}
+
+
+def _require_keys(obj, required, optional, path: str) -> None:
     if not isinstance(obj, dict):
         raise InputError("expected a JSON object", path=path)
     for key in obj:
-        if key not in required | optional:
+        if key not in required and key not in optional:
             raise InputError(f"unknown field {key!r}", path=f"{path}.{key}")
     for key in required:
         if key not in obj:
             raise InputError(f"missing field {key!r}", path=path)
 
 
-def _parse_base(obj, path: str):
-    _require_keys(obj, {"kind"}, {"points", "basis", "point"}, path)
+def _section(doc: dict, name: str) -> tuple[str, dict]:
+    """The kind and object of section ``name``: its fields are checked first
+    against every kind of the section, then against its own kind."""
+    obj, path, kinds = doc[name], f"$.{name}", _FIELDS[name]
+    _require_keys(obj, ("kind",), {f for fields in kinds.values() for f in fields}, path)
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InputError(f"unknown {name.removesuffix('_map')} kind {kind!r}", path=f"{path}.kind")
+    _require_keys(obj, ("kind", *kinds[kind]), (), path)
+    return kind, obj
+
+
+def _point_list(points, path: str) -> list:
+    if not isinstance(points, list) or not points or not all(isinstance(p, str) for p in points):
+        raise InputError("points must be a nonempty list of strings", path=f"{path}.points")
+    return points
+
+
+def _parse_base(kind: str, obj: dict):
+    path = "$.base"
     if kind == "finite":
-        _require_keys(obj, {"kind", "points", "basis"}, set(), path)
-        points = obj["points"]
-        if not isinstance(points, list) or not points or not all(isinstance(p, str) for p in points):
-            raise InputError("points must be a nonempty list of strings", path=f"{path}.points")
+        points = _point_list(obj["points"], path)
         basis = obj["basis"]
         if not isinstance(basis, list):
             raise InputError("basis must be a list of lists", path=f"{path}.basis")
@@ -92,111 +126,93 @@ def _parse_base(obj, path: str):
         except InputError as e:
             raise InputError(str(e), path=path) from None
     if kind == "one_point":
-        _require_keys(obj, {"kind", "point"}, set(), path)
         if not isinstance(obj["point"], str):
             raise InputError("point must be a string", path=f"{path}.point")
         return OnePointBase(obj["point"])
-    if kind == "rational_order":
-        _require_keys(obj, {"kind"}, set(), path)
-        return RationalOrderBase()
-    raise InputError(f"unknown base kind {kind!r}", path=f"{path}.kind")
+    return RationalOrderBase()
 
 
-def _parse_carrier(obj, path: str):
-    _require_keys(obj, {"kind"}, {"points", "lo", "hi", "step"}, path)
-    kind = obj["kind"]
+def _parse_carrier(kind: str, obj: dict):
+    path = "$.carrier"
     if kind == "finite":
-        _require_keys(obj, {"kind", "points"}, set(), path)
-        points = obj["points"]
-        if not isinstance(points, list) or not points or not all(isinstance(p, str) for p in points):
-            raise InputError("points must be a nonempty list of strings", path=f"{path}.points")
+        points = _point_list(obj["points"], path)
         try:
             return FiniteCarrier.of(points)
         except InputError as e:
             raise InputError(str(e), path=path) from None
+    bounds = {key: parse_rational(obj[key], path=f"{path}.{key}") for key in _FIELDS["carrier"][kind]}
     if kind == "rational_interval":
-        _require_keys(obj, {"kind", "lo", "hi"}, set(), path)
-        lo = parse_rational(obj["lo"], path=f"{path}.lo")
-        hi = parse_rational(obj["hi"], path=f"{path}.hi")
-        if not lo < hi:
+        if not bounds["lo"] < bounds["hi"]:
             raise InputError("needs lo < hi", path=path)
-        return RationalIntervalCarrier(lo, hi)
-    if kind == "rational_grid":
-        _require_keys(obj, {"kind", "step", "lo", "hi"}, set(), path)
-        step = parse_rational(obj["step"], path=f"{path}.step")
-        lo = parse_rational(obj["lo"], path=f"{path}.lo")
-        hi = parse_rational(obj["hi"], path=f"{path}.hi")
-        if step <= 0:
-            raise InputError("needs step > 0", path=f"{path}.step")
-        if lo > hi:
-            raise InputError("needs lo <= hi", path=path)
-        return RationalGridCarrier(step, lo, hi)
-    raise InputError(f"unknown carrier kind {kind!r}", path=f"{path}.kind")
+        return RationalIntervalCarrier(bounds["lo"], bounds["hi"])
+    if bounds["step"] <= 0:
+        raise InputError("needs step > 0", path=f"{path}.step")
+    if bounds["lo"] > bounds["hi"]:
+        raise InputError("needs lo <= hi", path=path)
+    return RationalGridCarrier(bounds["step"], bounds["lo"], bounds["hi"])
 
 
 def parse_instance(text: str) -> MetricMapping:
     """Parse an instance document into a validated-shape metric mapping.
 
-    This module checks the JSON shape, the rational syntax and that the
-    fiber entries match the carrier list; the table rules (dangling codes
-    and targets, signs, diagonal, symmetry, missing pairs) are checked by
-    table_mapping. Either way an error raises InputError with the path of
-    the offending field. The metric axioms are left to the validators.
+    This module checks the JSON shape, the rational syntax, the kind
+    pairings of _PAIRINGS and that the fiber entries match the carrier
+    list; the table rules (dangling codes and targets, signs, diagonal,
+    symmetry, missing pairs) are checked by table_mapping. Either way an
+    error raises InputError with the path of the offending field; of two
+    bad sections, the first in document order is reported. The metric
+    axioms are left to the validators.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON: {e.msg}", path="$") from None
-    _require_keys(doc, {"base", "carrier", "fiber_map", "distance"}, set(), "$")
-    base = _parse_base(doc["base"], "$.base")
-    carrier = _parse_carrier(doc["carrier"], "$.carrier")
+    _require_keys(doc, ("base", "carrier", "fiber_map", "distance"), (), "$")
+    base = _parse_base(*_section(doc, "base"))
+    carrier = _parse_carrier(*_section(doc, "carrier"))
+    fiber_kind, fiber_obj = _section(doc, "fiber_map")
+    dist_kind, dist_obj = _section(doc, "distance")
 
-    fiber_obj = doc["fiber_map"]
-    _require_keys(fiber_obj, {"kind"}, {"entries", "to"}, "$.fiber_map")
-    fiber_kind = fiber_obj["kind"]
-
-    dist_obj = doc["distance"]
-    _require_keys(dist_obj, {"kind"}, {"entries"}, "$.distance")
-    dist_kind = dist_obj["kind"]
-
-    if dist_kind == "table":
-        if carrier.kind != "finite":
-            raise InputError("table distance needs a finite carrier", path="$.distance.kind")
-        if fiber_kind == "table":
-            fibers = _fiber_entries(fiber_obj, carrier)
-        elif fiber_kind == "constant":
-            _require_keys(fiber_obj, {"kind", "to"}, set(), "$.fiber_map")
-            fibers = {p.code: fiber_obj["to"] for p in carrier.points}
-        else:
-            raise InputError(
-                f"fiber kind {fiber_kind!r} does not apply to a finite carrier",
-                path="$.fiber_map.kind",
-            )
-        pairs = _distance_entries(dist_obj)
+    carrier_kind, fiber_kinds = _PAIRINGS[dist_kind]
+    if carrier.kind != carrier_kind:
+        raise InputError(f"{dist_kind} distance needs a {carrier_kind} carrier", path="$.distance.kind")
+    if fiber_kind not in fiber_kinds:
+        raise InputError(
+            f"fiber kind {fiber_kind!r} does not apply to a {carrier.kind} carrier",
+            path="$.fiber_map.kind",
+        )
+    if fiber_kind == "constant":
         try:
-            return table_mapping(base, fibers, pairs)
+            target = base.point(fiber_obj["to"])
         except InputError as e:
-            raise InputError(e.message, path=_document_path(e.path, fiber_kind)) from None
+            raise InputError(e.message, path="$.fiber_map.to") from None
+        fiber = lambda x: target
+    elif fiber_kind == "identity":
+        # The identity sends each rational to itself: the base needs them as points.
+        if not base.contains_point(BasePoint(carrier.lo)):
+            raise InputError("identity fiber needs the rational_order base", path="$.fiber_map.kind")
+        fiber = lambda x: BasePoint(x.code)
 
     if dist_kind == "abs_diff":
-        if carrier.kind != "rational_interval":
-            raise InputError("abs_diff distance needs a rational_interval carrier", path="$.distance.kind")
-        fiber = _rational_fiber(fiber_obj, fiber_kind, base, carrier)
         return abs_diff_mapping(carrier, base, fiber)
-
     if dist_kind == "max_metric":
-        if carrier.kind != "rational_grid":
-            raise InputError("max_metric distance needs a rational_grid carrier", path="$.distance.kind")
-        if fiber_kind != "constant":
-            raise InputError("max_metric carrier needs a constant fiber", path="$.fiber_map.kind")
-        return max_metric_mapping(carrier, base, _constant_fiber(fiber_obj, base))
-
-    raise InputError(f"unknown distance kind {dist_kind!r}", path="$.distance.kind")
+        return max_metric_mapping(carrier, base, fiber)
+    if fiber_kind == "table":
+        fibers = _fiber_entries(fiber_obj, carrier)
+    else:
+        fibers = {p.code: target.id for p in carrier.points}
+    pairs = _distance_entries(dist_obj)
+    try:
+        return table_mapping(base, fibers, pairs)
+    except InputError as e:
+        # table_mapping locates its errors in fiber_table or distance_table.
+        table, _, rest = e.path.partition("_table")
+        where = "$.fiber_map.entries" if table == "fiber" else "$.distance.entries"
+        raise InputError(e.message, path=where + rest) from None
 
 
 def _fiber_entries(obj, carrier) -> dict:
     """The fiber entries in carrier order, one per carrier point."""
-    _require_keys(obj, {"kind", "entries"}, set(), "$.fiber_map")
     entries = obj["entries"]
     if not isinstance(entries, dict):
         raise InputError("entries must map carrier codes to base points", path="$.fiber_map.entries")
@@ -212,7 +228,7 @@ def _fiber_entries(obj, carrier) -> dict:
 
 def _distance_entries(obj) -> list:
     """The distance entries as ((x, y), value) items in document order."""
-    entries = obj.get("entries")
+    entries = obj["entries"]
     if not isinstance(entries, list):
         raise InputError("entries must be a list of [x, y, value] triples", path="$.distance.entries")
     items = []
@@ -224,39 +240,6 @@ def _distance_entries(obj) -> list:
         a, b, raw = entry
         items.append(((a, b), parse_rational(raw, path=path)))
     return items
-
-
-def _document_path(path: str, fiber_kind: str) -> str:
-    """The document path of a table_mapping error path."""
-    if path.startswith("distance_table"):
-        return "$.distance.entries" + path[len("distance_table"):]
-    if fiber_kind == "constant":
-        return "$.fiber_map.to"
-    return "$.fiber_map.entries" + path[len("fiber_table"):]
-
-
-def _constant_fiber(obj, base):
-    _require_keys(obj, {"kind", "to"}, set(), "$.fiber_map")
-    try:
-        target = base.point(obj["to"])
-    except InputError as e:
-        raise InputError(e.message, path="$.fiber_map.to") from None
-    return lambda x: target
-
-
-def _rational_fiber(obj, kind, base, carrier):
-    if kind == "identity":
-        _require_keys(obj, {"kind"}, set(), "$.fiber_map")
-        # The identity sends each rational to itself: the base needs them as points.
-        if not base.contains_point(BasePoint(carrier.lo)):
-            raise InputError("identity fiber needs the rational_order base", path="$.fiber_map.kind")
-        return lambda x: BasePoint(x.code)
-    if kind == "constant":
-        return _constant_fiber(obj, base)
-    raise InputError(
-        f"fiber kind {kind!r} does not apply to a rational carrier",
-        path="$.fiber_map.kind",
-    )
 
 
 def instance_document(m: MetricMapping) -> dict:

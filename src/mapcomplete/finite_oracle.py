@@ -47,6 +47,12 @@ from .metric_mapping import (
     fiber_preimage,
 )
 
+# The most points of a finite carrier, loaded by the CLI or built by
+# finite_completion: the pseudometric check is cubic in them, and a
+# completion has a point per (zero class, base point) pair that meets, so
+# 16 carrier points over a 128-point base can ask for 2048.
+MAX_POINTS = 512
+
 
 @dataclass(frozen=True)
 class PrincipalFilter:
@@ -354,7 +360,8 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     class and base point is escaped once.
     The original carrier embeds as x -> (class of x, fiber of x), which is
     exact, injective up to the fiberwise metric, and has dense image; the
-    result is complete under both oracle criteria.
+    result is complete under both oracle criteria. A completion of more
+    than MAX_POINTS points raises InputError before its table is built.
     """
     ensure_finite_instance(m)
     dm = distance_matrix(m)
@@ -373,6 +380,8 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
         for c in classes:
             if c & core:
                 codes[(c, y)] = f"{rep_code[c]}*{y_code}"
+    if len(codes) > MAX_POINTS:
+        raise InputError(f"completion has {len(codes)} points, at most {MAX_POINTS} can be built")
 
     fiber_table = {code: y.id for (_, y), code in codes.items()}
     idx = [rep_index[c] for c, _ in codes]

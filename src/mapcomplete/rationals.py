@@ -8,6 +8,7 @@ base and carrier kinds, so they must stay stable across releases.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -16,31 +17,54 @@ from .errors import InputError
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
 
 
+class _DigitLimitError(InputError):
+    """Rational text that Python's int-string limit refuses: the text is a
+    rational, and the limit, not its syntax, stops it."""
+
+
 def parse_rational(text: object, path: str | None = None) -> Fraction:
     """Parse ``p/q`` or integer text into an exact Fraction.
 
     Decimal notation is rejected on purpose: every number in an instance
-    document must round-trip bit-exactly.
+    document must round-trip bit-exactly. Either part past Python's
+    int-string limit raises InputError; the limit stays where it is.
     """
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text.strip()):
         raise InputError(
             f"expected an exact rational like '3' or '1/2', got {text!r}", path=path
         )
     s = text.strip()
-    if "/" in s:
+    try:
+        if "/" not in s:
+            return Fraction(int(s))
         num, den = map(int, s.split("/"))
-        if den == 0:
-            raise InputError("zero denominator", path=path)
-        return Fraction(num, den)
-    return Fraction(int(s))
+    except ValueError:
+        digits = max(len(part) for part in s.lstrip("-").split("/"))
+        raise _DigitLimitError(
+            f"integer of {digits} digits is past Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer text", path=path
+        ) from None
+    if den == 0:
+        raise InputError("zero denominator", path=path)
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical text form: lowest terms, ``p`` for integers, else ``p/q``."""
+    """Canonical text form: lowest terms, ``p`` for integers, else ``p/q``.
+
+    A numerator or denominator past Python's int-string limit raises
+    InputError, as parse_rational does on such text.
+    """
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise InputError(
+            "rational with a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits is past Python's limit for integer text"
+        ) from None
 
 
 def decimal_approx(q: Fraction, places: int = 12) -> str:

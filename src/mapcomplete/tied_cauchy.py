@@ -71,7 +71,7 @@ class TiedCauchySeq:
 
 def _check_membership(m: MetricMapping, x: CarrierPoint) -> None:
     if x not in m.carrier:
-        raise InputError(f"point {x.code!r} is not in the carrier")
+        raise InputError(f"point {format_id(x.code)} is not in the carrier")
 
 
 def _check_target(m: MetricMapping, y: BasePoint) -> None:

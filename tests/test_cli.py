@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -819,3 +820,95 @@ def test_cli_finite_carrier_has_an_upper_bound(tmp_path, capsys, monkeypatch):
         f"ERROR finite carrier has 529 points, at most {MAX_DEPTH} can be checked\n"
     )
     assert calls == []
+
+
+# Python's int-string limit, or 0 where the interpreter has none. The
+# cases below are sized for the default limit of 4300 digits.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" + "0" * 5000  # 5001 digits
+needs_int_limit = pytest.mark.skipif(INT_DIGITS != 4300, reason="needs the 4300-digit limit")
+GOLDEN = GOLDEN_INTERVAL.parent
+
+
+@needs_int_limit
+@pytest.mark.parametrize("doc, path", [
+    (dict(INTERVAL_DOC, carrier={"kind": "rational_interval", "lo": "0", "hi": LONG}),
+     "$.carrier.hi"),
+    (dict(SIERPINSKI_DOC, distance={"kind": "table", "entries": [["x_a", "x_b", LONG]]}),
+     "$.distance.entries[0]"),
+])
+def test_cli_document_past_the_int_string_limit_exits_2(tmp_path, capsys, doc, path):
+    assert run_command(["validate", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ERROR {path}: integer of 5001 digits is past Python's limit of "
+        f"{INT_DIGITS} digits for integer text\n"
+    )
+
+
+@needs_int_limit
+@pytest.mark.parametrize("document, spec", [
+    ("interval.json", f"const(1/{LONG})"),
+    ("interval.json", f"newton_sqrt({LONG})"),
+    ("rational_order.json", f"const(1/2)@{LONG}"),
+])
+def test_cli_point_spec_past_the_int_string_limit_exits_2(capsys, document, spec):
+    argv = ["dstar", str(GOLDEN / document), "--point", spec, "--point", "const(1/2)"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ERROR integer of 5001 digits is past Python's limit of {INT_DIGITS} digits "
+        "for integer text\n"
+    )
+
+
+@needs_int_limit
+@pytest.mark.parametrize("a, k", [("499/100", 1000), ("4", INT_DIGITS - 1)])
+def test_cli_dstar_value_past_the_int_string_limit_exits_2(capsys, a, k):
+    # The value's denominator grows with the Newton term that eps asks for.
+    argv = ["dstar", str(GOLDEN_INTERVAL), "--point", f"newton_sqrt({a})",
+            "--point", "const(1)", "--eps", f"1/{10**k}"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ERROR rational with a numerator or denominator of more than "
+        f"{INT_DIGITS} digits is past Python's limit for integer text\n"
+    )
+
+
+def test_cli_completion_past_the_point_bound_exits_2_before_its_table(
+        tmp_path, capsys, monkeypatch):
+    # 16 points at distance 1 over a 128-point base with one basis set:
+    # every point is tied to every base point, so the completion would have
+    # 16 x 128 = 2048 points.
+    import mapcomplete.finite_oracle as finite_oracle
+
+    base = [f"y{i}" for i in range(128)]
+    codes = [f"x{i}" for i in range(16)]
+    doc = {
+        "base": {"kind": "finite", "points": base, "basis": [base]},
+        "carrier": {"kind": "finite", "points": codes},
+        "fiber_map": {"kind": "table", "entries": {x: base[i] for i, x in enumerate(codes)}},
+        "distance": {"kind": "table", "entries": [
+            [a, b, "1"] for i, a in enumerate(codes) for b in codes[i + 1:]]},
+    }
+    calls = []
+    monkeypatch.setattr(finite_oracle, "_table_mapping_from_rows",
+                        lambda *args: calls.append(args))
+    assert run_command(["complete-construct", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR completion has 2048 points, at most 512 can be built\n"
+    assert calls == []
+
+
+def test_cli_quotes_a_rational_point_outside_the_carrier_as_documents_do(capsys):
+    # newton_sqrt(100) starts at (100 + 1) / 2, past the interval's hi = 3.
+    argv = ["dstar", str(GOLDEN_INTERVAL), "--point", "newton_sqrt(100)", "--point", "const(1)"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR point '101/2' is not in the carrier\n"

@@ -98,13 +98,12 @@ CASES = {
     "carrier-null-kind": (FINITE, {"carrier.kind": None},
                           "$.carrier.kind: unknown carrier kind None"),
     "fiber-unknown-kind": (FINITE, {"fiber_map.kind": "zzz"},
-                           "$.fiber_map.kind: fiber kind 'zzz' does not apply to a finite carrier"),
-    "fiber-list-kind": (FINITE, {"fiber_map.kind": []},
-                        "$.fiber_map.kind: fiber kind [] does not apply to a finite carrier"),
+                           "$.fiber_map.kind: unknown fiber kind 'zzz'"),
+    "fiber-list-kind": (FINITE, {"fiber_map.kind": []}, "$.fiber_map.kind: unknown fiber kind []"),
     "fiber-object-kind": (FINITE, {"fiber_map.kind": {}},
-                          "$.fiber_map.kind: fiber kind {} does not apply to a finite carrier"),
+                          "$.fiber_map.kind: unknown fiber kind {}"),
     "fiber-null-kind": (FINITE, {"fiber_map.kind": None},
-                        "$.fiber_map.kind: fiber kind None does not apply to a finite carrier"),
+                        "$.fiber_map.kind: unknown fiber kind None"),
     "distance-unknown-kind": (FINITE, {"distance.kind": "zzz"},
                               "$.distance.kind: unknown distance kind 'zzz'"),
     "distance-list-kind": (FINITE, {"distance.kind": []},
@@ -113,8 +112,9 @@ CASES = {
                              "$.distance.kind: unknown distance kind {}"),
     "distance-null-kind": (FINITE, {"distance.kind": None},
                            "$.distance.kind: unknown distance kind None"),
+    # Of two bad sections, the first in document order.
     "two-unknown-kinds": (FINITE, {"fiber_map.kind": "zzz", "distance.kind": "yyy"},
-                          "$.distance.kind: unknown distance kind 'yyy'"),
+                          "$.fiber_map.kind: unknown fiber kind 'zzz'"),
     # Fields of another kind of the same section, and missing fields.
     "finite-base-with-point": (FINITE, {"base.point": "a"}, "$.base.point: unknown field 'point'"),
     "finite-base-missing-basis": (FINITE, {"base.basis": DROP}, "$.base: missing field 'basis'"),
@@ -131,6 +131,10 @@ CASES = {
     "interval-missing-hi": (INTERVAL, {"carrier.hi": DROP}, "$.carrier: missing field 'hi'"),
     "grid-with-points": (GRID, {"carrier.points": ["u"]}, "$.carrier.points: unknown field 'points'"),
     "grid-missing-step": (GRID, {"carrier.step": DROP}, "$.carrier: missing field 'step'"),
+    # Two missing fields: the first in the kind's field order, whatever the
+    # hash seed of the process.
+    "grid-missing-step-and-lo": (GRID, {"carrier.step": DROP, "carrier.lo": DROP},
+                                 "$.carrier: missing field 'step'"),
     "table-fiber-with-to": (FINITE, {"fiber_map.to": "a"}, "$.fiber_map.to: unknown field 'to'"),
     "table-fiber-missing-entries": (FINITE, {"fiber_map.entries": DROP},
                                     "$.fiber_map: missing field 'entries'"),
@@ -139,9 +143,12 @@ CASES = {
     "constant-fiber-missing-to": (INTERVAL, {"fiber_map.to": DROP},
                                   "$.fiber_map: missing field 'to'"),
     "identity-fiber-with-to": (IDENTITY, {"fiber_map.to": "0"}, "$.fiber_map.to: unknown field 'to'"),
-    "table-distance-missing-entries": (
-        FINITE, {"distance.entries": DROP},
-        "$.distance.entries: entries must be a list of [x, y, value] triples"),
+    "table-distance-missing-entries": (FINITE, {"distance.entries": DROP},
+                                       "$.distance: missing field 'entries'"),
+    "abs-diff-with-entries": (INTERVAL, {"distance.entries": []},
+                              "$.distance.entries: unknown field 'entries'"),
+    "max-metric-with-entries": (GRID, {"distance.entries": FINITE_ENTRIES},
+                                "$.distance.entries: unknown field 'entries'"),
     # Point and basis lists.
     "base-points-not-list": (FINITE, {"base.points": "a"},
                              "$.base.points: points must be a nonempty list of strings"),
@@ -195,7 +202,7 @@ CASES = {
                                 "\"['b']\""),
     "finite-constant-unknown-target": (
         FINITE, {"fiber_map": {"kind": "constant", "to": "zz"}},
-        "$.fiber_map.to: fiber of 'u' targets unknown base point 'zz'"),
+        "$.fiber_map.to: unknown base point 'zz'"),
     "interval-constant-unknown-target": (INTERVAL, {"fiber_map.to": "zz"},
                                          "$.fiber_map.to: unknown base point 'zz'"),
     "grid-constant-unknown-target": (GRID, {"fiber_map.to": "zz"},
@@ -219,9 +226,10 @@ CASES = {
                                  "finite carrier"),
     "table-fiber-on-interval": (INTERVAL, {"fiber_map": {"kind": "table", "entries": {}}},
                                 "$.fiber_map.kind: fiber kind 'table' does not apply to a "
-                                "rational carrier"),
+                                "rational_interval carrier"),
     "identity-fiber-on-grid": (GRID, {"fiber_map": {"kind": "identity"}},
-                               "$.fiber_map.kind: max_metric carrier needs a constant fiber"),
+                               "$.fiber_map.kind: fiber kind 'identity' does not apply to a "
+                               "rational_grid carrier"),
     # The shapes of distance entries.
     "distance-entries-not-list": (FINITE, {"distance.entries": {"u": "v"}},
                                   "$.distance.entries: entries must be a list of [x, y, value] "

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,3 +82,17 @@ def test_unit_rational_enumeration_stays_inside():
     values = [nth_unit_rational(n) for n in range(200)]
     assert len(set(values)) == 200
     assert all(0 < v < 1 for v in values)
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="needs the 4300-digit int-string limit")
+def test_text_past_the_int_string_limit_is_an_input_error():
+    long = "1" + "0" * 5000
+    for text in (long, f"-{long}", f"1/{long}", f"{long}/3"):
+        with pytest.raises(InputError, match="integer of 5001 digits") as err:
+            parse_rational(text, path="$.x")
+        assert err.value.path == "$.x"
+    with pytest.raises(InputError, match="numerator or denominator"):
+        format_rational(Fraction(1, 10**5000))
+    with pytest.raises(InputError, match="numerator or denominator"):
+        format_rational(Fraction(10**5000))
