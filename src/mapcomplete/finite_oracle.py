@@ -3,19 +3,25 @@
 Everything here is decidable by enumeration: completeness under the filter
 criterion, completeness under the tied-sequence criterion, the agreement
 check between the two, the cluster/limit identity for tied sets, and an
-explicit finite completion. The two completeness deciders share plain
-set helpers such as fiber_preimage, and read distances from the one
-DistanceMatrix of the mapping that the validators filled, but share no
-decision logic: the filter side decides through closures over the
-minimal basic neighborhoods of metric_mapping (each point's zero class
-cut by the preimages of the basis sets around its fiber), the net side
-through zero classes, tied cores and a limit test of its own (see
-_is_limit). The value of the agreement suite rests on the two paths
-being independent.
+explicit finite completion.
 
-Both sides read one ball per point, its zero class {v : d(x, v) = 0}: it
-lies in every ball around x and is itself one, so every ball around x
-meets (closure) or contains (limit) a set iff the zero class does.
+Sets of carrier points are ``int`` bitmasks over the indices of the
+mapping's DistanceMatrix points. Both completeness deciders read one plain
+helper, metric_mapping.point_masks: the code order of the points, each
+point's zero-class mask {v : d(x, v) = 0} from its matrix row, a fiber
+mask per base point and a preimage mask per basis set, built once per
+mapping. They share no decision logic: the filter side decides through
+closures over the minimal basic neighborhoods of metric_mapping (each
+point's zero class cut by the preimages of the basis sets around its
+fiber), the net side through zero classes, tied cores and a limit test
+of its own (see _is_limit). The value of the agreement suite rests on the
+two paths being independent. Points come back as frozensets only at the
+public boundary: closures, zero classes, cluster and limit sets, and
+certificates.
+
+Both sides read one ball per point, its zero class: it lies in every
+ball around x and is itself one, so every ball around x meets (closure)
+or contains (limit) a set iff the zero class does.
 
 On a finite carrier every filter is principal, every Cauchy sequence is
 eventually inside one zero-distance class, and the small-diameter condition
@@ -35,16 +41,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .base_topology import BasePoint, FiniteBase
+from .base_topology import FiniteBase, PointId
 from .errors import InputError
 from .metric_mapping import (
     CarrierPoint,
-    DistanceMatrix,
     MetricMapping,
+    PointMasks,
+    _closure_mask,
+    _neighborhoods,
     _table_mapping_from_rows,
-    closure_finite,
+    bit_indices,
     distance_matrix,
-    fiber_preimage,
+    point_masks,
 )
 
 # The most points of a finite carrier, loaded by the CLI or built by
@@ -128,66 +136,71 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
+def _zero_class_masks(masks: PointMasks) -> list[int]:
+    """The zero-distance classes as masks, ordered by smallest code: the
+    components of the zero entries above the diagonal, joined by
+    union-find, so a matrix that breaks the triangle inequality still
+    gets classes."""
+    uf = _UnionFind(range(len(masks.points)))
+    for i, z in enumerate(masks.zero):
+        for j in bit_indices(z >> (i + 1)):
+            uf.union(i, i + 1 + j)
+    classes: dict[int, int] = {}
+    for i in masks.order:
+        root = uf.find(i)
+        classes[root] = classes.get(root, 0) | 1 << i
+    return list(classes.values())
+
+
 def zero_classes(m: MetricMapping) -> tuple[frozenset, ...]:
     """Zero-distance classes of the carrier, ordered by smallest code."""
     ensure_finite_instance(m)
-    dm = distance_matrix(m)
-    pts = dm.points
-    uf = _UnionFind(pts)
-    for i, x in enumerate(pts):
-        d = dm.row(x)
-        for j in range(i + 1, len(pts)):
-            if d[j] == 0:
-                uf.union(x, pts[j])
-    groups: dict[CarrierPoint, set] = {}
-    for x in pts:
-        groups.setdefault(uf.find(x), set()).add(x)
-    classes = [frozenset(g) for g in groups.values()]
-    classes.sort(key=lambda c: str(min(c, key=lambda p: str(p.code)).code))
-    return tuple(classes)
+    masks = point_masks(m)
+    return tuple(masks.points_of(c) for c in _zero_class_masks(masks))
 
 
-def _tied_core(m: MetricMapping, preimages: list[frozenset]) -> frozenset:
-    """T_y: the carrier points in every one of ``preimages``, the preimages
-    of the basic opens around y (``_preimages_around(m)[y]``)."""
-    core = frozenset(m.points())
+def _tied_core(masks: PointMasks, preimages: list[int]) -> int:
+    """T_y as a mask: the carrier points in every one of ``preimages``,
+    the preimages of the basic opens around y (``_preimages_around(m)[y.id]``)."""
+    core = (1 << len(masks.points)) - 1
     for pre in preimages:
         core &= pre
     return core
 
 
-def _preimages_around(m: MetricMapping) -> dict[BasePoint, list[frozenset]]:
-    """For each base point, the preimages of the basic opens around it."""
-    return {
-        y: [fiber_preimage(m, map(BasePoint, o)) for o in m.base.neighborhood_basis(y)]
-        for y in m.base.points
-    }
+def _preimages_around(m: MetricMapping) -> dict[PointId, list[int]]:
+    """For each base point id, the preimage masks of the basic opens around it."""
+    pre = point_masks(m).pre
+    return {y.id: [p for o, p in pre.items() if y.id in o] for y in m.base.points}
 
 
-def _is_limit(
-    m: MetricMapping, x: CarrierPoint, region: frozenset, dm: DistanceMatrix, around
-) -> bool:
-    """Whether x is a limit point of the principal filter of ``region``,
-    and so of every sequence that cycles through ``region``: each basic
-    neighborhood of x, a ball around x intersected with the preimage of a
-    basic open around its fiber (``around``, from _preimages_around),
-    contains all of ``region``.
+def _is_limit(masks: PointMasks, i: int, region: int, around) -> bool:
+    """Whether x_i is a limit point of the principal filter of the mask
+    ``region``, and so of every sequence that cycles through ``region``:
+    each basic neighborhood of x_i, a ball around x_i intersected with the
+    preimage of a basic open around its fiber (``around``, from
+    _preimages_around), contains all of ``region``.
 
-    Every ball {v : d(x, v) <= t} contains the t = 0 ball, x's zero
+    Every ball {v : d(x_i, v) <= t} contains the t = 0 ball, x_i's zero
     class, so this holds iff ``region`` lies in the zero class and in
     each of those preimages.
     """
-    d, index = dm.row(x), dm.index
-    return all(d[index[v]] == 0 for v in region) and all(
-        region <= pre for pre in around[m.fiber_of(x)]
-    )
+    if region & ~masks.zero[i]:
+        return False
+    for pre in around[masks.fiber_ids[i]]:
+        if region & ~pre:
+            return False
+    return True
 
 
-def _limit_set(m: MetricMapping, region: frozenset, around) -> frozenset:
-    """Points whose every basic neighborhood contains ``region`` entirely;
-    ``around`` is _preimages_around(m)."""
-    dm = distance_matrix(m)
-    return frozenset(x for x in dm.points if _is_limit(m, x, region, dm, around))
+def _limit_set(masks: PointMasks, region: int, around) -> int:
+    """The mask of the points whose every basic neighborhood contains the
+    mask ``region`` entirely; ``around`` is _preimages_around(m)."""
+    limits = 0
+    for i in range(len(masks.points)):
+        if _is_limit(masks, i, region, around):
+            limits |= 1 << i
+    return limits
 
 
 def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozenset]:
@@ -197,15 +210,18 @@ def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozens
     points are the points all of whose basic neighborhoods contain it.
     """
     ensure_finite_instance(m)
-    a = frozenset(region)
+    masks = point_masks(m)
+    a = masks.mask_of(region)
     if not a:
         raise InputError("region must be nonempty")
-    return closure_finite(m, a), _limit_set(m, a, _preimages_around(m))
+    clusters = _closure_mask(_neighborhoods(m), a)
+    return masks.points_of(clusters), masks.points_of(_limit_set(masks, a, _preimages_around(m)))
 
 
 def _diam_zero(m: MetricMapping, subset) -> bool:
-    dm = distance_matrix(m)
-    return all(dm.row(x)[dm.index[x2]] == 0 for x, x2 in combinations(subset, 2))
+    masks = point_masks(m)
+    a = masks.mask_of(subset)
+    return not any(a & ~(1 << i) & ~masks.zero[i] for i in bit_indices(a))
 
 
 def is_complete_filter(m: MetricMapping) -> OracleVerdict:
@@ -228,22 +244,23 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
     singleton.
     """
     ensure_finite_instance(m)
-    pts = _sorted_points(m.points())
-    closures: dict[CarrierPoint, frozenset] = {}
+    masks = point_masks(m)
+    nbhds = _neighborhoods(m)
+    everything = (1 << len(masks.points)) - 1
+    closures: dict[int, int] = {}
     for y in m.base.points:
-        fiber_y = fiber_preimage(m, [y])
-        constraints = [
-            fiber_preimage(m, map(BasePoint, o))
-            for o in m.base.basis
-            if y.id in o
-        ]
-        for x in pts:
-            if not all(x in p for p in constraints):
+        fiber_y = masks.fiber[y.id]
+        tied = everything
+        for o, pre in masks.pre.items():
+            if y.id in o:
+                tied &= pre
+        for i in masks.order:
+            if not tied >> i & 1:
                 continue
-            if x not in closures:
-                closures[x] = closure_finite(m, {x})
-            if closures[x].isdisjoint(fiber_y):
-                return OracleVerdict(False, (y, frozenset({x})))
+            if i not in closures:
+                closures[i] = _closure_mask(nbhds, 1 << i)
+            if not closures[i] & fiber_y:
+                return OracleVerdict(False, (y, frozenset({masks.points[i]})))
     return OracleVerdict(True)
 
 
@@ -258,16 +275,18 @@ def is_complete_net(m: MetricMapping) -> OracleVerdict:
     the fiber of y. Independent of is_complete_filter by construction.
     """
     ensure_finite_instance(m)
-    classes = zero_classes(m)
-    dm = distance_matrix(m)
+    masks = point_masks(m)
+    classes = _zero_class_masks(masks)
     around = _preimages_around(m)
     for y in m.base.points:
-        tied_core = _tied_core(m, around[y])
-        fiber_y = fiber_preimage(m, [y])
+        tied_core = _tied_core(masks, around[y.id])
+        fiber_y = masks.fiber[y.id]
         for c in classes:
             tied_set = c & tied_core
-            if tied_set and not any(_is_limit(m, x, tied_set, dm, around) for x in fiber_y):
-                return OracleVerdict(False, (y, tied_set))
+            if tied_set and not any(
+                _is_limit(masks, i, tied_set, around) for i in bit_indices(fiber_y)
+            ):
+                return OracleVerdict(False, (y, masks.points_of(tied_set)))
     return OracleVerdict(True)
 
 
@@ -317,25 +336,29 @@ def lemma2_check(m: MetricMapping) -> OracleVerdict:
     each y in base order this check returns the certificate that sweep
     returns: (y, {x}) for the first x of T_y in code order whose cl({x})
     and lim({x}) differ on F, else (y, {x, x'}) for the first zero-distance
-    pair whose cl differ on F. Each point's cl and lim are computed once.
+    pair whose cl differ on F. Each point's cl and lim are computed once,
+    as masks.
     """
     ensure_finite_instance(m)
-    dm = distance_matrix(m)
+    masks = point_masks(m)
+    pts, zero = masks.points, masks.zero
+    nbhds = _neighborhoods(m)
     around = _preimages_around(m)
-    clusters: dict[CarrierPoint, frozenset] = {}
-    limits: dict[CarrierPoint, frozenset] = {}
+    clusters: dict[int, int] = {}
+    limits: dict[int, int] = {}
     for y in m.base.points:
-        fiber_y = fiber_preimage(m, [y])
-        tied = _sorted_points(_tied_core(m, around[y]))
-        for x in tied:
-            if x not in clusters:
-                clusters[x] = closure_finite(m, {x})
-                limits[x] = _limit_set(m, frozenset({x}), around)
-            if clusters[x] & fiber_y != limits[x] & fiber_y:
-                return OracleVerdict(False, (y, frozenset({x})))
-        for x, x2 in combinations(tied, 2):
-            if dm.row(x)[dm.index[x2]] == 0 and clusters[x] & fiber_y != clusters[x2] & fiber_y:
-                return OracleVerdict(False, (y, frozenset({x, x2})))
+        fiber_y = masks.fiber[y.id]
+        core = _tied_core(masks, around[y.id])
+        tied = [i for i in masks.order if core >> i & 1]
+        for i in tied:
+            if i not in clusters:
+                clusters[i] = _closure_mask(nbhds, 1 << i)
+                limits[i] = _limit_set(masks, 1 << i, around)
+            if (clusters[i] ^ limits[i]) & fiber_y:
+                return OracleVerdict(False, (y, frozenset({pts[i]})))
+        for i, j in combinations(tied, 2):
+            if zero[i] >> j & 1 and (clusters[i] ^ clusters[j]) & fiber_y:
+                return OracleVerdict(False, (y, frozenset({pts[i], pts[j]})))
     return OracleVerdict(True)
 
 
@@ -364,34 +387,42 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     than MAX_POINTS points raises InputError before its table is built.
     """
     ensure_finite_instance(m)
-    dm = distance_matrix(m)
-    classes = zero_classes(m)
-    rep_index = {c: dm.index[min(c, key=lambda p: str(p.code))] for c in classes}
+    masks = point_masks(m)
+    classes = _zero_class_masks(masks)
+    class_of = [0] * len(masks.points)
+    for k, c in enumerate(classes):
+        for i in bit_indices(c):
+            class_of[i] = k
+    # Each class's representative is its point of smallest code.
+    rep: dict[int, int] = {}
+    for i in masks.order:
+        rep.setdefault(class_of[i], i)
 
     def escape(part) -> str:
         return str(part).replace("\\", "\\\\").replace("*", "\\*")
 
-    rep_code = {c: escape(dm.points[i].code) for c, i in rep_index.items()}
+    rep_code = [escape(masks.points[rep[k]].code) for k in range(len(classes))]
     around = _preimages_around(m)
-    codes: dict[tuple[frozenset, BasePoint], str] = {}
+    codes: dict[tuple[int, PointId], str] = {}
     for y in m.base.points:
-        core = _tied_core(m, around[y])
+        core = _tied_core(masks, around[y.id])
         y_code = escape(y.id)
-        for c in classes:
+        for k, c in enumerate(classes):
             if c & core:
-                codes[(c, y)] = f"{rep_code[c]}*{y_code}"
+                codes[(k, y.id)] = f"{rep_code[k]}*{y_code}"
     if len(codes) > MAX_POINTS:
         raise InputError(f"completion has {len(codes)} points, at most {MAX_POINTS} can be built")
 
-    fiber_table = {code: y.id for (_, y), code in codes.items()}
-    idx = [rep_index[c] for c, _ in codes]
+    dm = distance_matrix(m)
+    fiber_table = {code: y for (_, y), code in codes.items()}
+    idx = [rep[k] for k, _ in codes]
     rows = [[row[j] for j in idx] for row in (dm.num[i] for i in idx)]
     instance = _table_mapping_from_rows(m.base, fiber_table, dm.den, rows)
     # The completed carrier keeps the order of ``codes``.
     star = dict(zip(codes, instance.points()))
-
-    class_of = {x: c for c in classes for x in c}
-    embedding = {x: star[(class_of[x], m.fiber_of(x))] for x in m.points()}
+    embedding = {
+        x: star[(class_of[i], masks.fiber_ids[i])] for i, x in enumerate(masks.points)
+    }
     return FiniteCompletion(instance, embedding)
 
 

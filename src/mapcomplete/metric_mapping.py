@@ -5,7 +5,8 @@ The distance is a pseudometric on the whole carrier whose restriction to
 each fiber is a genuine metric; validators check both, exhaustively on
 finite carriers and over an enumeration prefix otherwise. For finite
 instances the module also computes closures in the topology whose basic
-opens are (metric ball) & (fiber preimage of a basic open of the base).
+opens are (metric ball) & (fiber preimage of a basic open of the base),
+on bitmasks over the point indices (point_masks).
 
 All distances are exact rationals. No floating point enters the core:
 the certified error bounds downstream are only sound with exact base
@@ -19,10 +20,10 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm
-from typing import Callable, ClassVar, Iterable, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Union
 from weakref import WeakKeyDictionary
 
-from .base_topology import Base, BasePoint, FiniteBase
+from .base_topology import Base, BasePoint, FiniteBase, FiniteOpen, PointId
 from .errors import EvaluatorError, InputError, Violation
 from .rationals import format_rational, nth_unit_rational
 
@@ -628,21 +629,97 @@ def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
     return violations
 
 
-# One fiber index per live mapping: its carrier points grouped by the id
-# of their base point, in carrier order.
-_FIBERS: WeakKeyDictionary = WeakKeyDictionary()
+def bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, eq=False)
+class PointMasks:
+    """The plain data of a finite instance's topology, with each set of
+    points an ``int`` bitmask: bit i stands for ``points[i]``, the i-th
+    point of the mapping's DistanceMatrix.
+
+    ``order`` lists the point indices by code (as text), the order of
+    every certificate. ``zero[i]`` is the zero class {v : d(x_i, v) = 0}
+    of x_i, read from the zeros of its matrix row. ``fiber_ids[i]`` is
+    the id of x_i's base point, ``fiber[y]`` the points over base point id
+    y, and ``pre[o]`` the preimage of basis set o. Nothing here decides a
+    closure or a limit; both finite sides read it, as they read the matrix.
+    """
+
+    points: tuple[CarrierPoint, ...]
+    index: dict[CarrierPoint, int]
+    order: tuple[int, ...]
+    zero: list[int]
+    fiber_ids: list[PointId]
+    fiber: dict[PointId, int]
+    pre: dict[FiniteOpen, int]
+
+    def mask_of(self, region: Iterable[CarrierPoint]) -> int:
+        mask = 0
+        for x in region:
+            i = self.index.get(x)
+            if i is None:
+                raise InputError(f"point {x.code!r} is not in the carrier")
+            mask |= 1 << i
+        return mask
+
+    def points_of(self, mask: int) -> frozenset:
+        pts = self.points
+        return frozenset(pts[i] for i in bit_indices(mask))
+
+
+# One PointMasks per live mapping; it depends only on the mapping, and
+# goes when the mapping does.
+_POINT_MASKS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def point_masks(m: MetricMapping) -> PointMasks:
+    """The PointMasks of a finite instance, built on the first call for
+    ``m`` and reused by every later one. Reading the rows through
+    ``DistanceMatrix.row`` raises a ``custom`` mapping's recorded
+    ``EvaluatorError``, and then nothing is kept."""
+    masks = _POINT_MASKS.get(m)
+    if masks is None:
+        if not m.is_finite_instance():
+            raise InputError("operation needs a finite carrier and a finite base")
+        dm = distance_matrix(m)
+        pts = dm.points
+        fiber_ids = [m.fiber_of(x).id for x in pts]
+        fiber = {y.id: 0 for y in m.base.points}
+        for i, fid in enumerate(fiber_ids):
+            fiber[fid] = fiber.get(fid, 0) | 1 << i
+        pre = {}
+        for o in m.base.basis:
+            p = 0
+            for y in o:
+                p |= fiber[y]
+            pre[o] = p
+        masks = PointMasks(
+            pts,
+            dm.index,
+            tuple(sorted(range(len(pts)), key=lambda i: str(pts[i].code))),
+            [sum(1 << j for j, v in enumerate(dm.row(x)) if v == 0) for x in pts],
+            fiber_ids,
+            fiber,
+            pre,
+        )
+        _POINT_MASKS[m] = masks
+    return masks
 
 
 def fiber_preimage(m: MetricMapping, region: Iterable[BasePoint]) -> frozenset:
-    """Carrier points whose fiber lies in ``region`` (finite carriers),
-    read from the mapping's fiber index, built on the first call."""
-    by_id = _FIBERS.get(m)
-    if by_id is None:
-        by_id = {}
-        for x in m.points():
-            by_id.setdefault(m.fiber_of(x).id, []).append(x)
-        _FIBERS[m] = by_id
-    return frozenset(x for i in {y.id for y in region} for x in by_id.get(i, ()))
+    """Carrier points whose fiber lies in ``region`` (finite instances),
+    read from the fiber masks of ``point_masks(m)``."""
+    masks = point_masks(m)
+    mask = 0
+    for y in region:
+        mask |= masks.fiber.get(y.id, 0)
+    return masks.points_of(mask)
 
 
 def closure_radii(m: MetricMapping) -> list[Fraction]:
@@ -657,7 +734,7 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
     zero), so its ball around x is x's zero class {v : d(x, v) = 0}, and
     that ball lies inside the ball of every other radius. Closures and
     limit points need no other ball, so both finite sides read the zero
-    class straight from x's distance-matrix row (see _neighborhoods and
+    class as a mask, ``point_masks(m).zero`` (see _neighborhoods and
     finite_oracle._is_limit).
     """
     dm = distance_matrix(m)
@@ -674,17 +751,11 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
     return positive or [Fraction(1)]
 
 
-# One neighborhood table per live mapping; it depends only on the mapping,
-# and goes when the mapping does.
-_NEIGHBORHOODS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _neighborhoods(m: MetricMapping) -> dict[CarrierPoint, frozenset]:
+def _neighborhoods(m: MetricMapping) -> list[tuple[int, ...]]:
     """The minimal basic neighborhoods of every point of a finite
-    instance: the point's zero class {v : d(x, v) = 0}, the zeros of its
-    distance-matrix row, intersected with the preimage of each basis set
-    holding its fiber. Built on the first call for ``m`` and reused by
-    every later one.
+    instance, as masks: for x_i, its zero class ``zero[i]`` of
+    ``point_masks(m)``, intersected with the preimage of each basis set
+    holding its fiber, each distinct mask once.
 
     Only these decide a closure, with no assumption on the basis or the
     metric. Every ball of positive radius around x contains x's zero
@@ -693,18 +764,25 @@ def _neighborhoods(m: MetricMapping) -> dict[CarrierPoint, frozenset]:
     neighborhood does; the converse is plain, since the zero class is
     itself a ball (of radius the smallest positive distance from x).
     """
-    table = _NEIGHBORHOODS.get(m)
-    if table is None:
-        dm = distance_matrix(m)
-        pts = dm.points
-        preimages = {o: fiber_preimage(m, map(BasePoint, o)) for o in m.base.basis}
-        table = {}
-        for x in pts:
-            fx = m.fiber_of(x).id
-            zero = frozenset(v for v, dv in zip(pts, dm.row(x)) if dv == 0)
-            table[x] = frozenset(zero & preimages[o] for o in m.base.basis if fx in o)
-        _NEIGHBORHOODS[m] = table
-    return table
+    masks = point_masks(m)
+    opens = {y: [p for o, p in masks.pre.items() if y in o] for y in masks.fiber}
+    return [
+        tuple({z & p for p in opens[fid]}) for z, fid in zip(masks.zero, masks.fiber_ids)
+    ]
+
+
+def _closure_mask(nbhds: list[tuple[int, ...]], a: int) -> int:
+    """The closure of the points of mask ``a``, as a mask: every point
+    each of whose minimal neighborhoods ``nbhds`` (from _neighborhoods)
+    meets ``a``."""
+    closure = 0
+    for i, ns in enumerate(nbhds):
+        for n in ns:
+            if not n & a:
+                break
+        else:
+            closure |= 1 << i
+    return closure
 
 
 def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozenset:
@@ -716,16 +794,13 @@ def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozense
     _neighborhoods decide this: every ball around x contains x's zero
     class, so each basic neighborhood ball & pre(o) contains the minimal
     zero(x) & pre(o), and all meet the region iff all minimal ones do.
+    The test runs on masks (_closure_mask); only the result is turned
+    back into points.
     """
     if not m.is_finite_instance():
         raise InputError("closure_finite needs a finite carrier and a finite base")
-    a = frozenset(region)
-    table = _neighborhoods(m)
-    for x in a:
-        if x not in table:
-            raise InputError(f"point {x.code!r} is not in the carrier")
+    masks = point_masks(m)
+    a = masks.mask_of(region)
     if not a:
         return frozenset()
-    return frozenset(
-        x for x, nbhds in table.items() if not any(n.isdisjoint(a) for n in nbhds)
-    )
+    return masks.points_of(_closure_mask(_neighborhoods(m), a))

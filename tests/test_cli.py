@@ -280,10 +280,10 @@ def test_cli_complete_check_decides_40_points(tmp_path, capsys, monkeypatch, see
     m = stress_instance(seed, 40, 4)
     path = _write(tmp_path, instance_document(m))
     closures = []
-    closure_finite = finite_oracle.closure_finite
+    closure_mask = finite_oracle._closure_mask
     monkeypatch.setattr(
-        finite_oracle, "closure_finite",
-        lambda m, region: closures.append(region) or closure_finite(m, region),
+        finite_oracle, "_closure_mask",
+        lambda nbhds, region: closures.append(region) or closure_mask(nbhds, region),
     )
     ok, cert = filter_by_subset_sweep(m)
     assert run_command(["complete-check", path]) == (0 if ok else 1)
@@ -912,3 +912,28 @@ def test_cli_quotes_a_rational_point_outside_the_carrier_as_documents_do(capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "ERROR point '101/2' is not in the carrier\n"
+
+
+@pytest.mark.parametrize("document, spec, message", [
+    ("interval.json", "const(5)", "const: point 5 is outside the carrier interval"),
+    ("interval.json", "table(1;tail=9)", "table tail: point 9 is outside the carrier interval"),
+    ("interval.json", "foo", "cannot parse point spec 'foo'"),
+    ("interval.json", "table(1;2)", "table spec needs ';tail=<point>'"),
+    ("interval.json", "table(1;foo=2)", "table spec needs ';tail=<point>'"),
+    ("grid.json", "const(1/7)", "const: grid points are written as two rationals, like '1/2 0'"),
+    ("grid.json", "const(1/3 0)", "const: point '1/3 0' is not on the carrier grid"),
+])
+def test_cli_point_spec_errors_exit_2(capsys, document, spec, message):
+    argv = ["dstar", str(GOLDEN / document), "--point", spec, "--point", "const(1)"]
+    if document == "grid.json":
+        argv[-1] = "const(1 1)"
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {message}\n"
+
+
+def test_only_finite_table_instances_are_serialized():
+    m = parse_instance(json.dumps(INTERVAL_DOC))
+    with pytest.raises(InputError, match=r"^only finite table instances can be serialized$"):
+        instance_document(m)

@@ -310,8 +310,10 @@ def test_deciders_share_no_decision_logic(monkeypatch, sierpinski, incomplete_in
         raise AssertionError("decider reached the other side's code")
 
     sides = {
-        "filter": ("is_complete_filter", "closure_finite", "closure_radii", "_neighborhoods"),
-        "net": ("zero_classes", "_tied_core", "_is_limit", "_preimages_around"),
+        "filter": ("is_complete_filter", "closure_finite", "closure_radii", "_neighborhoods",
+                   "_closure_mask"),
+        "net": ("zero_classes", "_zero_class_masks", "_tied_core", "_is_limit", "_limit_set",
+                "_preimages_around"),
     }
     instances = [sierpinski, incomplete_instance] + [random_instance(s) for s in range(30)]
     for decider, other in ((is_complete_filter, "net"), (is_complete_net, "filter")):
@@ -372,8 +374,8 @@ def test_deciders_scale_to_256_points(n, coarse):
 
 
 def test_closure_table_is_built_once_per_mapping(monkeypatch):
-    # Every build of the neighborhood table ends by storing it for its
-    # mapping; a table rebuilt on each closure would be stored each time.
+    # Every build of the point masks ends by storing them for their
+    # mapping; masks rebuilt on each closure would be stored each time.
     from weakref import WeakKeyDictionary
 
     from mapcomplete import metric_mapping
@@ -385,9 +387,10 @@ def test_closure_table_is_built_once_per_mapping(monkeypatch):
             builds.append(key)
             super().__setitem__(key, value)
 
-    monkeypatch.setattr(metric_mapping, "_NEIGHBORHOODS", Recording())
+    monkeypatch.setattr(metric_mapping, "_POINT_MASKS", Recording())
     m = stress_instance(3, 14)
     is_complete_filter(m)
+    is_complete_net(m)
     lemma2_check(m)
     cluster_and_limit_sets(m, m.points()[:3])
     assert builds == [m]
@@ -442,13 +445,13 @@ def test_lemma2_singleton_sets_match_full_topology():
             )
 
 
-def test_closure_and_limit_sets_match_full_topology_on_coarse_instances():
+def _check_small_regions_against_full_topology(coarse: bool):
     # 8-12 points, past random_instance's sizes: the topology is generated
     # once per instance, and every region of one or two points is checked.
     grown = limited = 0
     for n in range(8, 13):
         for seed in range(4):
-            m = stress_instance(seed, n, 3, coarse=True)
+            m = stress_instance(seed, n, 3, coarse=coarse)
             pts = m.points()
             for region in [{x} for x in pts] + [set(pair) for pair in combinations(pts, 2)]:
                 clusters = closure_via_full_topology(m, region)
@@ -460,6 +463,17 @@ def test_closure_and_limit_sets_match_full_topology_on_coarse_instances():
     assert grown and limited
 
 
+def test_closure_and_limit_sets_match_full_topology_on_coarse_instances():
+    _check_small_regions_against_full_topology(coarse=True)
+
+
+def test_closure_and_limit_sets_match_full_topology_on_fine_instances():
+    # A fine base's opens are random sets closed under intersection, often
+    # singletons, so here the base preimages cut the neighborhoods hardest:
+    # a closure or limit test that dropped them would fail on this check.
+    _check_small_regions_against_full_topology(coarse=False)
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_lemma2_decides_40_coarse_points(monkeypatch, seed):
     # T_y can be the whole carrier, so a sweep of its subsets would never
@@ -469,10 +483,10 @@ def test_lemma2_decides_40_coarse_points(monkeypatch, seed):
     m = stress_instance(seed, 40, 4, coarse=True)
     assert _widest_tied_class(m) >= 3
     closures = []
-    closure_finite = finite_oracle.closure_finite
+    closure_mask = finite_oracle._closure_mask
     monkeypatch.setattr(
-        finite_oracle, "closure_finite",
-        lambda m, region: closures.append(region) or closure_finite(m, region),
+        finite_oracle, "_closure_mask",
+        lambda nbhds, region: closures.append(region) or closure_mask(nbhds, region),
     )
     assert _lemma2_outcome(m) == lemma2_by_subset_sweep(m)
     assert 0 < len(closures) <= 40
