@@ -309,10 +309,11 @@ def _cmd_complete_construct(args) -> Report:
                f"points={len(completed.instance.points())}")
     dm, star = distance_matrix(m), distance_matrix(completed.instance)
     image = [star.index[completed.embedding[x]] for x in dm.points]
+    # Each matrix has its own den, so compare numerators cross-multiplied.
     iso_ok = all(
-        star.value(image[i], image[j]) == dm.value(i, j)
-        for i in range(len(image))
-        for j in range(len(image))
+        star.num[a][b] * dm.den == dm.num[i][j] * star.den
+        for i, a in enumerate(image)
+        for j, b in enumerate(image)
     )
     report.add("embedding_isometric", iso_ok, "exact")
     closure = closure_finite(completed.instance, completed.embedding.values())

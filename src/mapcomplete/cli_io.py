@@ -268,7 +268,7 @@ def instance_document(m: MetricMapping) -> dict:
             "entries": [
                 [a.code, b.code, format_rational(Fraction(d, dm.den))]
                 for i, a in enumerate(points)
-                for b, d in zip(points[i + 1 :], dm.row(a)[i + 1 :])
+                for b, d in zip(points[i + 1 :], dm.row(i)[i + 1 :])
             ],
         },
     }

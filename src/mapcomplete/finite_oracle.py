@@ -6,18 +6,16 @@ check between the two, the cluster/limit identity for tied sets, and an
 explicit finite completion.
 
 Sets of carrier points are ``int`` bitmasks over the indices of the
-mapping's DistanceMatrix points. Both completeness deciders read one plain
-helper, metric_mapping.point_masks: the code order of the points, each
-point's zero-class mask {v : d(x, v) = 0} from its matrix row, a fiber
-mask per base point and a preimage mask per basis set, built once per
-mapping. They share no decision logic: the filter side decides through
-closures over the minimal basic neighborhoods of metric_mapping (each
-point's zero class cut by the preimages of the basis sets around its
-fiber), the net side through zero classes, tied cores and a limit test
-of its own (see _is_limit). The value of the agreement suite rests on the
-two paths being independent. Points come back as frozensets only at the
-public boundary: closures, zero classes, cluster and limit sets, and
-certificates.
+mapping's DistanceMatrix points. Every function here starts at
+metric_mapping.point_masks, the one finiteness gate and the one view of
+the topology, built once per mapping (see PointMasks). The completeness
+deciders share no decision logic: the filter side decides through
+closures over the minimal basic neighborhoods of metric_mapping, the net
+side through zero classes, tied cores and a limit test of its own (see
+_is_limit); each intersects ``around[y]`` into T_y itself. The value of
+the agreement suite rests on the two paths being independent. Points
+come back as frozensets only at the public boundary: closures, zero
+classes, cluster and limit sets, and certificates.
 
 Both sides read one ball per point, its zero class: it lies in every
 ball around x and is itself one, so every ball around x meets (closure)
@@ -39,7 +37,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .base_topology import FiniteBase, PointId
 from .errors import InputError
@@ -107,15 +104,6 @@ class TailSequence:
         return self.tail[(n - len(self.prefix) - 1) % len(self.tail)]
 
 
-def ensure_finite_instance(m: MetricMapping) -> None:
-    if not m.is_finite_instance():
-        raise InputError("this oracle needs a finite carrier and a finite base")
-
-
-def _sorted_points(pts: Iterable[CarrierPoint]) -> list[CarrierPoint]:
-    return sorted(pts, key=lambda p: str(p.code))
-
-
 class _UnionFind:
     """Plain union-find with path compression; small inputs, no ranks."""
 
@@ -154,51 +142,45 @@ def _zero_class_masks(masks: PointMasks) -> list[int]:
 
 def zero_classes(m: MetricMapping) -> tuple[frozenset, ...]:
     """Zero-distance classes of the carrier, ordered by smallest code."""
-    ensure_finite_instance(m)
     masks = point_masks(m)
     return tuple(masks.points_of(c) for c in _zero_class_masks(masks))
 
 
-def _tied_core(masks: PointMasks, preimages: list[int]) -> int:
-    """T_y as a mask: the carrier points in every one of ``preimages``,
-    the preimages of the basic opens around y (``_preimages_around(m)[y.id]``)."""
+def _tied_core(masks: PointMasks, y: PointId) -> int:
+    """T_y as a mask: the points in every preimage ``masks.around[y]`` of a
+    basic open around base point id ``y``. The net side's own."""
     core = (1 << len(masks.points)) - 1
-    for pre in preimages:
+    for pre in masks.around[y]:
         core &= pre
     return core
 
 
-def _preimages_around(m: MetricMapping) -> dict[PointId, list[int]]:
-    """For each base point id, the preimage masks of the basic opens around it."""
-    pre = point_masks(m).pre
-    return {y.id: [p for o, p in pre.items() if y.id in o] for y in m.base.points}
-
-
-def _is_limit(masks: PointMasks, i: int, region: int, around) -> bool:
+def _is_limit(masks: PointMasks, i: int, region: int) -> bool:
     """Whether x_i is a limit point of the principal filter of the mask
     ``region``, and so of every sequence that cycles through ``region``:
     each basic neighborhood of x_i, a ball around x_i intersected with the
-    preimage of a basic open around its fiber (``around``, from
-    _preimages_around), contains all of ``region``.
+    preimage of a basic open around its fiber (``masks.around``), contains
+    all of ``region``.
 
     Every ball {v : d(x_i, v) <= t} contains the t = 0 ball, x_i's zero
     class, so this holds iff ``region`` lies in the zero class and in
-    each of those preimages.
+    each of those preimages. The zero class is asked for even over a base
+    point in no basis set (see lemma2_check).
     """
     if region & ~masks.zero[i]:
         return False
-    for pre in around[masks.fiber_ids[i]]:
+    for pre in masks.around[masks.fiber_ids[i]]:
         if region & ~pre:
             return False
     return True
 
 
-def _limit_set(masks: PointMasks, region: int, around) -> int:
+def _limit_set(masks: PointMasks, region: int) -> int:
     """The mask of the points whose every basic neighborhood contains the
-    mask ``region`` entirely; ``around`` is _preimages_around(m)."""
+    mask ``region`` entirely."""
     limits = 0
     for i in range(len(masks.points)):
-        if _is_limit(masks, i, region, around):
+        if _is_limit(masks, i, region):
             limits |= 1 << i
     return limits
 
@@ -209,19 +191,12 @@ def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozens
     Cluster points are exactly the closure of the minimal set; limit
     points are the points all of whose basic neighborhoods contain it.
     """
-    ensure_finite_instance(m)
     masks = point_masks(m)
     a = masks.mask_of(region)
     if not a:
         raise InputError("region must be nonempty")
     clusters = _closure_mask(_neighborhoods(m), a)
-    return masks.points_of(clusters), masks.points_of(_limit_set(masks, a, _preimages_around(m)))
-
-
-def _diam_zero(m: MetricMapping, subset) -> bool:
-    masks = point_masks(m)
-    a = masks.mask_of(subset)
-    return not any(a & ~(1 << i) & ~masks.zero[i] for i in bit_indices(a))
+    return masks.points_of(clusters), masks.points_of(_limit_set(masks, a))
 
 
 def is_complete_filter(m: MetricMapping) -> OracleVerdict:
@@ -243,7 +218,6 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
     first, in the same order, and a failing y always has a failing
     singleton.
     """
-    ensure_finite_instance(m)
     masks = point_masks(m)
     nbhds = _neighborhoods(m)
     everything = (1 << len(masks.points)) - 1
@@ -251,9 +225,8 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
     for y in m.base.points:
         fiber_y = masks.fiber[y.id]
         tied = everything
-        for o, pre in masks.pre.items():
-            if y.id in o:
-                tied &= pre
+        for pre in masks.around[y.id]:
+            tied &= pre
         for i in masks.order:
             if not tied >> i & 1:
                 continue
@@ -274,18 +247,14 @@ def is_complete_net(m: MetricMapping) -> OracleVerdict:
     instance is complete iff each nonempty C & T_y has a limit point in
     the fiber of y. Independent of is_complete_filter by construction.
     """
-    ensure_finite_instance(m)
     masks = point_masks(m)
     classes = _zero_class_masks(masks)
-    around = _preimages_around(m)
     for y in m.base.points:
-        tied_core = _tied_core(masks, around[y.id])
+        tied_core = _tied_core(masks, y.id)
         fiber_y = masks.fiber[y.id]
         for c in classes:
             tied_set = c & tied_core
-            if tied_set and not any(
-                _is_limit(masks, i, tied_set, around) for i in bit_indices(fiber_y)
-            ):
+            if tied_set and not any(_is_limit(masks, i, tied_set) for i in bit_indices(fiber_y)):
                 return OracleVerdict(False, (y, masks.points_of(tied_set)))
     return OracleVerdict(True)
 
@@ -299,11 +268,12 @@ def filter_of_net(seq: TailSequence) -> PrincipalFilter:
 def net_of_filter(m: MetricMapping, flt: PrincipalFilter) -> TailSequence:
     """A sequence realizing a principal filter with zero-diameter minimal
     set: cycle through the minimal set forever. Rejects larger diameters,
-    which no Cauchy sequence can realize."""
-    ensure_finite_instance(m)
-    if not _diam_zero(m, flt.min_set):
+    which no Cauchy sequence can realize. The cycle runs in code order."""
+    masks = point_masks(m)
+    a = masks.mask_of(flt.min_set)
+    if any(a & ~(1 << i) & ~masks.zero[i] for i in bit_indices(a)):
         raise InputError("minimal set has positive diameter; not realizable by a Cauchy sequence")
-    return TailSequence((), tuple(_sorted_points(flt.min_set)))
+    return TailSequence((), tuple(masks.points[i] for i in masks.order if a >> i & 1))
 
 
 def net_cluster_limit(m: MetricMapping, seq: TailSequence) -> tuple[frozenset, frozenset]:
@@ -338,22 +308,27 @@ def lemma2_check(m: MetricMapping) -> OracleVerdict:
     and lim({x}) differ on F, else (y, {x, x'}) for the first zero-distance
     pair whose cl differ on F. Each point's cl and lim are computed once,
     as masks.
+
+    Lemma 2 holds on every valid instance, so both returns of a
+    counterexample need invalid input. The pair return needs distance
+    zero not to be transitive, which breaks the triangle inequality. The
+    singleton return needs a base point in no basis set, which breaks the
+    cover axiom: _neighborhoods gives a point over it no neighborhood, so
+    its cl is every point, while _is_limit still asks for its zero class.
     """
-    ensure_finite_instance(m)
     masks = point_masks(m)
     pts, zero = masks.points, masks.zero
     nbhds = _neighborhoods(m)
-    around = _preimages_around(m)
     clusters: dict[int, int] = {}
     limits: dict[int, int] = {}
     for y in m.base.points:
         fiber_y = masks.fiber[y.id]
-        core = _tied_core(masks, around[y.id])
+        core = _tied_core(masks, y.id)
         tied = [i for i in masks.order if core >> i & 1]
         for i in tied:
             if i not in clusters:
                 clusters[i] = _closure_mask(nbhds, 1 << i)
-                limits[i] = _limit_set(masks, 1 << i, around)
+                limits[i] = _limit_set(masks, 1 << i)
             if (clusters[i] ^ limits[i]) & fiber_y:
                 return OracleVerdict(False, (y, frozenset({pts[i]})))
         for i, j in combinations(tied, 2):
@@ -386,7 +361,6 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     result is complete under both oracle criteria. A completion of more
     than MAX_POINTS points raises InputError before its table is built.
     """
-    ensure_finite_instance(m)
     masks = point_masks(m)
     classes = _zero_class_masks(masks)
     class_of = [0] * len(masks.points)
@@ -402,10 +376,9 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
         return str(part).replace("\\", "\\\\").replace("*", "\\*")
 
     rep_code = [escape(masks.points[rep[k]].code) for k in range(len(classes))]
-    around = _preimages_around(m)
     codes: dict[tuple[int, PointId], str] = {}
     for y in m.base.points:
-        core = _tied_core(masks, around[y.id])
+        core = _tied_core(masks, y.id)
         y_code = escape(y.id)
         for k, c in enumerate(classes):
             if c & core:

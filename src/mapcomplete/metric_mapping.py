@@ -23,7 +23,7 @@ from math import floor, gcd, lcm
 from typing import Callable, ClassVar, Iterable, Iterator, Union
 from weakref import WeakKeyDictionary
 
-from .base_topology import Base, BasePoint, FiniteBase, FiniteOpen, PointId
+from .base_topology import Base, BasePoint, FiniteBase, PointId, format_id
 from .errors import EvaluatorError, InputError, Violation
 from .rationals import format_rational, nth_unit_rational
 
@@ -60,11 +60,6 @@ class FiniteCarrier:
 
     def __contains__(self, x: CarrierPoint) -> bool:
         return x in self.points
-
-    def enumerate_point(self, n: int) -> CarrierPoint:
-        if not 0 <= n < len(self.points):
-            raise InputError(f"carrier has {len(self.points)} points, index {n} out of range")
-        return self.points[n]
 
 
 @dataclass(frozen=True)
@@ -137,12 +132,6 @@ class RationalGridCarrier:
             if (v - self.lo) % self.step != 0:
                 return False
         return True
-
-    def enumerate_point(self, n: int) -> CarrierPoint:
-        pts = self.points
-        if not 0 <= n < len(pts):
-            raise InputError(f"grid has {len(pts)} points, index {n} out of range")
-        return pts[n]
 
 
 Carrier = Union[FiniteCarrier, RationalIntervalCarrier, RationalGridCarrier]
@@ -462,15 +451,12 @@ class DistanceMatrix:
             raise InputError(f"unknown carrier pair ({x.code!r}, {x2.code!r})") from None
         return Fraction(self.num[i][j], self.den)
 
-    def row(self, x: CarrierPoint) -> list[int]:
-        """Numerators of d(x, v) for every point v, in point order.
+    def row(self, i: int) -> list[int]:
+        """Numerators of d(points[i], v) for every point v, in point order.
 
         Raises the recorded ``EvaluatorError`` of the row's first failed
         entry; a back entry left unevaluated raises its forward failure.
         """
-        i = self.index.get(x)
-        if i is None:
-            raise InputError(f"point {x.code!r} is not in the carrier")
         r = self.num[i]
         # Entries are None only where an evaluation failed or was skipped
         # after one, so without failures there is nothing to look for.
@@ -647,8 +633,9 @@ class PointMasks:
     every certificate. ``zero[i]`` is the zero class {v : d(x_i, v) = 0}
     of x_i, read from the zeros of its matrix row. ``fiber_ids[i]`` is
     the id of x_i's base point, ``fiber[y]`` the points over base point id
-    y, and ``pre[o]`` the preimage of basis set o. Nothing here decides a
-    closure or a limit; both finite sides read it, as they read the matrix.
+    y, and ``around[y]`` the preimages of the basis sets that hold y, in
+    basis order. Nothing here decides a closure or a limit; both finite
+    sides read it, as they read the matrix.
     """
 
     points: tuple[CarrierPoint, ...]
@@ -657,7 +644,7 @@ class PointMasks:
     zero: list[int]
     fiber_ids: list[PointId]
     fiber: dict[PointId, int]
-    pre: dict[FiniteOpen, int]
+    around: dict[PointId, list[int]]
 
     def mask_of(self, region: Iterable[CarrierPoint]) -> int:
         mask = 0
@@ -680,33 +667,40 @@ _POINT_MASKS: WeakKeyDictionary = WeakKeyDictionary()
 
 def point_masks(m: MetricMapping) -> PointMasks:
     """The PointMasks of a finite instance, built on the first call for
-    ``m`` and reused by every later one. Reading the rows through
-    ``DistanceMatrix.row`` raises a ``custom`` mapping's recorded
-    ``EvaluatorError``, and then nothing is kept."""
+    ``m`` and reused by every later one. The one gate of every finite
+    function: a mapping that is not a finite instance, or whose fiber
+    leaves its base, raises ``InputError``, and a ``custom`` mapping's
+    recorded ``EvaluatorError`` raises from ``DistanceMatrix.row``.
+    Whatever raises, nothing is kept."""
     masks = _POINT_MASKS.get(m)
     if masks is None:
         if not m.is_finite_instance():
-            raise InputError("operation needs a finite carrier and a finite base")
+            raise InputError("this oracle needs a finite carrier and a finite base")
         dm = distance_matrix(m)
         pts = dm.points
         fiber_ids = [m.fiber_of(x).id for x in pts]
         fiber = {y.id: 0 for y in m.base.points}
         for i, fid in enumerate(fiber_ids):
-            fiber[fid] = fiber.get(fid, 0) | 1 << i
-        pre = {}
+            if fid not in fiber:
+                raise InputError(
+                    f"fiber of {pts[i].code!r} targets unknown base point {format_id(fid)}"
+                )
+            fiber[fid] |= 1 << i
+        around = {y: [] for y in fiber}
         for o in m.base.basis:
             p = 0
             for y in o:
                 p |= fiber[y]
-            pre[o] = p
+            for y in o:
+                around[y].append(p)
         masks = PointMasks(
             pts,
             dm.index,
             tuple(sorted(range(len(pts)), key=lambda i: str(pts[i].code))),
-            [sum(1 << j for j, v in enumerate(dm.row(x)) if v == 0) for x in pts],
+            [sum(1 << j for j, v in enumerate(dm.row(i)) if v == 0) for i in range(len(pts))],
             fiber_ids,
             fiber,
-            pre,
+            around,
         )
         _POINT_MASKS[m] = masks
     return masks
@@ -739,8 +733,8 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
     """
     dm = distance_matrix(m)
     values = {0}
-    for i, x in enumerate(dm.points):
-        values.update(dm.row(x)[i + 1:])
+    for i in range(len(dm.points)):
+        values.update(dm.row(i)[i + 1:])
     # Numerators, doubled so that midpoints stay integers.
     ordered = sorted(2 * v for v in values)
     radii = set(ordered)
@@ -754,8 +748,8 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
 def _neighborhoods(m: MetricMapping) -> list[tuple[int, ...]]:
     """The minimal basic neighborhoods of every point of a finite
     instance, as masks: for x_i, its zero class ``zero[i]`` of
-    ``point_masks(m)``, intersected with the preimage of each basis set
-    holding its fiber, each distinct mask once.
+    ``point_masks(m)``, intersected with each preimage ``around`` its
+    fiber, each distinct mask once.
 
     Only these decide a closure, with no assumption on the basis or the
     metric. Every ball of positive radius around x contains x's zero
@@ -765,9 +759,8 @@ def _neighborhoods(m: MetricMapping) -> list[tuple[int, ...]]:
     itself a ball (of radius the smallest positive distance from x).
     """
     masks = point_masks(m)
-    opens = {y: [p for o, p in masks.pre.items() if y in o] for y in masks.fiber}
     return [
-        tuple({z & p for p in opens[fid]}) for z, fid in zip(masks.zero, masks.fiber_ids)
+        tuple({z & p for p in masks.around[fid]}) for z, fid in zip(masks.zero, masks.fiber_ids)
     ]
 
 
@@ -797,8 +790,6 @@ def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozense
     The test runs on masks (_closure_mask); only the result is turned
     back into points.
     """
-    if not m.is_finite_instance():
-        raise InputError("closure_finite needs a finite carrier and a finite base")
     masks = point_masks(m)
     a = masks.mask_of(region)
     if not a:

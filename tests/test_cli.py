@@ -918,6 +918,7 @@ def test_cli_quotes_a_rational_point_outside_the_carrier_as_documents_do(capsys)
     ("interval.json", "const(5)", "const: point 5 is outside the carrier interval"),
     ("interval.json", "table(1;tail=9)", "table tail: point 9 is outside the carrier interval"),
     ("interval.json", "foo", "cannot parse point spec 'foo'"),
+    ("interval.json", "table(1)", "table spec needs ';tail=<point>'"),
     ("interval.json", "table(1;2)", "table spec needs ';tail=<point>'"),
     ("interval.json", "table(1;foo=2)", "table spec needs ';tail=<point>'"),
     ("grid.json", "const(1/7)", "const: grid points are written as two rationals, like '1/2 0'"),
@@ -931,6 +932,23 @@ def test_cli_point_spec_errors_exit_2(capsys, document, spec, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ERROR {message}\n"
+
+
+def test_cli_open_on_an_interval_exits_2(capsys):
+    argv = ["density", str(GOLDEN_INTERVAL), "--point", "newton_sqrt(2)", "--open", "a"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR --open applies to finite bases only\n"
+
+
+@pytest.mark.parametrize("command", ["complete-check", "complete-construct"])
+@pytest.mark.parametrize("document", ["interval.json", "grid.json"])
+def test_cli_finite_commands_name_the_one_gate(capsys, command, document):
+    assert run_command([command, str(GOLDEN / document)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR this oracle needs a finite carrier and a finite base\n"
 
 
 def test_only_finite_table_instances_are_serialized():

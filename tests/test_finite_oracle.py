@@ -27,7 +27,15 @@ from mapcomplete.finite_oracle import (
     zero_classes,
     _shortest_path_closure,
 )
-from mapcomplete.metric_mapping import closure_finite, distance_matrix, table_mapping
+from mapcomplete.metric_mapping import (
+    CarrierPoint,
+    FiniteCarrier,
+    MetricMapping,
+    closure_finite,
+    distance_matrix,
+    fiber_preimage,
+    table_mapping,
+)
 from mapcomplete.metric_mapping import validate_fiberwise_metric, validate_pseudometric
 from mapcomplete.base_topology import validate_basis
 
@@ -151,6 +159,70 @@ def test_lemma2_vacuous_when_no_tied_sets():
     base = FiniteBase.of(["a", "b"], [["a"], ["b"]])
     m = table_mapping(base, {"x_b": "b"}, {})
     assert lemma2_check(m).ok
+
+
+# Every public function of the finite layer, called on a mapping whose
+# carrier would hold a point coded "u"; each must stop at point_masks.
+_FINITE_CALLS = {
+    "zero_classes": zero_classes,
+    "cluster_and_limit_sets": lambda m: cluster_and_limit_sets(m, [CarrierPoint("u")]),
+    "is_complete_filter": is_complete_filter,
+    "is_complete_net": is_complete_net,
+    "net_of_filter": lambda m: net_of_filter(m, PrincipalFilter(frozenset({CarrierPoint("u")}))),
+    "net_cluster_limit": lambda m: net_cluster_limit(m, TailSequence((), (CarrierPoint("u"),))),
+    "lemma2_check": lemma2_check,
+    "finite_completion": finite_completion,
+    "closure_finite": lambda m: closure_finite(m, [CarrierPoint("u")]),
+    "fiber_preimage": lambda m: fiber_preimage(m, [BasePoint("a")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_CALLS))
+def test_every_finite_function_rejects_a_fiber_outside_the_base(name):
+    # A library mapping can send a point to an id its base does not have;
+    # documents cannot, since their fibers resolve through base.point.
+    m = MetricMapping(
+        FiniteCarrier.of(["u", "v"]), FiniteBase.of(["a"], [["a"]]),
+        lambda x: BasePoint("a" if x.code == "u" else "zz"),
+        lambda x, x2: Fraction(0 if x == x2 else 1),
+    )
+    assert validate_pseudometric(m, 2) == [] and validate_fiberwise_metric(m, 2) == []
+    with pytest.raises(InputError, match=r"^fiber of 'v' targets unknown base point 'zz'$"):
+        _FINITE_CALLS[name](m)
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_CALLS))
+@pytest.mark.parametrize("fixture", ["interval_mapping", "grid_mapping"])
+def test_every_finite_function_gives_the_one_gate_error(request, name, fixture):
+    m = request.getfixturevalue(fixture)
+    with pytest.raises(InputError, match=r"^this oracle needs a finite carrier and a finite base$"):
+        _FINITE_CALLS[name](m)
+
+
+def test_lemma2_pair_counterexample_needs_a_triangle_break():
+    # d(x0, x1) = 1 > d(x0, x2) + d(x2, x1) = 0, so distance zero is not
+    # transitive: {x0, x2} has zero diameter, but cl({x0}) = {x0, x2} and
+    # cl({x2}) is every point. Each singleton passes, the pair does not.
+    m = table_mapping(FiniteBase.of(["a"], [["a"]]), {"x0": "a", "x1": "a", "x2": "a"},
+                      {("x0", "x1"): 1, ("x0", "x2"): 0, ("x1", "x2"): 0})
+    assert validate_pseudometric(m, 3)
+    x0, _, x2 = m.points()
+    expected = (False, (BasePoint("a"), frozenset({x0, x2})))
+    assert _lemma2_outcome(m) == expected == lemma2_by_subset_sweep(m)
+
+
+def test_lemma2_singleton_counterexample_needs_an_uncovered_base_point():
+    # Base point a lies in no basis set, which breaks the cover axiom.
+    # _neighborhoods gives x0 and x1 no neighborhood, so cl({x0}) is every
+    # point, while _is_limit still asks for x0's zero class, which misses
+    # x1. The subset-sweep oracle reads no neighborhood on both sides and
+    # finds Lemma 2 holding. On a valid basis the two agree.
+    m = table_mapping(FiniteBase.of(["a", "b"], [["b"]]), {"x0": "a", "x1": "a"},
+                      {("x0", "x1"): 2})
+    assert [v.kind for v in validate_basis(m.base)] == ["cover"]
+    x0, _ = m.points()
+    assert _lemma2_outcome(m) == (False, (BasePoint("a"), frozenset({x0})))
+    assert lemma2_by_subset_sweep(m) == (True, None)
 
 
 def test_finite_completion_worked_example(incomplete_instance):
@@ -312,8 +384,7 @@ def test_deciders_share_no_decision_logic(monkeypatch, sierpinski, incomplete_in
     sides = {
         "filter": ("is_complete_filter", "closure_finite", "closure_radii", "_neighborhoods",
                    "_closure_mask"),
-        "net": ("zero_classes", "_zero_class_masks", "_tied_core", "_is_limit", "_limit_set",
-                "_preimages_around"),
+        "net": ("zero_classes", "_zero_class_masks", "_tied_core", "_is_limit", "_limit_set"),
     }
     instances = [sierpinski, incomplete_instance] + [random_instance(s) for s in range(30)]
     for decider, other in ((is_complete_filter, "net"), (is_complete_net, "filter")):

@@ -31,6 +31,7 @@ CASES = {
     "validate-triangle": ["validate", "triangle.json"],
     "validate-malformed": ["validate", "malformed.json"],
     "validate-mixed": ["validate", "mixed_incomplete.json"],
+    "validate-constant-fiber": ["validate", "constant_fiber.json"],
     "dstar-interval": ["dstar", "interval.json", "--point", "newton_sqrt(2)",
                        "--point", "const(3/2)", "--eps", "1/1000000"],
     "dstar-grid": ["dstar", "grid.json", "--point", "const(1/2 0)", "--point", "const(1 1)"],
@@ -52,10 +53,12 @@ CASES = {
     "complete-check-mixed-incomplete": ["complete-check", "mixed_incomplete.json"],
     "complete-check-triangle": ["complete-check", "triangle.json"],
     "complete-check-interval": ["complete-check", "interval.json", "--depth", "4"],
+    "complete-check-constant-fiber": ["complete-check", "constant_fiber.json"],
     "complete-construct-sierpinski": ["complete-construct", "sierpinski.json"],
     "complete-construct-incomplete": ["complete-construct", "incomplete.json"],
     "complete-construct-mixed": ["complete-construct", "mixed_incomplete.json"],
     "complete-construct-triangle": ["complete-construct", "triangle.json"],
+    "complete-construct-constant-fiber": ["complete-construct", "constant_fiber.json"],
     "theorem3": ["theorem3", "--seed", "0", "--count", "40"],
     "theorem3-wide": ["theorem3", "--seed", "500", "--count", "20", "--maxx", "8",
                       "--maxy", "4"],
