@@ -43,7 +43,7 @@ from .finite_oracle import (
     random_instance,
 )
 from .metric_mapping import carrier_is_finite, closure_finite, distance_matrix
-from .metric_mapping import validate_fiberwise_metric, validate_pseudometric
+from .metric_mapping import point_masks, validate_fiberwise_metric, validate_pseudometric
 from .rationals import decimal_approx, format_rational, parse_rational
 from .tied_cauchy import check_tying
 
@@ -158,17 +158,22 @@ def _load_instance(path_text: str):
     return m
 
 
-def _validators_report(m, depth: int, report: Report) -> None:
+def _validators_report(m, depth: int, finite_only: bool = False) -> Report:
+    report = Report()
     if isinstance(m.base, FiniteBase):
         violations = validate_basis(m.base)
         report.add("basis_axioms", not violations,
                    str(violations[0]) if violations else f"{len(m.base.basis)} basic opens")
+    if finite_only and report.exit_code == 0:
+        # Gate before any check at --depth, but report a failing basis (exit 1).
+        point_masks(m)
     violations = validate_pseudometric(m, depth)
     report.add("pseudometric_axioms", not violations,
                str(violations[0]) if violations else f"budget={depth}")
     violations = validate_fiberwise_metric(m, depth)
     report.add("fiberwise_metric", not violations,
                str(violations[0]) if violations else f"budget={depth}")
+    return report
 
 
 def _format_certificate(cert) -> str:
@@ -178,9 +183,7 @@ def _format_certificate(cert) -> str:
 
 
 def _cmd_validate(args) -> Report:
-    report = Report()
-    _validators_report(_load_instance(args.instance), args.depth, report)
-    return report
+    return _validators_report(_load_instance(args.instance), args.depth)
 
 
 def _points(args, m, n: int) -> list:
@@ -246,8 +249,7 @@ def _cmd_density(args) -> Report:
 
 def _cmd_complete_check(args) -> Report:
     m = _load_instance(args.instance)
-    report = Report()
-    _validators_report(m, args.depth, report)
+    report = _validators_report(m, args.depth, finite_only=True)
     if report.exit_code != 0:
         return report
     verdict = is_complete_filter(m)
@@ -297,8 +299,7 @@ def _cmd_suite(args) -> Report:
 
 def _cmd_complete_construct(args) -> Report:
     m = _load_instance(args.instance)
-    report = Report()
-    _validators_report(m, args.depth, report)
+    report = _validators_report(m, args.depth, finite_only=True)
     if report.exit_code != 0:
         return report
     completed = finite_completion(m)

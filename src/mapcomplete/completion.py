@@ -13,7 +13,6 @@ whose output is again a valid completion point.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -154,7 +153,7 @@ def limit_point(psi: RegularCompletionSeq) -> CompletionPoint:
     neighborhood of the target certified by index 4k. The 4k schedule
     leaves regularity slack: the output terms satisfy
     d(out(j), out(k)) <= 1/(2j) + 1/(2k), and the limit satisfies
-    d*(psi.at(k), result) <= 1/k.
+    d*(psi.at(k), result) <= 1/k. No term is kept; each call recomputes it.
 
     Needs a finite base or the one-point base, so that the narrowing open
     can be found among finitely many candidates.
@@ -163,20 +162,10 @@ def limit_point(psi: RegularCompletionSeq) -> CompletionPoint:
     if not isinstance(base, (FiniteBase, OnePointBase)):
         raise InputError("limit_point needs a finite base or the one-point base")
 
-    cache: dict[int, CarrierPoint] = {}
-    lock = threading.Lock()
-
     def term(k: int) -> CarrierPoint:
-        with lock:
-            if k in cache:
-                return cache[k]
         n = 4 * k
         p_n = psi.at(n)
-        target_open = _narrowing_open(base, psi, n, fstar(p_n))
-        x = density_witness(p_n, Fraction(1, n), target_open)
-        with lock:
-            cache[k] = x
-        return x
+        return density_witness(p_n, Fraction(1, n), _narrowing_open(base, psi, n, fstar(p_n)))
 
     def tie_index(basic_open) -> int:
         n = psi.tie.index_for(basic_open)

@@ -164,8 +164,8 @@ def _is_limit(masks: PointMasks, i: int, region: int) -> bool:
 
     Every ball {v : d(x_i, v) <= t} contains the t = 0 ball, x_i's zero
     class, so this holds iff ``region`` lies in the zero class and in
-    each of those preimages. The zero class is asked for even over a base
-    point in no basis set (see lemma2_check).
+    each of those preimages. point_masks refuses a point with no such
+    preimage, which lemma2_check's singleton return cross-checks.
     """
     if region & ~masks.zero[i]:
         return False
@@ -312,9 +312,10 @@ def lemma2_check(m: MetricMapping) -> OracleVerdict:
     Lemma 2 holds on every valid instance, so both returns of a
     counterexample need invalid input. The pair return needs distance
     zero not to be transitive, which breaks the triangle inequality. The
-    singleton return needs a base point in no basis set, which breaks the
-    cover axiom: _neighborhoods gives a point over it no neighborhood, so
-    its cl is every point, while _is_limit still asks for its zero class.
+    singleton return is unreachable past point_masks: with every
+    ``around[y]`` nonempty, v lies in both cl({x}) and lim({x}) iff x is
+    in zero(v) and in each preimage around f(v). It stays as the
+    cross-check of _closure_mask against _is_limit.
     """
     masks = point_masks(m)
     pts, zero = masks.points, masks.zero

@@ -146,7 +146,8 @@ class MetricMapping:
     """Carrier, base, fiber map and distance evaluator, bundled.
 
     ``fiber`` and ``dist`` must be pure: same inputs, same outputs, no side
-    effects. Values are immutable and safe to share across threads.
+    effects. Values are immutable and safe to share across threads; so are
+    the sequences over them, whose terms are pure functions of their index.
     Equality and hashing are by identity: each mapping is its own key in
     the per-mapping caches, found without hashing its carrier and base.
 
@@ -668,10 +669,11 @@ _POINT_MASKS: WeakKeyDictionary = WeakKeyDictionary()
 def point_masks(m: MetricMapping) -> PointMasks:
     """The PointMasks of a finite instance, built on the first call for
     ``m`` and reused by every later one. The one gate of every finite
-    function: a mapping that is not a finite instance, or whose fiber
-    leaves its base, raises ``InputError``, and a ``custom`` mapping's
-    recorded ``EvaluatorError`` raises from ``DistanceMatrix.row``.
-    Whatever raises, nothing is kept."""
+    function: a mapping that is not a finite instance, whose fiber leaves
+    its base, or with a base point in no basis set (an empty ``around[y]``)
+    raises ``InputError``, and a ``custom`` mapping's recorded
+    ``EvaluatorError`` raises from ``DistanceMatrix.row``. Whatever
+    raises, nothing is kept."""
     masks = _POINT_MASKS.get(m)
     if masks is None:
         if not m.is_finite_instance():
@@ -693,6 +695,9 @@ def point_masks(m: MetricMapping) -> PointMasks:
                 p |= fiber[y]
             for y in o:
                 around[y].append(p)
+        for y, pres in around.items():
+            if not pres:
+                raise InputError(f"base point {format_id(y)} lies in no basis set")
         masks = PointMasks(
             pts,
             dm.index,

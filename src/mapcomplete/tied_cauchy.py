@@ -13,7 +13,6 @@ boolean equality.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -64,9 +63,6 @@ class TiedCauchySeq:
 
     def at(self, n: int) -> CarrierPoint:
         return self.seq.at(n)
-
-    def fiber_at(self, n: int) -> BasePoint:
-        return self.mapping.fiber_of(self.seq.at(n))
 
 
 def _check_membership(m: MetricMapping, x: CarrierPoint) -> None:
@@ -152,51 +148,20 @@ def table_seq(
     return TiedCauchySeq(m, RegularSeq(at), y, TyingWitness(tie_index))
 
 
-class _NewtonSqrtTerms:
-    """Term evaluator for the square-root sequence.
+def newton_sqrt_seq(m: MetricMapping, a: Fraction, y: BasePoint | None = None) -> TiedCauchySeq:
+    """The canonical irrational completion point: a sequence converging to
+    sqrt(a) for rational a >= 1, with |at(n) - sqrt(a)| < 1/n.
 
-    Iterates x -> x/2 + a/(2x) from (a+1)/2; term n is the first iterate
-    whose squared residual |x^2 - a| is at most x/n. Starting at (a+1)/2
-    keeps every iterate inside [sqrt(a), (a+1)/2], and the stopping rule
-    gives |at(n) - sqrt(a)| < 1/n, which implies regularity under the
-    absolute-difference distance.
+    Term n iterates x -> x/2 + a/(2x) from (a+1)/2 and stops at the first
+    iterate whose squared residual |x^2 - a| is at most x/n; it depends on
+    n alone, and is checked against the carrier. Iterates stay inside
+    [sqrt(a), (a+1)/2], and the stopping rule gives |at(n) - sqrt(a)| < 1/n,
+    which implies regularity under the absolute-difference distance.
 
     Both steps run on integers. With a = p/q and x = u/v in lowest terms,
     the next iterate is (x^2 + a)/(2x) = (q*u^2 + p*v^2) / (2*q*u*v),
     normalised once as a Fraction. The stopping rule multiplied by
     q*v^2*n > 0 is |q*u^2 - p*v^2| * n <= q*u*v, the same test exactly.
-
-    The iterate list is memoized; the lock keeps concurrent evaluation
-    observationally transparent.
-    """
-
-    def __init__(self, mapping: MetricMapping, a: Fraction):
-        self._mapping = mapping
-        self._a = a
-        self._iterates = [(a + 1) / 2]
-        self._lock = threading.Lock()
-
-    def __call__(self, n: int) -> CarrierPoint:
-        p, q = self._a.numerator, self._a.denominator
-        with self._lock:
-            i = 0
-            while True:
-                if i == len(self._iterates):
-                    # qu2, pv2 and quv are the previous iterate's, from its test.
-                    self._iterates.append(Fraction(qu2 + pv2, 2 * quv))
-                x = self._iterates[i]
-                u, v = x.numerator, x.denominator
-                qu2, pv2, quv = q * u * u, p * v * v, q * u * v
-                if abs(qu2 - pv2) * n <= quv:
-                    point = CarrierPoint(x)
-                    _check_membership(self._mapping, point)
-                    return point
-                i += 1
-
-
-def newton_sqrt_seq(m: MetricMapping, a: Fraction, y: BasePoint | None = None) -> TiedCauchySeq:
-    """The canonical irrational completion point: a sequence converging to
-    sqrt(a) for rational a >= 1, with |at(n) - sqrt(a)| < 1/n.
 
     The witness claims index 1 for every basic open, which holds only when
     all terms share one fiber; the one-point base is the only base accepted.
@@ -216,7 +181,20 @@ def newton_sqrt_seq(m: MetricMapping, a: Fraction, y: BasePoint | None = None) -
     if y is None:
         y = m.fiber_of(start)
     _check_target(m, y)
-    return TiedCauchySeq(m, RegularSeq(_NewtonSqrtTerms(m, a)), y, TyingWitness(lambda o: 1))
+    p, q = a.numerator, a.denominator
+
+    def at(n: int) -> CarrierPoint:
+        x = start.code
+        while True:
+            u, v = x.numerator, x.denominator
+            qu2, pv2, quv = q * u * u, p * v * v, q * u * v
+            if abs(qu2 - pv2) * n <= quv:
+                point = CarrierPoint(x)
+                _check_membership(m, point)
+                return point
+            x = Fraction(qu2 + pv2, 2 * quv)
+
+    return TiedCauchySeq(m, RegularSeq(at), y, TyingWitness(lambda o: 1))
 
 
 def check_regularity(s: TiedCauchySeq, depth: int) -> list[Violation]:
@@ -274,7 +252,7 @@ def check_tying(s: TiedCauchySeq, depth: int) -> list[Violation]:
             violations.append(Violation("witness", str(e), (describe_open(o),)))
             continue
         for n in range(start, max(start, depth) + 1):
-            fb = s.fiber_at(n)
+            fb = s.mapping.fiber_of(s.at(n))
             if not base.open_contains(o, fb):
                 violations.append(
                     Violation(

@@ -944,11 +944,34 @@ def test_cli_open_on_an_interval_exits_2(capsys):
 
 @pytest.mark.parametrize("command", ["complete-check", "complete-construct"])
 @pytest.mark.parametrize("document", ["interval.json", "grid.json"])
-def test_cli_finite_commands_name_the_one_gate(capsys, command, document):
-    assert run_command([command, str(GOLDEN / document)]) == 2
+def test_cli_finite_commands_name_the_one_gate(capsys, monkeypatch, command, document):
+    # The gate refuses the document before any validator runs at --depth.
+    from mapcomplete import cli
+
+    def never(*args):
+        raise AssertionError("a validator ran before the finite gate")
+
+    for name in ("validate_basis", "validate_pseudometric", "validate_fiberwise_metric"):
+        monkeypatch.setattr(cli, name, never)
+    assert run_command([command, str(GOLDEN / document), "--depth", "512"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "ERROR this oracle needs a finite carrier and a finite base\n"
+
+
+@pytest.mark.parametrize("command", ["complete-check", "complete-construct"])
+def test_cli_finite_commands_report_an_uncovered_basis(capsys, command):
+    # The gate also refuses a base point in no basis set, but the finite
+    # commands report that basis as validate does (exit 1), not as bad input.
+    assert run_command([command, str(GOLDEN / "uncovered.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "PROP basis_axioms FAIL [cover] point 'c' lies in no basis set\n"
+        "PROP pseudometric_axioms PASS budget=64\n"
+        "PROP fiberwise_metric PASS budget=64\n"
+        "SUMMARY 2/3\n"
+    )
+    assert captured.err == ""
 
 
 def test_only_finite_table_instances_are_serialized():

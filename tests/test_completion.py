@@ -246,6 +246,9 @@ def test_limit_point_of_newton_truncations(interval_mapping):
     limit = limit_point(lift_seq(s))
     p = CompletionPoint(s)
     assert dstar_approx(limit, p, Fraction(1, 10**4)) <= Fraction(2, 10**4)
+    # No term is kept, so a second evaluation recomputes each one.
+    first = [limit.rep.at(k) for k in range(1, 9)]
+    assert [limit.rep.at(k) for k in range(1, 9)] == first
 
 
 def test_limit_point_recovers_missing_point(incomplete_instance, by_code):

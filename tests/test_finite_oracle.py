@@ -213,16 +213,28 @@ def test_lemma2_pair_counterexample_needs_a_triangle_break():
 
 def test_lemma2_singleton_counterexample_needs_an_uncovered_base_point():
     # Base point a lies in no basis set, which breaks the cover axiom.
-    # _neighborhoods gives x0 and x1 no neighborhood, so cl({x0}) is every
-    # point, while _is_limit still asks for x0's zero class, which misses
-    # x1. The subset-sweep oracle reads no neighborhood on both sides and
-    # finds Lemma 2 holding. On a valid basis the two agree.
+    # _neighborhoods would give x0 and x1 no neighborhood, so cl({x0})
+    # would be every point, while _is_limit asks for x0's zero class, which
+    # misses x1. point_masks refuses the instance before either side runs;
+    # the subset-sweep oracle, which reads no neighborhood on both sides,
+    # still finds Lemma 2 holding.
     m = table_mapping(FiniteBase.of(["a", "b"], [["b"]]), {"x0": "a", "x1": "a"},
                       {("x0", "x1"): 2})
     assert [v.kind for v in validate_basis(m.base)] == ["cover"]
-    x0, _ = m.points()
-    assert _lemma2_outcome(m) == (False, (BasePoint("a"), frozenset({x0})))
+    with pytest.raises(InputError, match=r"^base point 'a' lies in no basis set$"):
+        lemma2_check(m)
     assert lemma2_by_subset_sweep(m) == (True, None)
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_CALLS))
+def test_every_finite_function_rejects_a_base_point_in_no_basis_set(name):
+    # Over an uncovered base point the filter side would see no neighborhood
+    # and call this instance COMPLETE, while the net side, asking for zero
+    # classes, calls it INCOMPLETE; the gate refuses it for every function.
+    m = table_mapping(FiniteBase.of(["a", "b"], [["b"]]), {"u": "a", "v": "b"},
+                      {("u", "v"): 2})
+    with pytest.raises(InputError, match=r"^base point 'a' lies in no basis set$"):
+        _FINITE_CALLS[name](m)
 
 
 def test_finite_completion_worked_example(incomplete_instance):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapcomplete.base_topology import BasePoint
+from mapcomplete.base_topology import BasePoint, OnePointBase
 from mapcomplete.errors import InputError
-from mapcomplete.metric_mapping import CarrierPoint
+from mapcomplete.metric_mapping import CarrierPoint, RationalIntervalCarrier, abs_diff_mapping
 from mapcomplete.rationals import frac_ceil
 from mapcomplete.tied_cauchy import (
     RegularSeq,
@@ -71,19 +71,30 @@ def test_newton_terms_match_the_fraction_recurrence(interval_mapping, a):
 
 
 def test_newton_top_rung_term_normalises_once_per_iterate(interval_mapping, monkeypatch):
-    # The term dstar evaluates at eps = 10^-4299; Fraction calls math.gcd
-    # once per normalisation.
+    # The term dstar evaluates at eps = 10^-4299 takes 13 iterates; Fraction
+    # calls math.gcd once per normalisation, so at most once per iterate
+    # after the start, on every evaluation, since no term is kept.
     s = newton_sqrt_seq(interval_mapping, Fraction(2))
-    calls = []
     gcd = math.gcd
-    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
-    code = s.at(2 * 10**4299).code
-    monkeypatch.undo()
-    iterates = s.seq.at_fn._iterates
-    assert len(iterates) == 13
-    assert code == iterates[-1]
-    assert code.denominator.bit_length() == 10416
-    assert len(calls) <= len(iterates) - 1
+    codes = []
+    for _ in range(2):
+        calls = []
+        monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+        codes.append(s.at(2 * 10**4299).code)
+        monkeypatch.undo()
+        assert len(calls) <= 12
+    assert codes[0] == codes[1]
+    assert codes[0].denominator.bit_length() == 10416
+
+
+def test_newton_term_that_leaves_the_carrier_is_refused():
+    # On (29/20, 3) the start 3/2 lies inside, and at(6) stops there; at(7)
+    # takes the next iterate, 17/12 < 29/20, which lies outside.
+    m = abs_diff_mapping(RationalIntervalCarrier(Fraction(29, 20), Fraction(3)), OnePointBase("o"))
+    s = newton_sqrt_seq(m, Fraction(2))
+    assert s.at(6).code == Fraction(3, 2)
+    with pytest.raises(InputError, match=r"^point '17/12' is not in the carrier$"):
+        s.at(7)
 
 
 def test_newton_preconditions(unit_interval_identity, sierpinski):
