@@ -47,10 +47,12 @@ from .metric_mapping import point_masks, validate_fiberwise_metric, validate_pse
 from .rationals import decimal_approx, format_rational, parse_rational
 from .tied_cauchy import check_tying
 
-# The pseudometric check is cubic in the points it checks: validate on a
-# rational interval takes about 6 s at depth 512 (20 s at 768) on one Xeon
-# core, nearly all of it in the triangle loop. --depth shares the bound on
-# a finite carrier's points; a finite carrier ignores --depth.
+# The pseudometric check grows fast in the points it checks, and on a
+# rational interval its numbers widen with them: validate there takes
+# 3.3-3.7 s at depth 512 on one core of a shared 2-core Xeon host, nearly
+# all of it in the packed triangle test on 125-bit fields, and that test
+# alone takes 16 s at 768 points. --depth shares the bound on a finite
+# carrier's points; a finite carrier ignores --depth.
 MAX_DEPTH = MAX_POINTS
 MAX_COUNT = 100_000
 # The suites' generator: its shortest-path repair is cubic in the number

@@ -227,18 +227,25 @@ def _fiber_entries(obj, carrier) -> dict:
 
 
 def _distance_entries(obj) -> list:
-    """The distance entries as ((x, y), value) items in document order."""
+    """The distance entries as ((x, y), value) items in document order.
+
+    Each distinct value text is parsed once; only texts that parsed are
+    kept, so a bad one raises at its first entry's path."""
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise InputError("entries must be a list of [x, y, value] triples", path="$.distance.entries")
     items = []
+    parsed: dict[str, Fraction] = {}
     for i, entry in enumerate(entries):
         path = f"$.distance.entries[{i}]"
         if not (isinstance(entry, list) and len(entry) == 3
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise InputError("expected [x, y, value] with x and y carrier codes", path=path)
         a, b, raw = entry
-        items.append(((a, b), parse_rational(raw, path=path)))
+        value = parsed.get(raw) if isinstance(raw, str) else None
+        if value is None:
+            value = parsed[raw] = parse_rational(raw, path=path)
+        items.append(((a, b), value))
     return items
 
 

@@ -297,6 +297,55 @@ def test_cli_complete_check_decides_40_points(tmp_path, capsys, monkeypatch, see
     assert 0 < len(closures) <= 40
 
 
+def test_cli_complete_check_decides_512_points(tmp_path, capsys):
+    # The most points a finite document may have; the ordered triangle
+    # loops alone take seconds here, the packed test a fraction of one.
+    from oracles import stress_instance
+
+    path = _write(tmp_path, instance_document(stress_instance(1, 512, 4, coarse=True)))
+    assert run_command(["complete-check", path]) == 1
+    assert capsys.readouterr().out == (
+        "PROP basis_axioms PASS 2 basic opens\n"
+        "PROP pseudometric_axioms PASS budget=64\n"
+        "PROP fiberwise_metric PASS budget=64\n"
+        "PROP complete_check FAIL INCOMPLETE certificate=(y0,{x04})\n"
+        "SUMMARY 3/4\n"
+    )
+
+
+def test_cli_report_is_the_same_without_the_packed_test(tmp_path, capsys, monkeypatch):
+    from mapcomplete import metric_mapping
+    from oracles import stress_instance
+
+    path = _write(tmp_path, instance_document(stress_instance(1, 256, 4, coarse=True)))
+    decided = []
+    packed = metric_mapping._no_pseudometric_break
+    monkeypatch.setattr(metric_mapping, "_no_pseudometric_break",
+                        lambda dm: decided.append(packed(dm)) or decided[-1])
+    assert run_command(["complete-check", path]) == 1
+    out = capsys.readouterr().out
+    assert decided == [True]
+    monkeypatch.setattr(metric_mapping, "_no_pseudometric_break", lambda dm: False)
+    assert run_command(["complete-check", path]) == 1
+    assert capsys.readouterr().out == out
+
+
+def test_each_distinct_distance_text_is_parsed_once(monkeypatch):
+    from mapcomplete import cli_io
+    from oracles import stress_instance
+
+    m = stress_instance(1, 64, 4, coarse=True)
+    doc = instance_document(m)
+    texts = [raw for _, _, raw in doc["distance"]["entries"]]
+    parsed = []
+    parse = cli_io.parse_rational
+    monkeypatch.setattr(cli_io, "parse_rational",
+                        lambda text, path=None: parsed.append(text) or parse(text, path=path))
+    again = parse_instance(json.dumps(doc))
+    assert sorted(parsed) == sorted(set(texts)) and len(parsed) < len(texts) // 4
+    assert again.dist.num == m.dist.num and again.dist.den == m.dist.den
+
+
 def test_cli_round_trip(tmp_path, capsys):
     src = _write(tmp_path, INCOMPLETE_DOC)
     out_path = str(tmp_path / "completed.json")

@@ -253,6 +253,16 @@ CASES = {
     "distance-entry-number": (FINITE, {"distance.entries": [["u", "v", 1], *FINITE_ENTRIES[1:]]},
                               "$.distance.entries[0]: expected an exact rational like '3' or "
                               "'1/2', got 1"),
+    # A value text that repeats is parsed once, and reported at its first entry.
+    "distance-entry-decimal-twice": (FINITE, {"distance.entries": [FINITE_ENTRIES[0],
+                                                                   ["u", "w", "0.5"],
+                                                                   ["v", "w", "0.5"]]},
+                                     "$.distance.entries[1]: expected an exact rational like "
+                                     "'3' or '1/2', got '0.5'"),
+    "distance-entry-list-value": (FINITE, {"distance.entries": [*FINITE_ENTRIES[:2],
+                                                                ["v", "w", ["1"]]]},
+                                  "$.distance.entries[2]: expected an exact rational like '3' or "
+                                  "'1/2', got ['1']"),
     "distance-entry-unknown-code": (FINITE, {"distance.entries": [["u", "zz", "1"]]},
                                     "$.distance.entries[0]: distance entry references unknown "
                                     "carrier point 'zz'"),
