@@ -12,7 +12,7 @@ so every basic open has a finite description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
 from typing import Iterable, Iterator, Union
@@ -52,6 +52,11 @@ class FiniteBase:
 
     points: tuple[BasePoint, ...]
     basis: tuple[FiniteOpen, ...]
+    # The point ids as a set, for ``point``'s lookups.
+    _id_set: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_id_set", frozenset(p.id for p in self.points))
 
     @classmethod
     def of(
@@ -77,7 +82,12 @@ class FiniteBase:
         return tuple(p.id for p in self.points)
 
     def point(self, token) -> BasePoint:
-        if token not in self.point_ids():
+        try:
+            known = token in self._id_set
+        except TypeError:
+            # An unhashable token, such as a JSON list, names no point.
+            known = False
+        if not known:
             raise InputError(f"unknown base point {format_id(token)}")
         return BasePoint(token)
 

@@ -237,14 +237,14 @@ def _distance_entries(obj) -> list:
     items = []
     parsed: dict[str, Fraction] = {}
     for i, entry in enumerate(entries):
-        path = f"$.distance.entries[{i}]"
         if not (isinstance(entry, list) and len(entry) == 3
                 and isinstance(entry[0], str) and isinstance(entry[1], str)):
-            raise InputError("expected [x, y, value] with x and y carrier codes", path=path)
+            raise InputError("expected [x, y, value] with x and y carrier codes",
+                             path=f"$.distance.entries[{i}]")
         a, b, raw = entry
         value = parsed.get(raw) if isinstance(raw, str) else None
         if value is None:
-            value = parsed[raw] = parse_rational(raw, path=path)
+            value = parsed[raw] = parse_rational(raw, path=f"$.distance.entries[{i}]")
         items.append(((a, b), value))
     return items
 

@@ -82,8 +82,13 @@ class RationalIntervalCarrier:
 
     def enumerate_point(self, n: int) -> CarrierPoint:
         # Affine image of the unit-interval enumeration: total and injective.
+        # lo + (hi - lo) t for lo = p/q, hi = u/v and t = a/c, as one
+        # Fraction built from integers.
         t = nth_unit_rational(n)
-        return CarrierPoint(self.lo + (self.hi - self.lo) * t)
+        a, c = t.numerator, t.denominator
+        p, q = self.lo.numerator, self.lo.denominator
+        u, v = self.hi.numerator, self.hi.denominator
+        return CarrierPoint(Fraction(p * v * c + (u * q - p * v) * a, q * v * c))
 
 
 @dataclass(frozen=True)
@@ -383,9 +388,10 @@ class DistanceMatrix:
     the evaluator path would. A ``table`` mapping's matrix over its whole
     carrier is its ``dist``, the table ``table_mapping`` checked. The
     ``abs_diff`` and ``max_metric`` distances are the Chebyshev distance
-    of the point codes, computed on integer coordinates (``_chebyshev``);
-    each ordered entry is computed on its own, so the symmetry check
-    compares two separate values.
+    of the point codes, built row by row on integer coordinates from
+    per-axis rows of coordinate gaps (``_chebyshev``); each ordered entry
+    is computed on its own, so the symmetry check compares two separate
+    values rather than one value read twice.
 
     The ``custom`` kind, and a table over a sample that is not its whole
     carrier, go through ``MetricMapping.distance``, in the order
@@ -479,17 +485,26 @@ def _chebyshev(pts: tuple[CarrierPoint, ...], one_dim: bool) -> tuple[int, list[
     the point codes, a Fraction each (``one_dim``) or a pair of them.
 
     Every coordinate is scaled once to an integer over the LCM of their
-    denominators, so each ordered entry is an integer max of differences,
-    made on its own; ``_reduced`` then leaves ``den`` the LCM of the
-    realized denominators.
+    denominators. Each axis then has one gap row per distinct value v on
+    it, |v - w| for the axis value w of every point, and a point's matrix
+    row is built from the gap rows of its coordinates: a copy of its one
+    gap row (so no two rows share a list), or their entrywise max. Row i
+    reads only point i's gap rows, so the symmetric entries (i, j) and
+    (j, i) come from different gap rows and stay separately computed
+    values. ``_reduced`` then leaves ``den`` the LCM of the realized
+    denominators.
     """
     coords = [(x.code,) if one_dim else x.code for x in pts]
     scale = lcm(*(c.denominator for xs in coords for c in xs))
     ints = [[c.numerator * (scale // c.denominator) for c in xs] for xs in coords]
+    axes = [[xs[k] for xs in ints] for k in range(1 if one_dim else 2)]
+    gaps = [{v: [abs(v - w) for w in axis] for v in set(axis)} for axis in axes]
     if one_dim:
-        num = [[abs(a - b) for [b] in ints] for [a] in ints]
+        (ga,) = gaps
+        num = [ga[a][:] for [a] in ints]
     else:
-        num = [[max(abs(a - c), abs(b - d)) for c, d in ints] for a, b in ints]
+        ga, gb = gaps
+        num = [[x if x > y else y for x, y in zip(ga[a], gb[b])] for a, b in ints]
     return _reduced(scale, num)
 
 
@@ -697,20 +712,32 @@ def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
 
     Run after validate_pseudometric at the same budget; this check assumes
     the pseudometric axioms already hold, and reads the forward entries of
-    the same ``DistanceMatrix``.
+    the same ``DistanceMatrix``. Only a forward entry that is zero or that
+    failed can report. The failed ones are the ``None`` entries, the
+    forward keys of ``failures``. The zeros of each row are found by
+    ``list.count`` and ``list.index``, which scan in C, so Python steps
+    once per row and once per zero, not once per pair. Violations come in
+    pair order, as the pairs (i, j) sort.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
     dm = distance_matrix(m, budget)
-    pts = dm.points
+    pts, num = dm.points, dm.num
+    found = [(i, j) for i, j in dm.failures if i < j]
+    for i, row in enumerate(num):
+        zeros, j = row[i + 1:].count(0), i
+        while zeros:
+            j = row.index(0, j + 1)
+            found.append((i, j))
+            zeros -= 1
+    found.sort()
     violations: list[Violation] = []
-    for i, j in combinations(range(len(pts)), 2):
-        d = dm.num[i][j]
-        if d is None:
+    for i, j in found:
+        if num[i][j] is None:
             violations.append(dm.evaluator_violation(i, j))
             continue
         x, x2 = pts[i], pts[j]
-        if d == 0 and m.fiber_of(x) == m.fiber_of(x2):
+        if m.fiber_of(x) == m.fiber_of(x2):
             violations.append(
                 Violation(
                     "fiberwise",
@@ -804,11 +831,22 @@ def point_masks(m: MetricMapping) -> PointMasks:
         for y, pres in around.items():
             if not pres:
                 raise InputError(f"base point {format_id(y)} lies in no basis set")
+        zero = []
+        for i in range(len(pts)):
+            # One bit per zero of the row, found as validate_fiberwise_metric
+            # finds them: C scans, and a Python step per zero only.
+            row, mask, j = dm.row(i), 0, -1
+            zeros = row.count(0)
+            while zeros:
+                j = row.index(0, j + 1)
+                mask |= 1 << j
+                zeros -= 1
+            zero.append(mask)
         masks = PointMasks(
             pts,
             dm.index,
             tuple(sorted(range(len(pts)), key=lambda i: str(pts[i].code))),
-            [sum(1 << j for j, v in enumerate(dm.row(i)) if v == 0) for i in range(len(pts))],
+            zero,
             fiber_ids,
             fiber,
             around,

@@ -89,13 +89,16 @@ def cantor_unpair(k: int) -> tuple[int, int]:
 
 
 def _fusc_pair(n: int) -> tuple[int, int]:
-    # Stern's diatomic sequence: (fusc(n), fusc(n+1)) in O(log n).
-    if n == 0:
-        return 0, 1
-    a, b = _fusc_pair(n >> 1)
-    if n & 1:
-        return a + b, b
-    return a, a + b
+    # Stern's diatomic sequence: (fusc(n), fusc(n+1)), one step per bit of
+    # n from the top; the pair for n is that for n >> 1, stepped by n's
+    # lowest bit.
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            a += b
+        else:
+            b += a
+    return a, b
 
 
 def nth_positive_rational(n: int) -> Fraction:
@@ -117,8 +120,9 @@ def nth_rational(n: int) -> Fraction:
 
 
 def nth_unit_rational(n: int) -> Fraction:
-    """Bijection from {0, 1, ...} onto Q strictly between 0 and 1."""
+    """Bijection from {0, 1, ...} onto Q strictly between 0 and 1: q / (1 + q)
+    for q = a/b the (n+1)-th positive rational, that is a / (a + b)."""
     if n < 0:
         raise InputError("unit-rational index starts at 0")
-    q = nth_positive_rational(n + 1)
-    return q / (1 + q)
+    a, b = _fusc_pair(n + 1)
+    return Fraction(a, a + b)

@@ -13,7 +13,10 @@ validate_basis replaced: every pair of basis sets, then the whole basis
 for each point they share. The Newton oracle is the Fraction recurrence
 and stopping rule that the integer term evaluator replaced, and the
 generator's basis oracle rescans every pair of sets in each round, as
-random_instance did before its worklist.
+random_instance did before its worklist. The enumeration oracles are
+the recursive Stern pair and the Fraction formulas q / (1 + q) and
+lo + (hi - lo) t that the integer enumeration replaced, and the zero-mask
+oracle asks the evaluator for each distance pair by pair.
 """
 
 from __future__ import annotations
@@ -54,6 +57,35 @@ def newton_term_by_fractions(a: Fraction, n: int) -> Fraction:
         if abs(x * x - a) <= Fraction(x, n):
             return x
         x = x / 2 + a / (2 * x)
+
+
+def fusc_pair_by_recursion(n: int) -> tuple[int, int]:
+    """(fusc(n), fusc(n+1)) of Stern's diatomic sequence, from the pair for
+    n >> 1: (a + b, b) for odd n, (a, a + b) for even n."""
+    if n == 0:
+        return 0, 1
+    a, b = fusc_pair_by_recursion(n >> 1)
+    return (a + b, b) if n & 1 else (a, a + b)
+
+
+def unit_rational_by_fractions(n: int) -> Fraction:
+    """The n-th rational in (0, 1): q / (1 + q) for q the (n+1)-th
+    Calkin-Wilf rational, by Fraction arithmetic."""
+    q = Fraction(*fusc_pair_by_recursion(n + 1))
+    return q / (1 + q)
+
+
+def interval_point_by_fractions(lo: Fraction, hi: Fraction, n: int) -> Fraction:
+    """The n-th point of the rational interval (lo, hi): the affine image
+    lo + (hi - lo) t of the n-th rational t in (0, 1)."""
+    return lo + (hi - lo) * unit_rational_by_fractions(n)
+
+
+def zero_masks(m) -> list[int]:
+    """For each point x_i of a finite carrier, the mask of the points v with
+    d(x_i, v) = 0, each distance asked of the evaluator."""
+    pts = m.points()
+    return [sum(1 << j for j, v in enumerate(pts) if m.distance(x, v) == 0) for x in pts]
 
 
 # |sqrt(2) - 3/2| to 50 digits, frozen from sqrt_interval(2):

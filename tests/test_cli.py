@@ -330,6 +330,58 @@ def test_cli_report_is_the_same_without_the_packed_test(tmp_path, capsys, monkey
     assert capsys.readouterr().out == out
 
 
+def _grid_doc(step: str) -> dict:
+    return {**GRID_DOC, "carrier": {**GRID_DOC["carrier"], "step": step}}
+
+
+def test_validate_countable_passes_by_the_packed_test(tmp_path, capsys, monkeypatch):
+    # validate at --depth 64 on the interval and on an 8 x 8 grid: both
+    # pass, and the packed test, not the ordered loops, must decide it.
+    from mapcomplete import metric_mapping
+
+    decided = []
+    packed = metric_mapping._no_pseudometric_break
+    monkeypatch.setattr(metric_mapping, "_no_pseudometric_break",
+                        lambda dm: decided.append(packed(dm)) or decided[-1])
+    for path in (str(GOLDEN_INTERVAL), _write(tmp_path, _grid_doc("1/7"))):
+        assert run_command(["validate", path, "--depth", "64"]) == 0
+    capsys.readouterr()
+    assert decided == [True, True]
+
+
+def test_validate_at_depth_64_enumerates_64_interval_points(capsys, monkeypatch):
+    # Every module binding of nth_unit_rational is wrapped, as a tracer
+    # wrapping it by name would be, so no call can go around the count.
+    from mapcomplete import rationals
+
+    calls = []
+    original = rationals.nth_unit_rational
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mapcomplete" or name.startswith("mapcomplete."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    assert run_command(["validate", str(GOLDEN_INTERVAL), "--depth", "64"]) == 0
+    capsys.readouterr()
+    assert calls == list(range(64))
+
+
+def test_cli_validate_on_the_largest_square_grid(tmp_path, capsys):
+    # 22 x 22 = 484 points, the largest square grid a finite carrier may
+    # have: every distance is checked, whatever the budget says.
+    assert run_command(["validate", _write(tmp_path, _grid_doc("1/21"))]) == 0
+    assert capsys.readouterr().out == (
+        "PROP pseudometric_axioms PASS budget=64\n"
+        "PROP fiberwise_metric PASS budget=64\n"
+        "SUMMARY 2/2\n"
+    )
+
+
 def test_each_distinct_distance_text_is_parsed_once(monkeypatch):
     from mapcomplete import cli_io
     from oracles import stress_instance

@@ -200,6 +200,9 @@ CASES = {
     "fiber-entry-list-target": (FINITE, {"fiber_map.entries.w": ["b"]},
                                 "$.fiber_map.entries.w: fiber of 'w' targets unknown base point "
                                 "\"['b']\""),
+    "finite-constant-object-target": (
+        FINITE, {"fiber_map": {"kind": "constant", "to": {"x": 1}}},
+        "$.fiber_map.to: unknown base point \"{'x': 1}\""),
     "finite-constant-unknown-target": (
         FINITE, {"fiber_map": {"kind": "constant", "to": "zz"}},
         "$.fiber_map.to: unknown base point 'zz'"),

@@ -25,6 +25,7 @@ from mapcomplete.metric_mapping import (
     distance_matrix,
     fiber_preimage,
     max_metric_mapping,
+    point_masks,
     table_mapping,
     validate_fiberwise_metric,
     validate_pseudometric,
@@ -36,6 +37,7 @@ from oracles import (
     fiberwise_violations,
     pseudometric_violations,
     stress_instance,
+    zero_masks,
 )
 
 
@@ -304,12 +306,44 @@ def test_abs_diff_matrix_matches_the_evaluator_path(lo, hi, budget):
 
 @pytest.mark.parametrize("step, lo, hi", [
     ("1/7", "0", "1"), ("3/10", "-1/2", "2"), ("1/3", "2/5", "2/5"), ("1", "1/2", "5/2"),
+    # Every coordinate negative.
+    ("2/3", "-13/4", "-1/5"),
+    # 22 x 22 = 484 points, the largest square grid under MAX_POINTS; the
+    # evaluator path takes about as long as at interval depth 512.
+    ("1/21", "0", "1"),
 ])
 def test_max_metric_matrix_matches_the_evaluator_path(step, lo, hi):
     m = max_metric_mapping(
         RationalGridCarrier(Fraction(step), Fraction(lo), Fraction(hi)), OnePointBase("o")
     )
     _matches_the_evaluator_path(m, m.points())
+
+
+def test_fiberwise_matches_the_oracle_with_failures_and_zeros_in_two_fibers():
+    # Zero pairs inside fiber a and inside fiber b, one across them, and
+    # two rejected forward entries, one in the same row as a zero pair.
+    pos = {"p0": 0, "p1": 0, "p2": 2, "p3": 1, "p4": 1, "p5": 2}
+    fibers = {"p0": "a", "p1": "a", "p2": "a", "p3": "b", "p4": "b", "p5": "b"}
+    rejected = {("p0", "p5"), ("p2", "p4")}
+    base = FiniteBase.of(["a", "b"], [["a"], ["a", "b"]])
+    m = MetricMapping(
+        FiniteCarrier.of(pos), base, lambda x: BasePoint(fibers[x.code]),
+        lambda x, x2: -1 if (x.code, x2.code) in rejected else abs(pos[x.code] - pos[x2.code]),
+    )
+    violations = validate_fiberwise_metric(m, 8)
+    assert violations == fiberwise_violations(m, 8)
+    assert [(v.kind, v.witness) for v in violations] == [
+        ("fiberwise", ("p0", "p1")), ("evaluator", ("p0", "p5")),
+        ("evaluator", ("p2", "p4")), ("fiberwise", ("p3", "p4")),
+    ]
+
+
+@pytest.mark.parametrize("seed, n", [(0, 12), (1, 100), (2, 512)])
+def test_zero_masks_match_the_oracle_on_coarse_stress_instances(seed, n):
+    m = stress_instance(seed, n, 4, coarse=True)
+    zero = point_masks(m).zero
+    assert zero == zero_masks(m)
+    assert any(z & (z - 1) for z in zero)
 
 
 # Mixed denominators, as ints and Fractions, one value given both ways.

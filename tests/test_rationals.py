@@ -4,10 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapcomplete.errors import InputError
+from mapcomplete.metric_mapping import RationalIntervalCarrier
 from mapcomplete.rationals import (
     decimal_approx,
     format_rational,
@@ -17,6 +18,8 @@ from mapcomplete.rationals import (
     nth_unit_rational,
     parse_rational,
 )
+
+from oracles import fusc_pair_by_recursion, interval_point_by_fractions, unit_rational_by_fractions
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -82,6 +85,34 @@ def test_unit_rational_enumeration_stays_inside():
     values = [nth_unit_rational(n) for n in range(200)]
     assert len(set(values)) == 200
     assert all(0 < v < 1 for v in values)
+
+
+# Indices within 3 of 2^64 and 2^200: Stern pairs of 64 to 201 steps.
+_FAR = [n for top in (2**64, 2**200) for n in range(top - 3, top + 4)]
+
+
+def test_enumerations_match_the_recursive_fraction_oracle():
+    carrier = RationalIntervalCarrier(Fraction(-5, 3), Fraction(7, 2))
+    for n in [*range(10**4), *_FAR]:
+        if n:
+            assert nth_positive_rational(n) == Fraction(*fusc_pair_by_recursion(n))
+        assert nth_unit_rational(n) == unit_rational_by_fractions(n)
+        assert carrier.enumerate_point(n).code == interval_point_by_fractions(
+            carrier.lo, carrier.hi, n
+        )
+
+
+_ENDPOINTS = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ENDPOINTS, _ENDPOINTS, st.one_of(st.integers(0, 10**4), st.sampled_from(_FAR)))
+def test_interval_points_match_the_fraction_oracle(a, b, n):
+    assume(a != b)
+    lo, hi = min(a, b), max(a, b)
+    code = RationalIntervalCarrier(lo, hi).enumerate_point(n).code
+    assert type(code) is Fraction and lo < code < hi
+    assert code == interval_point_by_fractions(lo, hi, n)
 
 
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
