@@ -10,9 +10,11 @@ Each subcommand declares only the options it reads:
 - ``theorem3``, ``lemma2``: ``--seed``, ``--count``, ``--maxx``, ``--maxy``
 
 ``--eps`` is the precision of the completed distance d*, which only
-``dstar`` and ``density`` evaluate to a requested precision. Output is the
-PROP/SUMMARY report format of cli_io on stdout; exit code 0 means all
-PASS, 1 means some FAIL, 2 means input error (diagnostics on stderr).
+``dstar`` and ``density`` evaluate to a requested precision. run_command
+loads the instance once and owns the report; each handler only adds its
+lines. Output is the PROP/SUMMARY report format of cli_io on stdout; exit
+code 0 means all PASS, 1 means some FAIL, 2 means input error (diagnostics
+on stderr).
 """
 
 from __future__ import annotations
@@ -152,6 +154,8 @@ def _load_instance(path_text: str):
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read {path_text!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path_text!r}: not UTF-8 text at byte {e.start}") from None
     m = parse_instance(text)
     if carrier_is_finite(m.carrier) and m.carrier.size > MAX_POINTS:
         raise InputError(
@@ -160,8 +164,8 @@ def _load_instance(path_text: str):
     return m
 
 
-def _validators_report(m, depth: int, finite_only: bool = False) -> Report:
-    report = Report()
+def _add_validators(report: Report, m, depth: int, finite_only: bool = False) -> None:
+    """Add the basis, pseudometric and fiberwise lines of ``m`` at ``depth``."""
     if isinstance(m.base, FiniteBase):
         violations = validate_basis(m.base)
         report.add("basis_axioms", not violations,
@@ -175,7 +179,6 @@ def _validators_report(m, depth: int, finite_only: bool = False) -> Report:
     violations = validate_fiberwise_metric(m, depth)
     report.add("fiberwise_metric", not violations,
                str(violations[0]) if violations else f"budget={depth}")
-    return report
 
 
 def _format_certificate(cert) -> str:
@@ -184,8 +187,8 @@ def _format_certificate(cert) -> str:
     return f"({y.id},{{{members}}})"
 
 
-def _cmd_validate(args) -> Report:
-    return _validators_report(_load_instance(args.instance), args.depth)
+def _cmd_validate(args, m, report: Report) -> None:
+    _add_validators(report, m, args.depth)
 
 
 def _points(args, m, n: int) -> list:
@@ -209,21 +212,17 @@ def _points(args, m, n: int) -> list:
     return points
 
 
-def _cmd_dstar(args) -> Report:
-    m = _load_instance(args.instance)
+def _cmd_dstar(args, m, report: Report) -> None:
     p, q = _points(args, m, 2)
     value = dstar_approx(p, q, args.eps)
-    report = Report()
     report.add(
         "dstar", True,
         f"value={format_rational(value)} (~{decimal_approx(value)}) "
         f"radius={format_rational(args.eps)}",
     )
-    return report
 
 
-def _cmd_density(args) -> Report:
-    m = _load_instance(args.instance)
+def _cmd_density(args, m, report: Report) -> None:
     [p] = _points(args, m, 1)
     if args.basic_open is not None:
         if not isinstance(m.base, FiniteBase):
@@ -240,20 +239,17 @@ def _cmd_density(args) -> Report:
     x = density_witness(p, args.eps, basic)
     margin = dstar_approx(p, embed(m, x), args.eps / 4)
     ok = margin <= args.eps + args.eps / 4 and m.base.open_contains(basic, m.fiber_of(x))
-    report = Report()
     report.add(
         "density_witness", ok,
         f"witness={x.code} open={describe_open(basic)} "
         f"margin={format_rational(margin)} bound={format_rational(args.eps + args.eps / 4)}",
     )
-    return report
 
 
-def _cmd_complete_check(args) -> Report:
-    m = _load_instance(args.instance)
-    report = _validators_report(m, args.depth, finite_only=True)
+def _cmd_complete_check(args, m, report: Report) -> None:
+    _add_validators(report, m, args.depth, finite_only=True)
     if report.exit_code != 0:
-        return report
+        return
     verdict = is_complete_filter(m)
     if verdict.ok:
         report.add("complete_check", True, "COMPLETE")
@@ -262,26 +258,19 @@ def _cmd_complete_check(args) -> Report:
             "complete_check", False,
             f"INCOMPLETE certificate={_format_certificate(verdict.certificate)}",
         )
-    return report
 
 
-def _instance_violations(m) -> list:
-    n = len(m.points())
-    return (
-        validate_basis(m.base)
-        + validate_pseudometric(m, n)
-        + validate_fiberwise_metric(m, n)
-    )
-
-
-def _cmd_suite(args) -> Report:
+def _cmd_suite(args, _, report: Report) -> None:
     name = args.command
-    report = Report()
     for seed in range(args.seed, args.seed + args.count):
         m = random_instance(seed, args.maxx, args.maxy)
-        violations = _instance_violations(m)
-        if violations:
-            report.add(f"{name}[seed={seed}]", False, f"invalid instance {violations[0]}")
+        # Every point is checked; the detail of the first failing line names
+        # the first violation.
+        checks = Report()
+        _add_validators(checks, m, len(m.points()))
+        failed = [detail for _, ok, detail in checks.entries if not ok]
+        if failed:
+            report.add(f"{name}[seed={seed}]", False, f"invalid instance {failed[0]}")
             continue
         if name == "theorem3":
             filter_side = is_complete_filter(m)
@@ -296,14 +285,12 @@ def _cmd_suite(args) -> Report:
             ok = verdict.ok
             detail = "holds" if ok else f"counterexample={_format_certificate(verdict.certificate)}"
         report.add(f"{name}[seed={seed}]", ok, detail)
-    return report
 
 
-def _cmd_complete_construct(args) -> Report:
-    m = _load_instance(args.instance)
-    report = _validators_report(m, args.depth, finite_only=True)
+def _cmd_complete_construct(args, m, report: Report) -> None:
+    _add_validators(report, m, args.depth, finite_only=True)
     if report.exit_code != 0:
-        return report
+        return
     completed = finite_completion(m)
     doc = instance_document(completed.instance)
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -330,15 +317,12 @@ def _cmd_complete_construct(args) -> Report:
         report.add("document_written", True, args.out)
     else:
         print(text)
-    return report
 
 
-def _cmd_limit_demo(args) -> Report:
-    m = _load_instance(args.instance)
+def _cmd_limit_demo(args, m, report: Report) -> None:
     [p] = _points(args, m, 1)
     psi = lift_seq(p.rep)
     limit = limit_point(psi)
-    report = Report()
     report.add("limit_fstar", fstar(limit) == psi.y, f"target={psi.y.id}")
     for k in range(1, min(args.depth, 12) + 1):
         measured = dstar_approx(psi.at(k), limit, Fraction(1, 4 * k))
@@ -347,11 +331,14 @@ def _cmd_limit_demo(args) -> Report:
             f"limit_converge[k={k}]", measured <= bound,
             f"dstar={format_rational(measured)} bound={format_rational(bound)}",
         )
-    return report
 
 
 def run_command(argv: list[str]) -> int:
-    """Run one CLI invocation; prints the report, returns the exit code."""
+    """Run one CLI invocation; prints the report, returns the exit code.
+
+    The one place that loads an instance, once, for the subcommands that
+    declare one (the suites get ``None``), and that owns the report: each
+    handler only adds its lines to it."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -366,7 +353,9 @@ def run_command(argv: list[str]) -> int:
                 raise InputError(f"--{option} must be at least 1, got {value}")
             if value > bound:
                 raise InputError(f"--{option} must be at most {bound}, got {value}")
-        report = args.handler(args)
+        m = _load_instance(args.instance) if "instance" in args else None
+        report = Report()
+        args.handler(args, m, report)
     except (InputError, WitnessError) as e:
         print(f"ERROR {e}", file=sys.stderr)
         return 2

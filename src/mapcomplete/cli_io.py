@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -160,13 +161,21 @@ def parse_instance(text: str) -> MetricMapping:
     list; the table rules (dangling codes and targets, signs, diagonal,
     symmetry, missing pairs) are checked by table_mapping. Either way an
     error raises InputError with the path of the offending field; of two
-    bad sections, the first in document order is reported. The metric
-    axioms are left to the validators.
+    bad sections, the first in document order is reported. JSON nested
+    past the recursion limit, or with an integer past the int-string
+    limit, raises at ``$``. The metric axioms are left to the validators.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON: {e.msg}", path="$") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested past Python's recursion limit", path="$") from None
+    except ValueError:
+        # The one other refusal of json.loads: an integer literal too long.
+        raise InputError(
+            f"JSON integer past Python's limit of {sys.get_int_max_str_digits()} digits "
+            "for integer text", path="$") from None
     _require_keys(doc, ("base", "carrier", "fiber_map", "distance"), (), "$")
     base = _parse_base(*_section(doc, "base"))
     carrier = _parse_carrier(*_section(doc, "carrier"))

@@ -707,6 +707,18 @@ def _no_pseudometric_break(dm: DistanceMatrix) -> bool:
     return True
 
 
+def _zero_mask(row: list, start: int) -> int:
+    """The columns from ``start`` on where ``row`` holds 0, as a bitmask.
+    ``list.count`` and ``list.index`` scan in C, so Python steps once per
+    zero, not once per entry."""
+    mask, j, zeros = 0, start - 1, row[start:].count(0)
+    while zeros:
+        j = row.index(0, j + 1)
+        mask |= 1 << j
+        zeros -= 1
+    return mask
+
+
 def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
     """Report distinct points in one fiber at distance zero.
 
@@ -714,10 +726,8 @@ def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
     the pseudometric axioms already hold, and reads the forward entries of
     the same ``DistanceMatrix``. Only a forward entry that is zero or that
     failed can report. The failed ones are the ``None`` entries, the
-    forward keys of ``failures``. The zeros of each row are found by
-    ``list.count`` and ``list.index``, which scan in C, so Python steps
-    once per row and once per zero, not once per pair. Violations come in
-    pair order, as the pairs (i, j) sort.
+    forward keys of ``failures``; the zeros come from _zero_mask.
+    Violations come in pair order, as the pairs (i, j) sort.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
@@ -725,11 +735,9 @@ def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
     pts, num = dm.points, dm.num
     found = [(i, j) for i, j in dm.failures if i < j]
     for i, row in enumerate(num):
-        zeros, j = row[i + 1:].count(0), i
-        while zeros:
-            j = row.index(0, j + 1)
-            found.append((i, j))
-            zeros -= 1
+        zeros = _zero_mask(row, i + 1)
+        if zeros:
+            found += [(i, j) for j in bit_indices(zeros)]
     found.sort()
     violations: list[Violation] = []
     for i, j in found:
@@ -831,17 +839,7 @@ def point_masks(m: MetricMapping) -> PointMasks:
         for y, pres in around.items():
             if not pres:
                 raise InputError(f"base point {format_id(y)} lies in no basis set")
-        zero = []
-        for i in range(len(pts)):
-            # One bit per zero of the row, found as validate_fiberwise_metric
-            # finds them: C scans, and a Python step per zero only.
-            row, mask, j = dm.row(i), 0, -1
-            zeros = row.count(0)
-            while zeros:
-                j = row.index(0, j + 1)
-                mask |= 1 << j
-                zeros -= 1
-            zero.append(mask)
+        zero = [_zero_mask(dm.row(i), 0) for i in range(len(pts))]
         masks = PointMasks(
             pts,
             dm.index,
@@ -940,7 +938,4 @@ def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozense
     back into points.
     """
     masks = point_masks(m)
-    a = masks.mask_of(region)
-    if not a:
-        return frozenset()
-    return masks.points_of(_closure_mask(_neighborhoods(m), a))
+    return masks.points_of(_closure_mask(_neighborhoods(m), masks.mask_of(region)))

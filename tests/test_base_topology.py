@@ -16,6 +16,7 @@ from mapcomplete.base_topology import (
     validate_basis,
 )
 from mapcomplete.errors import InputError
+from mapcomplete.metric_mapping import FiniteCarrier
 
 from oracles import _coarse_opens, _random_opens, basis_violations_by_scan
 
@@ -160,3 +161,42 @@ def test_validate_basis_matches_the_whole_basis_scan():
         for v in report:
             kinds[v.kind] = kinds.get(v.kind, 0) + 1
     assert kinds["valid"] >= 50 and kinds["cover"] >= 20 and kinds["intersection"] >= 50
+
+
+# The argument check of each method: the call, the exception it raises and
+# its message.
+_ARGUMENT_CHECKS = {
+    "FiniteBase.default_fiber": (
+        lambda: FiniteBase.of(["a"], [["a"]]).default_fiber(FiniteCarrier.of(["u"])),
+        InputError, "a finite base has no default fiber; pass one"),
+    "OnePointBase.neighborhood_basis": (
+        lambda: OnePointBase("o").neighborhood_basis(BasePoint("zz")),
+        InputError, "point 'zz' does not belong to this base"),
+    "RationalOrderBase.basic_open": (
+        lambda: RationalOrderBase().basic_open(-1), InputError, "basic-open index starts at 0"),
+    "RationalOrderBase.neighborhood_basis": (
+        lambda: RationalOrderBase().neighborhood_basis(BasePoint("a")),
+        InputError, "point 'a' does not belong to this base"),
+    "RationalOrderBase.opens_around": (
+        lambda: RationalOrderBase().opens_around(BasePoint("a"), 4),
+        InputError, "point 'a' does not belong to this base"),
+    "RationalOrderBase.default_fiber": (
+        lambda: RationalOrderBase().default_fiber(FiniteCarrier.of(["u"])),
+        InputError, "the rational order base has no default fiber on a finite carrier"),
+    # Built without FiniteBase.of, which checks the ids first.
+    "validate_basis": (
+        lambda: validate_basis(FiniteBase((BasePoint("a"), BasePoint("a")), (("a",),))),
+        InputError, "duplicate point ids in base space"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENT_CHECKS))
+def test_argument_check_raises_its_message(name):
+    call, error, message = _ARGUMENT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_rational_order_point_takes_a_fraction_as_it_is():
+    assert RationalOrderBase().point(Fraction(-2, 3)) == BasePoint(Fraction(-2, 3))

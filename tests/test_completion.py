@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from mapcomplete.base_topology import BasePoint
+from mapcomplete.base_topology import BasePoint, FiniteBase
 from mapcomplete.completion import (
     CompletionPoint,
     const_completion_seq,
@@ -18,7 +18,7 @@ from mapcomplete.completion import (
 )
 from mapcomplete.errors import InputError
 from mapcomplete.finite_oracle import finite_completion, random_instance
-from mapcomplete.metric_mapping import CarrierPoint
+from mapcomplete.metric_mapping import CarrierPoint, table_mapping
 from mapcomplete.rationals import frac_ceil
 from mapcomplete.tied_cauchy import (
     RegularSeq,
@@ -288,3 +288,38 @@ def test_limit_point_result_is_itself_tied_and_regular(sierpinski, by_code):
     limit = limit_point(lift_seq(s))
     assert check_regularity(limit.rep, 12) == []
     assert check_tying(limit.rep, 12) == []
+
+
+def _narrowing_failure():
+    # Refinement fails at a: no basis set around a fits inside {a,b} & {a,c},
+    # so the limit's first term finds no narrowing open.
+    m = table_mapping(FiniteBase.of(["a", "b", "c"], [["a", "b"], ["a", "c"]]), {"x": "a"}, {})
+    [x] = m.points()
+    return limit_point(lift_seq(const_seq(m, x))).rep.at(1)
+
+
+_SIERPINSKI = table_mapping(FiniteBase.of(["a", "b"], [["a"], ["a", "b"]]),
+                            {"x_a": "a", "x_b": "b"}, {("x_a", "x_b"): Fraction(0)})
+_X_A = embed(_SIERPINSKI, _SIERPINSKI.points()[0])
+
+# The argument check of each function or method: the call, the exception
+# it raises and its message.
+_ARGUMENT_CHECKS = {
+    "dstar_approx": (lambda: dstar_approx(_X_A, _X_A, Fraction(0)), InputError,
+                     "precision must be positive"),
+    "density_witness": (lambda: density_witness(_X_A, Fraction(-1), ("a",)), InputError,
+                        "precision must be positive"),
+    "RegularCompletionSeq.at": (lambda: const_completion_seq(_X_A).at(0), InputError,
+                                "sequence index must be a positive integer, got 0"),
+    "_narrowing_open": (_narrowing_failure, InputError,
+                        "no basic open contains 'a' inside the intersection of "
+                        "{a,b} & {a,c}; basis axioms violated"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENT_CHECKS))
+def test_argument_check_raises_its_message(name):
+    call, error, message = _ARGUMENT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -4,6 +4,9 @@ Every invocation of every subcommand returns 0 (all properties pass),
 1 (a property failed) or 2 (bad input) and never raises. The documents
 start from the golden corpus and get one mutation each: a field dropped or
 retyped, a kind swapped, a rational corrupted or a code pointed at nothing.
+Three documents are refused before any field is read: one that is not
+UTF-8, JSON nested past the recursion limit, and an integer literal past
+the int-string limit.
 """
 
 from __future__ import annotations
@@ -11,13 +14,17 @@ from __future__ import annotations
 import copy
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mapcomplete.cli import run_command
+from mapcomplete.cli_io import parse_instance
+from mapcomplete.errors import InputError
 
 GOLDEN = Path(__file__).parent / "golden"
 DOCUMENTS = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN.glob("*.json"))}
@@ -128,3 +135,40 @@ def test_every_suite_run_exits_0_1_or_2(command, seed, count, maxx, maxy):
     argv = [command, "--seed", str(seed), "--count", str(count),
             "--maxx", str(maxx), "--maxy", str(maxy)]
     assert _run(argv) in (0, 1, 2)
+
+
+_needs_int_limit = pytest.mark.skipif(
+    sys.get_int_max_str_digits() != 4300, reason="needs the 4300-digit int-string limit")
+# Each document's bytes and its whole ERROR line, where {path} is its path.
+BAD_DOCUMENTS = [
+    pytest.param(b'{"base": "\xe9"}', "cannot read {path!r}: not UTF-8 text at byte 10",
+                 id="not-utf-8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000,
+                 "$: invalid JSON: nested past Python's recursion limit", id="nested-too-deep"),
+    pytest.param(b'{"base": {"kind": 1' + b"0" * 5000 + b"}}",
+                 "$: JSON integer past Python's limit of 4300 digits for integer text",
+                 id="integer-too-long", marks=_needs_int_limit),
+]
+DOCUMENT_COMMANDS = {
+    "validate": [], "complete-check": [], "complete-construct": [],
+    "dstar": ["--point", "const(u)", "--point", "const(v)"],
+    "density": ["--point", "const(u)"], "limit-demo": ["--point", "const(u)"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENT_COMMANDS))
+@pytest.mark.parametrize("data, message", BAD_DOCUMENTS)
+def test_bad_document_exits_2_with_one_error_line(tmp_path, capsys, data, message, command):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert run_command([command, str(path), *DOCUMENT_COMMANDS[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {message.format(path=str(path))}\n"
+
+
+@pytest.mark.parametrize("data, message", BAD_DOCUMENTS[1:])
+def test_parse_instance_refuses_bad_json_at_the_root(data, message):
+    with pytest.raises(InputError) as info:
+        parse_instance(data.decode("utf-8"))
+    assert str(info.value) == message

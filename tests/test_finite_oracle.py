@@ -613,3 +613,35 @@ def test_finite_topology_digest_is_frozen():
     assert digest.hexdigest() == (
         "185428636b15c8435351381c812764bf595fe11cf69a3d86de2e61b6edee5013"
     )
+
+
+_U, _V = CarrierPoint("u"), CarrierPoint("v")
+_SIERPINSKI = table_mapping(FiniteBase.of(["a", "b"], [["a"], ["a", "b"]]),
+                            {"x_a": "a", "x_b": "b"}, {("x_a", "x_b"): Fraction(0)})
+
+# The argument check of each function or method: the call, the exception
+# it raises and its message.
+_ARGUMENT_CHECKS = {
+    "PrincipalFilter": (lambda: PrincipalFilter(frozenset()), InputError,
+                        "a filter's minimal set must be nonempty"),
+    "TailSequence": (lambda: TailSequence((_U,), ()), InputError, "tail must be nonempty"),
+    "TailSequence.at": (lambda: TailSequence((), (_U,)).at(0), InputError,
+                        "sequence index starts at 1"),
+    "cluster_and_limit_sets": (lambda: cluster_and_limit_sets(_SIERPINSKI, []), InputError,
+                               "region must be nonempty"),
+    "random_instance": (lambda: random_instance(0, 1, 0), InputError,
+                        "max_x and max_y must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENT_CHECKS))
+def test_argument_check_raises_its_message(name):
+    call, error, message = _ARGUMENT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_tail_sequence_reads_its_prefix_then_cycles_its_tail():
+    seq = TailSequence((_U,), (_V, _U))
+    assert [seq.at(n) for n in range(1, 6)] == [_U, _V, _U, _V, _U]

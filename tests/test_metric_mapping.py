@@ -179,6 +179,13 @@ def test_closure_of_whole_carrier(sierpinski):
     assert closure_finite(sierpinski, pts) == pts
 
 
+def test_closure_of_no_points_is_empty(sierpinski, sierpinski_discrete):
+    # Every point has a neighborhood (point_masks refuses one with none),
+    # and none meets the empty region.
+    for m in (sierpinski, sierpinski_discrete):
+        assert closure_finite(m, []) == frozenset() == closure_via_full_topology(m, set())
+
+
 def test_closure_requires_finite_instance(interval_mapping):
     with pytest.raises(InputError):
         closure_finite(interval_mapping, [])
@@ -472,3 +479,48 @@ def test_mappings_compare_and_hash_by_identity():
     custom = dataclasses.replace(m, dist_kind="custom")
     assert custom != m
     assert distance_matrix(custom) is not distance_matrix(m)
+
+
+_SIERPINSKI = table_mapping(FiniteBase.of(["a", "b"], [["a"], ["a", "b"]]),
+                            {"x_a": "a", "x_b": "b"}, {("x_a", "x_b"): Fraction(0)})
+_LINE = abs_diff_mapping(RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"))
+
+# The argument check of each function or method: the call, the exception
+# it raises and its message.
+_ARGUMENT_CHECKS = {
+    "RationalIntervalCarrier": (lambda: RationalIntervalCarrier(Fraction(1), Fraction(1)),
+                                InputError, "rational_interval needs lo < hi"),
+    "RationalGridCarrier step": (lambda: RationalGridCarrier(Fraction(0), Fraction(0), Fraction(1)),
+                                 InputError, "rational_grid needs step > 0"),
+    "RationalGridCarrier bounds": (
+        lambda: RationalGridCarrier(Fraction(1, 2), Fraction(1), Fraction(0)),
+        InputError, "rational_grid needs lo <= hi"),
+    "MetricMapping.points": (lambda: _LINE.points(), InputError, "operation needs a finite carrier"),
+    "table fiber": (lambda: _SIERPINSKI.fiber_of(CarrierPoint("zz")), InputError,
+                    "unknown carrier point 'zz'"),
+    "validate_fiberwise_metric": (lambda: validate_fiberwise_metric(_SIERPINSKI, 0), InputError,
+                                  "budget must be at least 1"),
+    "PointMasks.mask_of": (lambda: point_masks(_SIERPINSKI).mask_of([CarrierPoint("zz")]),
+                           InputError, "point 'zz' is not in the carrier"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENT_CHECKS))
+def test_argument_check_raises_its_message(name):
+    call, error, message = _ARGUMENT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("code", [
+    Fraction(1, 2),  # not a pair
+    (1, Fraction(0)),  # a coordinate that is not a Fraction
+    (Fraction(3, 2), Fraction(0)),  # a coordinate past hi
+    (Fraction(0), Fraction(-1, 2)),  # a coordinate below lo
+    (Fraction(1, 4), Fraction(0)),  # a coordinate off the step
+])
+def test_grid_rejects_a_point_off_the_grid(code):
+    grid = RationalGridCarrier(Fraction(1, 2), Fraction(0), Fraction(1))
+    assert CarrierPoint(code) not in grid
+    assert CarrierPoint((Fraction(1, 2), Fraction(1))) in grid

@@ -127,3 +127,22 @@ def test_text_past_the_int_string_limit_is_an_input_error():
         format_rational(Fraction(1, 10**5000))
     with pytest.raises(InputError, match="numerator or denominator"):
         format_rational(Fraction(10**5000))
+
+
+# The argument check of each enumeration: the call, the exception it raises
+# and its message.
+_ARGUMENT_CHECKS = {
+    "nth_positive_rational": (lambda: nth_positive_rational(0), InputError,
+                              "positive-rational index starts at 1"),
+    "nth_rational": (lambda: nth_rational(-1), InputError, "rational index starts at 0"),
+    "nth_unit_rational": (lambda: nth_unit_rational(-1), InputError,
+                          "unit-rational index starts at 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENT_CHECKS))
+def test_argument_check_raises_its_message(name):
+    call, error, message = _ARGUMENT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

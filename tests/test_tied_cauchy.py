@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapcomplete.base_topology import BasePoint, OnePointBase
-from mapcomplete.errors import InputError
+from mapcomplete.errors import InputError, WitnessError
 from mapcomplete.metric_mapping import CarrierPoint, RationalIntervalCarrier, abs_diff_mapping
 from mapcomplete.rationals import frac_ceil
 from mapcomplete.tied_cauchy import (
@@ -324,3 +324,36 @@ def test_apartness_agrees_with_gap(interval_mapping):
     n = frac_ceil(8 / bound)
     lo, _ = gap_interval(s, c, n)
     assert lo >= bound / 2
+
+
+_LINE = abs_diff_mapping(RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"))
+_HALF = const_seq(_LINE, CarrierPoint(Fraction(1, 2)))
+_FAR = [CarrierPoint(Fraction(1, 10)), CarrierPoint(Fraction(29, 10))]
+
+# The argument check of each function or method: the call, the exception
+# it raises and its message.
+_ARGUMENT_CHECKS = {
+    "RegularSeq.at": (lambda: _HALF.seq.at(0), InputError,
+                      "sequence index must be a positive integer, got 0"),
+    "TyingWitness.index_for": (lambda: TyingWitness(lambda o: 0).index_for(("o",)), WitnessError,
+                               "tying witness returned 0 for {o}; expected a positive integer"),
+    "const_seq target": (lambda: const_seq(_LINE, _FAR[0], BasePoint("zz")), InputError,
+                         "tying target 'zz' does not belong to the base space"),
+    "table_seq prefix pair": (lambda: table_seq(_LINE, _FAR, _FAR[1]), InputError,
+                              "table sequence is not regular: d(at(1),at(2)) = 14/5 > 1/1 + 1/2"),
+    "check_regularity": (lambda: check_regularity(_HALF, 1), InputError,
+                         "depth must be at least 2"),
+    "check_tying": (lambda: check_tying(_HALF, 0), InputError, "depth must be at least 1"),
+    "gap_interval": (lambda: gap_interval(_HALF, _HALF, 0), InputError,
+                     "depth must be a positive integer"),
+    "apartness_witness": (lambda: apartness_witness(_HALF, _HALF, 0), InputError,
+                          "max_depth must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENT_CHECKS))
+def test_argument_check_raises_its_message(name):
+    call, error, message = _ARGUMENT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
