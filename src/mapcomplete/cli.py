@@ -61,9 +61,12 @@ MAX_COUNT = 100_000
 # of zero classes, which the palette's zero entries keep to a few even
 # at --maxx 64, and its intersection closure of the basis is quadratic in
 # the number of sets it closes, which grows fast in --maxy. Over 300 seeds
-# on one core of a shared 2-core Xeon host, an instance at --maxx 64 takes
-# 0.6 ms in the median and 5 ms at worst; at --maxy 12 the worst takes
-# 12 ms (median 0.2 ms), against 0.13 s at --maxy 16.
+# on one core of a shared 2-core Xeon host (the least of three runs per
+# seed, in two sessions), an instance at --maxx 64 takes 0.2-0.3 ms in the
+# median and 1 ms at worst; at --maxy 12 the worst, seed 116, takes 4-7 ms
+# (median 0.1 ms), against 50-80 ms at --maxy 16. MAX_SUITE_Y stays at
+# most 21: the generator replays the branch of Random.sample that draws
+# from a pool, which sample takes for every population of at most 21.
 MAX_SUITE_X = 64
 MAX_SUITE_Y = 12
 # Each integer option a subcommand declares must lie in 1..bound; checked

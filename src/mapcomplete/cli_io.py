@@ -153,6 +153,37 @@ def _parse_carrier(kind: str, obj: dict):
     return RationalGridCarrier(bounds["step"], bounds["lo"], bounds["hi"])
 
 
+# A JSON escape of a UTF-16 surrogate: alone it decodes to a string that
+# no UTF-8 output can hold; in a pair it decodes to one valid character.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _refuse_surrogates(text: str, doc) -> None:
+    """Raise at the path of the first key or string of ``doc``, in
+    document order, that holds a lone surrogate and so cannot be written
+    as UTF-8. Only a text with a surrogate escape, or not ASCII, can hold
+    one; any other is passed at once. The walk keeps its own stack, so a
+    document nested as deep as json.loads allows does not recurse."""
+    if not _SURROGATE_ESCAPE.search(text) and text.isascii():
+        return
+    stack = [("$", doc, False)]
+    while stack:
+        path, value, is_key = stack.pop()
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as e:
+                what = "key" if is_key else "string"
+                raise InputError(
+                    f"{what} is not UTF-8 text: lone surrogate "
+                    f"{ascii(value[e.start])[1:-1]} at character {e.start}", path=path) from None
+        elif isinstance(value, list):
+            stack += reversed([(f"{path}[{i}]", item, False) for i, item in enumerate(value)])
+        elif isinstance(value, dict):
+            for key, item in reversed(value.items()):
+                stack += [(f"{path}.{key}", item, False), (path, key, True)]
+
+
 def parse_instance(text: str) -> MetricMapping:
     """Parse an instance document into a validated-shape metric mapping.
 
@@ -163,7 +194,9 @@ def parse_instance(text: str) -> MetricMapping:
     error raises InputError with the path of the offending field; of two
     bad sections, the first in document order is reported. JSON nested
     past the recursion limit, or with an integer past the int-string
-    limit, raises at ``$``. The metric axioms are left to the validators.
+    limit, raises at ``$``; a key or string with a lone surrogate, which
+    no UTF-8 report could print, raises at its own path before any field
+    is read. The metric axioms are left to the validators.
     """
     try:
         doc = json.loads(text)
@@ -176,6 +209,7 @@ def parse_instance(text: str) -> MetricMapping:
         raise InputError(
             f"JSON integer past Python's limit of {sys.get_int_max_str_digits()} digits "
             "for integer text", path="$") from None
+    _refuse_surrogates(text, doc)
     _require_keys(doc, ("base", "carrier", "fiber_map", "distance"), (), "$")
     base = _parse_base(*_section(doc, "base"))
     carrier = _parse_carrier(*_section(doc, "carrier"))

@@ -36,15 +36,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 
-from .base_topology import FiniteBase, PointId
+from .base_topology import BasePoint, FiniteBase, PointId
 from .errors import InputError
 from .metric_mapping import (
     CarrierPoint,
     MetricMapping,
     PointMasks,
     _closure_mask,
+    _mapping_from_rows,
     _neighborhoods,
     _table_mapping_from_rows,
     bit_indices,
@@ -104,40 +106,40 @@ class TailSequence:
         return self.tail[(n - len(self.prefix) - 1) % len(self.tail)]
 
 
-class _UnionFind:
-    """Plain union-find with path compression; small inputs, no ranks."""
-
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+def _components(n: int, edges, order) -> list[int]:
+    """The connected components of the graph on 0 .. n-1 with the pairs
+    ``edges``, by a list-based union-find with path halving: entry i
+    numbers the component of i, in the order ``order`` first meets them."""
+    parent = list(range(n))
+    for i, j in edges:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        parent[j] = i
+    label: dict[int, int] = {}
+    cls = [0] * n
+    for i in order:
+        root = i
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        cls[i] = label.setdefault(root, len(label))
+    return cls
 
 
 def _zero_class_masks(masks: PointMasks) -> list[int]:
     """The zero-distance classes as masks, ordered by smallest code: the
-    components of the zero entries above the diagonal, joined by
-    union-find, so a matrix that breaks the triangle inequality still
-    gets classes."""
-    uf = _UnionFind(range(len(masks.points)))
-    for i, z in enumerate(masks.zero):
-        for j in bit_indices(z >> (i + 1)):
-            uf.union(i, i + 1 + j)
-    classes: dict[int, int] = {}
-    for i in masks.order:
-        root = uf.find(i)
-        classes[root] = classes.get(root, 0) | 1 << i
-    return list(classes.values())
+    components of the zero entries above the diagonal, so a matrix that
+    breaks the triangle inequality still gets classes."""
+    n = len(masks.points)
+    zero_pairs = (
+        (i, i + 1 + j) for i, z in enumerate(masks.zero) for j in bit_indices(z >> (i + 1))
+    )
+    cls = _components(n, zero_pairs, masks.order)
+    classes = [0] * (max(cls, default=-1) + 1)
+    for i, k in enumerate(cls):
+        classes[k] |= 1 << i
+    return classes
 
 
 def zero_classes(m: MetricMapping) -> tuple[frozenset, ...]:
@@ -406,11 +408,11 @@ _PALETTE_DEN = 4
 _DISTANCE_PALETTE = (0, 0, 1, 2, 4, 6, 8)
 
 
-def _shortest_path_closure(n: int, weights: dict[tuple[int, int], int]) -> tuple[list, list]:
+def _shortest_path_closure(n: int, weights: list[int]) -> tuple[list, list]:
     """Min-plus closure of a symmetric table of nonnegative integer
-    distances on the points 0 .. n-1, given as ``weights[(i, j)]`` for
-    every pair i < j: repairs the triangle inequality without ever
-    increasing an entry.
+    distances on the points 0 .. n-1, given flat as ``weights``, one entry
+    per pair i < j in ``combinations(range(n), 2)`` order: repairs the
+    triangle inequality without ever increasing an entry.
 
     Returns ``(cls, d)``: the closed distance between points i and j is
     ``d[cls[i]][cls[j]]``, where ``cls[i]`` numbers the zero class of i.
@@ -423,16 +425,13 @@ def _shortest_path_closure(n: int, weights: dict[tuple[int, int], int]) -> tuple
     pair starting at its least entry. Integers keep order and sums exact
     (as in DistanceMatrix).
     """
-    uf = _UnionFind(range(n))
-    for (i, j), w in weights.items():
-        if w == 0:
-            uf.union(i, j)
-    label: dict[int, int] = {}
-    cls = [label.setdefault(uf.find(i), len(label)) for i in range(n)]
+    pairs = list(combinations(range(n), 2))
+    cls = _components(n, compress(pairs, map(not_, weights)), range(n))
     # Every class pair has an entry, and none exceeds the largest weight.
-    top = max(weights.values(), default=0)
-    d = [[top] * len(label) for _ in label]
-    for (i, j), w in weights.items():
+    top = max(weights, default=0)
+    c = max(cls, default=-1) + 1
+    d = [[top] * c for _ in range(c)]
+    for (i, j), w in zip(pairs, weights):
         a, b = cls[i], cls[j]
         if w < d[a][b]:
             d[a][b] = d[b][a] = w
@@ -451,28 +450,54 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
     """A deterministic pseudo-random finite instance that always passes the
     validators.
 
-    Distances are drawn from a small rational palette, as integers over
-    one denominator, and repaired by shortest-path closure, which first
+    The stream: every draw is ``below(n)``, the rejection loop of
+    CPython's ``Random._randbelow_with_getrandbits`` over the
+    ``getrandbits`` of ``random.Random(seed)``: draw ``n.bit_length()``
+    bits, again while the result is at least n. ``randint(a, b)`` is
+    ``a + below(b - a + 1)``, ``choice(seq)`` is ``seq[below(len(seq))]``
+    and a sample is the partial Fisher-Yates of ``Random.sample`` on a
+    population of at most 21. The instances so depend only on ``seed()``
+    and ``getrandbits``, not on how CPython's ``randint``, ``choice`` or
+    ``sample`` are written; a test pins them to what those functions
+    draw (random_tables_by_stdlib in tests/oracles.py).
+
+    The draws, in order: the base size, the number of basis sets, each
+    set as a sample of a drawn size, the carrier size, each point's
+    fiber, and one palette distance per pair i < j. The basis is closed
+    under nonempty pairwise intersection on bitmasks and its stragglers
+    are covered with singletons; ids are put in text order only at the
+    end, where ``y10`` sorts before ``y2``. Distances are integers over
+    one denominator, repaired by shortest-path closure, which first
     contracts the zero entries into classes (see _shortest_path_closure).
     Zero distances inside one fiber are repaired by dropping duplicate
     points: one survivor per zero class and fiber, the one with the least
-    code. The basis is repaired by closing under pairwise intersection and
-    covering stragglers with singletons. The closed integer table goes to
-    table_mapping's integer entry, with no Fraction per entry.
+    code. The closed integer table and each survivor's base point go to
+    _mapping_from_rows, which checks the table in bulk, with no Fraction
+    per entry.
     """
     if max_x < 1 or max_y < 1:
         raise InputError("max_x and max_y must be at least 1")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
 
-    n_y = rng.randint(1, max_y)
-    y_ids = [f"y{i}" for i in range(n_y)]
-    # Each basis set is kept as its sorted ids under a bitmask key.
-    bit = {y: 1 << i for i, y in enumerate(y_ids)}
-    sets = {}
-    for _ in range(rng.randint(1, 2 * n_y)):
-        size = rng.randint(1, n_y)
-        members = tuple(sorted(rng.sample(y_ids, size)))
-        sets[sum(map(bit.__getitem__, members))] = members
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    n_y = 1 + below(max_y)
+    bits = [1 << i for i in range(n_y)]
+    sets = set()
+    for _ in range(1 + below(2 * n_y)):
+        # A sample of 1 + below(n_y) ids as a mask: each pick moves the
+        # pool's last unpicked bit into its place.
+        pool, mask = bits[:], 0
+        for last in range(n_y - 1, n_y - 2 - below(n_y), -1):
+            j = below(last + 1)
+            mask |= pool[j]
+            pool[j] = pool[last]
+        sets.add(mask)
     # Close under nonempty pairwise intersection as a worklist: each set
     # meets every set taken before it once, and only new meets are queued.
     todo, done = list(sets), []
@@ -481,31 +506,32 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
         for s2 in done:
             meet = s1 & s2
             if meet and meet not in sets:
-                sets[meet] = tuple(y for y in sets[s1] if bit[y] & meet)
+                sets.add(meet)
                 todo.append(meet)
         done.append(s1)
     covered = 0
-    for s1 in sets:
-        covered |= s1
-    for y, b in bit.items():
-        if not covered & b:
-            sets[b] = (y,)
-    base = FiniteBase.of(y_ids, sorted(sets.values()))
+    for s in sets:
+        covered |= s
+    sets.update(b for b in bits if not covered & b)
+    y_ids = [f"y{i}" for i in range(n_y)]
+    by_text = sorted(zip(y_ids, bits))
+    basis = sorted(tuple(y for y, b in by_text if s & b) for s in sets)
+    base = FiniteBase(tuple(map(BasePoint, y_ids)), tuple(basis))
 
-    n_x = rng.randint(1, max_x)
-    x_ids = [f"x{i}" for i in range(n_x)]
-    fiber_choice = [rng.choice(y_ids) for _ in x_ids]
-    weights = {pair: rng.choice(_DISTANCE_PALETTE) for pair in combinations(range(n_x), 2)}
+    n_x = 1 + below(max_x)
+    fiber_of = [below(n_y) for _ in range(n_x)]
+    palette, size = _DISTANCE_PALETTE, len(_DISTANCE_PALETTE)
+    weights = [palette[below(size)] for _ in range(n_x * (n_x - 1) // 2)]
     cls, d = _shortest_path_closure(n_x, weights)
 
-    # Fiberwise repair: inside each zero class keep one point per fiber.
-    keep: dict[tuple[int, str], int] = {}
-    for i, x in enumerate(x_ids):
-        key = (cls[i], fiber_choice[i])
-        if key not in keep or x < x_ids[keep[key]]:
-            keep[key] = i
-    survivors = sorted(keep.values())
+    # Fiberwise repair: inside each zero class keep one point per fiber,
+    # the one of least code. The last write of a key wins, so the points
+    # go down the text order.
+    x_ids = [f"x{i}" for i in range(n_x)]
+    down = sorted(range(n_x), key=x_ids.__getitem__, reverse=True)
+    survivors = sorted({(cls[i], fiber_of[i]): i for i in down}.values())
 
-    fiber_table = {x_ids[i]: fiber_choice[i] for i in survivors}
-    rows = [[d[cls[i]][cls[j]] for j in survivors] for i in survivors]
-    return _table_mapping_from_rows(base, fiber_table, _PALETTE_DEN, rows)
+    fibers = {x_ids[i]: base.points[fiber_of[i]] for i in survivors}
+    cols = [cls[j] for j in survivors]
+    rows = [[di[c] for c in cols] for di in (d[c] for c in cols)]
+    return _mapping_from_rows(base, fibers, _PALETTE_DEN, rows)

@@ -22,6 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm
+from operator import getitem
 from typing import Callable, ClassVar, Iterable, Iterator, Union
 from weakref import WeakKeyDictionary
 
@@ -227,7 +228,7 @@ def table_mapping(
     The checks run on each value's reduced numerator and denominator, and
     the mapping's ``dist`` is the checked table as a ``DistanceMatrix``.
     """
-    carrier, fiber = _carrier_and_fiber(base, fiber_table)
+    carrier, fiber = _fiber_map(_fiber_points(base, fiber_table))
     index = {code: i for i, code in enumerate(fiber_table)}
     items = distance_table.items() if isinstance(distance_table, dict) else distance_table
     # (i, j) with i < j in carrier order -> reduced (numerator, denominator)
@@ -292,15 +293,27 @@ def _table_mapping_from_rows(
     raises. Numerators and ``den`` are divided by their gcd, so ``den`` is
     the LCM of the realized denominators, as from ``table_mapping``.
     """
-    carrier, fiber = _carrier_and_fiber(base, fiber_table)
-    n = len(fiber_table)
+    return _mapping_from_rows(base, _fiber_points(base, fiber_table), den, rows)
+
+
+def _mapping_from_rows(
+    base: Base, fibers: dict[str, BasePoint], den: int, rows: list[list[int]]
+) -> MetricMapping:
+    """``_table_mapping_from_rows`` with each code's base point already
+    resolved, as random_instance draws them."""
+    n = len(fibers)
+    # In bulk, each a C-level pass. With n rows, a transpose equal to the
+    # rows makes the table square and symmetric; then the diagonal and the
+    # least entry.
     if not (
         len(rows) == n
-        and all(len(row) == n and row[i] == 0 for i, row in enumerate(rows))
-        and all(rows[i][j] == rows[j][i] >= 0 for i, j in combinations(range(n), 2))
+        and list(map(list, zip(*rows))) == rows
+        and not any(map(getitem, rows, range(n)))
+        and (not rows or min(map(min, rows)) >= 0)
     ):
         raise InputError("generated distance table is not square, symmetric and "
                          "nonnegative with zero diagonal")
+    carrier, fiber = _fiber_map(fibers)
     return _table(carrier, base, fiber, *_reduced(den, rows))
 
 
@@ -320,10 +333,9 @@ def _reduced(den: int, num: list[list[int]]) -> tuple[int, list[list[int]]]:
     return den // g, [[v // g for v in row] for row in num]
 
 
-def _carrier_and_fiber(base: Base, fiber_table: dict[str, object]):
-    """The carrier of ``fiber_table``, in its order, and its fiber map;
-    a token that names no base point raises at ``fiber_table.<code>``."""
-    carrier = FiniteCarrier.of(list(fiber_table))
+def _fiber_points(base: Base, fiber_table: dict[str, object]) -> dict[str, BasePoint]:
+    """The base point each code of ``fiber_table`` names, in its order; a
+    token that names no base point raises at ``fiber_table.<code>``."""
     fibers = {}
     for code, token in fiber_table.items():
         try:
@@ -332,6 +344,14 @@ def _carrier_and_fiber(base: Base, fiber_table: dict[str, object]):
             raise InputError(
                 f"fiber of {code!r} targets {e.message}", path=f"fiber_table.{code}"
             ) from None
+    return fibers
+
+
+def _fiber_map(fibers: dict[str, BasePoint]):
+    """The carrier of ``fibers``, in its order, and the fiber map that
+    reads it."""
+    # Dict keys are distinct, so the carrier needs no duplicate check.
+    carrier = FiniteCarrier(tuple(map(CarrierPoint, fibers)))
 
     def fiber(x: CarrierPoint) -> BasePoint:
         try:
@@ -511,7 +531,10 @@ def _chebyshev(pts: tuple[CarrierPoint, ...], one_dim: bool) -> tuple[int, list[
 def distance_matrix(m: MetricMapping, budget: int | None = None) -> DistanceMatrix:
     """The distance matrix over ``m.sample_points(budget)``, built on the
     first call for that mapping and sample and reused by every later one.
-    Finite carriers ignore ``budget``; countable ones need it."""
+    Finite carriers ignore ``budget``; countable ones need it. A ``table``
+    mapping's matrix is its ``dist``, returned without a cache lookup."""
+    if m.dist_kind == "table":
+        return m.dist
     key = None if carrier_is_finite(m.carrier) else budget
     by_sample = _MATRICES.setdefault(m, {})
     if key not in by_sample:

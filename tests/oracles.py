@@ -11,9 +11,11 @@ Fraction distance pair by pair instead of calling the validators or
 reading a DistanceMatrix. The basis oracle is the plain cubic scan that
 validate_basis replaced: every pair of basis sets, then the whole basis
 for each point they share. The Newton oracle is the Fraction recurrence
-and stopping rule that the integer term evaluator replaced, and the
-generator's basis oracle rescans every pair of sets in each round, as
-random_instance did before its worklist. The enumeration oracles are
+and stopping rule that the integer term evaluator replaced. The
+generator oracle draws with the stdlib's randint, choice and sample,
+which random_instance no longer calls, rescans every pair of basis sets
+in each round, as random_instance did before its worklist, and repairs
+the distances on Fractions. The enumeration oracles are
 the recursive Stern pair and the Fraction formulas q / (1 + q) and
 lo + (hi - lo) t that the integer enumeration replaced, and the zero-mask
 oracle asks the evaluator for each distance pair by pair.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from weakref import WeakKeyDictionary
 
 from mapcomplete.base_topology import FiniteBase, all_opens_finite, describe_open
@@ -350,9 +353,31 @@ def basis_violations_by_scan(b) -> list[Violation]:
 
 def random_basis_by_rescan(seed: int, max_y: int) -> list[tuple]:
     """The basis random_instance(seed, max_x, max_y) draws, for any max_x:
-    the same draws, closed under nonempty pairwise intersection by
-    rescanning every pair of sets until a round adds none, then covered
-    with singletons and sorted."""
+    the basis of random_tables_by_stdlib, which draws only the carrier
+    after it."""
+    return random_tables_by_stdlib(seed, 1, max_y)[2]
+
+
+# The distances random_instance draws, in its order, as Fractions.
+_PALETTE = (Fraction(0), Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1),
+            Fraction(3, 2), Fraction(2))
+
+
+def random_tables_by_stdlib(seed: int, max_x: int, max_y: int) -> tuple:
+    """The tables of random_instance(seed, max_x, max_y), drawn with the
+    stdlib's randint, choice and sample and repaired on Fractions:
+    ``(codes, fibers, basis, den, num)``, where ``codes`` and ``fibers``
+    list the surviving points and their base points in carrier order,
+    ``basis`` is the sorted basis and ``num[i][j] / den`` the repaired
+    distance, over the LCM of its denominators.
+
+    The basis is closed under nonempty pairwise intersection by rescanning
+    every pair of sets until a round adds none, then covered with
+    singletons. The repair joins the points linked by zero entries into
+    classes by a breadth-first search, where moves are free, takes each
+    class pair's least entry and runs Floyd-Warshall over the classes.
+    Each zero class then keeps one point per fiber, the one of least code.
+    """
     rng = random.Random(seed)
     n_y = rng.randint(1, max_y)
     y_ids = [f"y{i}" for i in range(n_y)]
@@ -372,7 +397,58 @@ def random_basis_by_rescan(seed: int, max_y: int) -> list[tuple]:
     for pid in y_ids:
         if pid not in covered:
             sets.add((pid,))
-    return sorted(sets)
+
+    n_x = rng.randint(1, max_x)
+    x_ids = [f"x{i}" for i in range(n_x)]
+    fiber = [rng.choice(y_ids) for _ in x_ids]
+    weight = {pair: rng.choice(_PALETTE) for pair in combinations(range(n_x), 2)}
+
+    zero_links = {i: [] for i in range(n_x)}
+    for (i, j), w in weight.items():
+        if w == 0:
+            zero_links[i].append(j)
+            zero_links[j].append(i)
+    classes: list[list[int]] = []
+    class_of: dict[int, int] = {}
+    for start in range(n_x):
+        if start in class_of:
+            continue
+        class_of[start] = len(classes)
+        members, frontier = [start], [start]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j in zero_links[i]:
+                    if j not in class_of:
+                        class_of[j] = len(classes)
+                        members.append(j)
+                        nxt.append(j)
+            frontier = nxt
+        classes.append(members)
+    c = len(classes)
+    dist = [[None] * c for _ in range(c)]
+    for (i, j), w in weight.items():
+        a, b = class_of[i], class_of[j]
+        if a != b and (dist[a][b] is None or w < dist[a][b]):
+            dist[a][b] = dist[b][a] = w
+    for a in range(c):
+        dist[a][a] = Fraction(0)
+    for k in range(c):
+        for a in range(c):
+            for b in range(c):
+                if dist[a][k] + dist[k][b] < dist[a][b]:
+                    dist[a][b] = dist[a][k] + dist[k][b]
+
+    least: dict[tuple, int] = {}
+    for i in range(n_x):
+        key = (class_of[i], fiber[i])
+        if key not in least or x_ids[i] < x_ids[least[key]]:
+            least[key] = i
+    kept = sorted(least.values())
+    values = [[dist[class_of[i]][class_of[j]] for j in kept] for i in kept]
+    den = lcm(*(v.denominator for row in values for v in row))
+    num = [[int(v * den) for v in row] for row in values]
+    return [x_ids[i] for i in kept], [fiber[i] for i in kept], sorted(sets), den, num
 
 
 def _random_opens(rng, ys) -> set:

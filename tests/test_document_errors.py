@@ -269,6 +269,18 @@ CASES = {
     "distance-entry-unknown-code": (FINITE, {"distance.entries": [["u", "zz", "1"]]},
                                     "$.distance.entries[0]: distance entry references unknown "
                                     "carrier point 'zz'"),
+    # A lone surrogate, which json.dumps writes as an escape: refused at its
+    # path, a key at its object's, before any field is read.
+    "carrier-code-lone-surrogate": (FINITE, {"carrier.points": ["u", "\ud800", "w"]},
+                                    "$.carrier.points[1]: string is not UTF-8 text: lone "
+                                    "surrogate \\ud800 at character 0"),
+    "base-point-lone-surrogate": (FINITE, {"base.points": ["a", "b\udfff"],
+                                           "carrier.points": ["\ud800"]},
+                                  "$.base.points[1]: string is not UTF-8 text: lone surrogate "
+                                  "\\udfff at character 1"),
+    "fiber-key-lone-surrogate": (FINITE, {"fiber_map.entries": {"u": "a", "\udc00": "b"}},
+                                 "$.fiber_map.entries: key is not UTF-8 text: lone surrogate "
+                                 "\\udc00 at character 0"),
 }
 
 

@@ -6,7 +6,7 @@ start from the golden corpus and get one mutation each: a field dropped or
 retyped, a kind swapped, a rational corrupted or a code pointed at nothing.
 Three documents are refused before any field is read: one that is not
 UTF-8, JSON nested past the recursion limit, and an integer literal past
-the int-string limit.
+the int-string limit; so is a string with a lone surrogate, at its path.
 """
 
 from __future__ import annotations
@@ -172,3 +172,32 @@ def test_parse_instance_refuses_bad_json_at_the_root(data, message):
     with pytest.raises(InputError) as info:
         parse_instance(data.decode("utf-8"))
     assert str(info.value) == message
+
+
+# incomplete.json with its carrier code "x_b" written as a lone-surrogate
+# escape. complete-check would print the code in its certificate and
+# density in its witness= line, and no UTF-8 stdout can hold it.
+LONE_SURROGATE = (GOLDEN / "incomplete.json").read_text(encoding="utf-8").replace(
+    '"x_b"', '"\\ud800"')
+
+
+@pytest.mark.parametrize("argv", [["complete-check"], ["density", "--point", "const(\ud800)"]],
+                         ids=["complete-check", "density"])
+def test_lone_surrogate_code_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(LONE_SURROGATE, encoding="utf-8")
+    assert run_command([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ERROR $.carrier.points[0]: string is not UTF-8 text: "
+                            "lone surrogate \\ud800 at character 0\n")
+
+
+def test_parse_instance_takes_a_surrogate_pair_and_refuses_a_raw_surrogate():
+    # An escaped pair decodes to one character, which UTF-8 holds; a text
+    # that holds a surrogate itself, as only a library caller can pass,
+    # is refused like its escape.
+    pair = LONE_SURROGATE.replace("\\ud800", "\\ud83d\\ude00")
+    assert [p.code for p in parse_instance(pair).points()] == ["\U0001f600"]
+    with pytest.raises(InputError, match=r"^\$\.carrier\.points\[0\]: string is not UTF-8"):
+        parse_instance(LONE_SURROGATE.replace("\\ud800", "\ud800"))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapcomplete.base_topology import BasePoint, FiniteBase
+from mapcomplete.cli import MAX_SUITE_Y
 from mapcomplete.completion import dstar_approx, embed
 from mapcomplete.errors import InputError
 from mapcomplete.finite_oracle import (
@@ -45,6 +46,7 @@ from oracles import (
     lemma2_by_subset_sweep,
     limit_via_full_topology,
     random_basis_by_rescan,
+    random_tables_by_stdlib,
     stress_instance,
 )
 
@@ -297,6 +299,32 @@ def test_random_instance_basis_matches_the_rescan_closure(max_y):
         assert basis == tuple(random_basis_by_rescan(seed, max_y)), seed
 
 
+@pytest.mark.parametrize("max_x, max_y, seeds", [
+    (6, 3, 2000), (10, 4, 200), (20, 6, 200), (64, 12, 200),
+])
+def test_random_instance_draws_the_stdlib_stream(max_x, max_y, seeds):
+    # random_instance draws through getrandbits alone; the oracle draws
+    # the same values with randint, choice and sample, and repairs them
+    # on Fractions. (64, 12) are the suites' bounds.
+    for seed in range(seeds):
+        m = random_instance(seed, max_x, max_y)
+        dm = distance_matrix(m)
+        pts = m.points()
+        codes, fibers, basis, den, num = random_tables_by_stdlib(seed, max_x, max_y)
+        assert [p.code for p in pts] == codes, seed
+        assert [m.fiber_of(p).id for p in pts] == fibers, seed
+        assert m.base.basis == tuple(basis), seed
+        assert (dm.den, dm.num) == (den, num), seed
+
+
+def test_suite_bases_stay_on_the_sample_pool_branch():
+    # random_instance replays Random.sample as the partial Fisher-Yates of
+    # its pool branch, which sample takes for every population of at most
+    # 21 (its set branch starts past 21 + 4 ** ceil(log4(3k)) for k > 5).
+    # A base of more than 21 points could draw other values.
+    assert MAX_SUITE_Y <= 21
+
+
 def test_random_instance_reproducible():
     m1, m2 = random_instance(1), random_instance(1)
     assert [p.code for p in m1.points()] == [p.code for p in m2.points()]
@@ -316,8 +344,9 @@ def test_random_instance_respects_bounds_and_validators():
 
 
 def _closed(n, weights) -> dict:
-    # The closure's answer for every pair i < j, read through its classes.
-    cls, d = _shortest_path_closure(n, weights)
+    # The closure's answer for every pair i < j, read through its classes;
+    # it takes the weights flat, in combinations order.
+    cls, d = _shortest_path_closure(n, [weights[p] for p in combinations(range(n), 2)])
     return {(i, j): d[cls[i]][cls[j]] for i, j in combinations(range(n), 2)}
 
 
@@ -335,8 +364,8 @@ def test_shortest_path_closure_repairs_without_increasing():
 
 
 def test_shortest_path_closure_numbers_the_zero_classes():
-    cls, d = _shortest_path_closure(4, {(0, 1): 2, (0, 2): 0, (0, 3): 5,
-                                        (1, 2): 1, (1, 3): 0, (2, 3): 7})
+    # (0, 1) (0, 2) (0, 3) (1, 2) (1, 3) (2, 3)
+    cls, d = _shortest_path_closure(4, [2, 0, 5, 1, 0, 7])
     assert cls == [0, 1, 0, 1]
     assert d == [[0, 1], [1, 0]]
 
