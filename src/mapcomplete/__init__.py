@@ -17,7 +17,6 @@ from .base_topology import (
     OnePointBase,
     RationalInterval,
     RationalOrderBase,
-    all_opens_finite,
     validate_basis,
 )
 from .completion import (
@@ -35,15 +34,11 @@ from .errors import EvaluatorError, InputError, Violation, WitnessError
 from .finite_oracle import (
     FiniteCompletion,
     OracleVerdict,
-    PrincipalFilter,
-    TailSequence,
     cluster_and_limit_sets,
-    filter_of_net,
     finite_completion,
     is_complete_filter,
     is_complete_net,
     lemma2_check,
-    net_of_filter,
     random_instance,
     zero_classes,
 )
@@ -56,7 +51,6 @@ from .metric_mapping import (
     RationalIntervalCarrier,
     abs_diff_mapping,
     closure_finite,
-    fiber_preimage,
     max_metric_mapping,
     table_mapping,
     validate_fiberwise_metric,
@@ -66,11 +60,9 @@ from .tied_cauchy import (
     RegularSeq,
     TiedCauchySeq,
     TyingWitness,
-    apartness_witness,
     check_regularity,
     check_tying,
     const_seq,
-    gap_interval,
     newton_sqrt_seq,
     table_seq,
 )
@@ -90,21 +82,17 @@ __all__ = [
     "MetricMapping",
     "OnePointBase",
     "OracleVerdict",
-    "PrincipalFilter",
     "RationalGridCarrier",
     "RationalInterval",
     "RationalIntervalCarrier",
     "RationalOrderBase",
     "RegularCompletionSeq",
     "RegularSeq",
-    "TailSequence",
     "TiedCauchySeq",
     "TyingWitness",
     "Violation",
     "WitnessError",
     "abs_diff_mapping",
-    "all_opens_finite",
-    "apartness_witness",
     "check_regularity",
     "check_tying",
     "closure_finite",
@@ -114,18 +102,14 @@ __all__ = [
     "density_witness",
     "dstar_approx",
     "embed",
-    "fiber_preimage",
-    "filter_of_net",
     "finite_completion",
     "fstar",
-    "gap_interval",
     "is_complete_filter",
     "is_complete_net",
     "lemma2_check",
     "lift_seq",
     "limit_point",
     "max_metric_mapping",
-    "net_of_filter",
     "newton_sqrt_seq",
     "random_instance",
     "table_mapping",

@@ -244,20 +244,3 @@ def validate_basis(b: FiniteBase) -> list[Violation]:
                     )
                 )
     return violations
-
-
-def all_opens_finite(b: FiniteBase) -> frozenset:
-    """Every open of the finite base: all unions of basis sets, plus the
-    empty set, each in canonical sorted-tuple form."""
-    generators = [frozenset(o) for o in b.basis]
-    known = {frozenset()} | set(generators)
-    changed = True
-    while changed:
-        changed = False
-        for o in list(known):
-            for g in generators:
-                u = o | g
-                if u not in known:
-                    known.add(u)
-                    changed = True
-    return frozenset(tuple(sorted(o)) for o in known)

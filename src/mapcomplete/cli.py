@@ -291,6 +291,13 @@ def _cmd_suite(args, _, report: Report) -> None:
 
 
 def _cmd_complete_construct(args, m, report: Report) -> None:
+    # The report echoes the path, and a lone surrogate (from undecodable
+    # argv bytes) cannot be printed as UTF-8: refuse it before any work.
+    if args.out is not None:
+        try:
+            args.out.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError(f"cannot write {args.out!r}: path is not UTF-8 text") from None
     _add_validators(report, m, args.depth, finite_only=True)
     if report.exit_code != 0:
         return

@@ -21,13 +21,7 @@ from .base_topology import BasePoint, FiniteBase, OnePointBase, describe_open, f
 from .errors import InputError
 from .metric_mapping import CarrierPoint, MetricMapping
 from .rationals import frac_ceil
-from .tied_cauchy import (
-    RegularSeq,
-    TiedCauchySeq,
-    TyingWitness,
-    _require_same_mapping,
-    const_seq,
-)
+from .tied_cauchy import RegularSeq, TiedCauchySeq, TyingWitness, const_seq
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +30,7 @@ class CompletionPoint:
 
     Two representatives with distance limit 0 over the same base point
     denote the same element; deciding that is only semi-decidable, so no
-    __eq__ is defined. Compare with dstar_approx and apartness_witness.
+    __eq__ is defined. Compare with dstar_approx.
     """
 
     rep: TiedCauchySeq
@@ -72,7 +66,8 @@ def dstar_approx(p: CompletionPoint, q: CompletionPoint, eps: Fraction) -> Fract
     constant representatives the result is the exact carrier distance,
     independent of eps.
     """
-    _require_same_mapping(p, q)
+    if p.mapping is not q.mapping:
+        raise InputError("sequences live over different metric mappings")
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("precision must be positive")
@@ -116,7 +111,14 @@ class RegularCompletionSeq:
 
 
 def const_completion_seq(p: CompletionPoint) -> RegularCompletionSeq:
-    """The constant sequence at one completion point."""
+    """The constant sequence at one completion point.
+
+    A lifted sequence (lift_seq) holds embedded carrier points only; this
+    is the one sequence whose terms can be points the carrier lacks, such
+    as ``newton_sqrt``'s. Through it the paper's statement that the
+    completion is complete is checked on such a point: the diagonal limit
+    (limit_point) of the constant sequence at p is p.
+    """
     return RegularCompletionSeq(p.mapping, lambda n: p, p.y, TyingWitness(lambda o: 1))
 
 

@@ -48,7 +48,6 @@ from .metric_mapping import (
     _closure_mask,
     _mapping_from_rows,
     _neighborhoods,
-    _table_mapping_from_rows,
     bit_indices,
     distance_matrix,
     point_masks,
@@ -62,19 +61,6 @@ MAX_POINTS = 512
 
 
 @dataclass(frozen=True)
-class PrincipalFilter:
-    """A filter on a finite carrier, represented by its minimal set: the
-    filter of all supersets of ``min_set``. Every filter on a finite set
-    has this form."""
-
-    min_set: frozenset
-
-    def __post_init__(self):
-        if not self.min_set:
-            raise InputError("a filter's minimal set must be nonempty")
-
-
-@dataclass(frozen=True)
 class OracleVerdict:
     """Decision plus certificate. For completeness checks the certificate
     is the witnessing (base point, tied set) on failure."""
@@ -84,26 +70,6 @@ class OracleVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class TailSequence:
-    """An eventually-cycling sequence: a finite prefix, then the ``tail``
-    points repeated forever in order."""
-
-    prefix: tuple[CarrierPoint, ...]
-    tail: tuple[CarrierPoint, ...]
-
-    def __post_init__(self):
-        if not self.tail:
-            raise InputError("tail must be nonempty")
-
-    def at(self, n: int) -> CarrierPoint:
-        if n < 1:
-            raise InputError("sequence index starts at 1")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return self.tail[(n - len(self.prefix) - 1) % len(self.tail)]
 
 
 def _components(n: int, edges, order) -> list[int]:
@@ -197,7 +163,7 @@ def cluster_and_limit_sets(m: MetricMapping, region) -> tuple[frozenset, frozens
     a = masks.mask_of(region)
     if not a:
         raise InputError("region must be nonempty")
-    clusters = _closure_mask(_neighborhoods(m), a)
+    clusters = _closure_mask(_neighborhoods(masks), a)
     return masks.points_of(clusters), masks.points_of(_limit_set(masks, a))
 
 
@@ -221,7 +187,7 @@ def is_complete_filter(m: MetricMapping) -> OracleVerdict:
     singleton.
     """
     masks = point_masks(m)
-    nbhds = _neighborhoods(m)
+    nbhds = _neighborhoods(masks)
     everything = (1 << len(masks.points)) - 1
     closures: dict[int, int] = {}
     for y in m.base.points:
@@ -261,30 +227,6 @@ def is_complete_net(m: MetricMapping) -> OracleVerdict:
     return OracleVerdict(True)
 
 
-def filter_of_net(seq: TailSequence) -> PrincipalFilter:
-    """The filter of terminal sets of an eventually-cycling sequence: the
-    up-set of the set of points visited infinitely often."""
-    return PrincipalFilter(frozenset(seq.tail))
-
-
-def net_of_filter(m: MetricMapping, flt: PrincipalFilter) -> TailSequence:
-    """A sequence realizing a principal filter with zero-diameter minimal
-    set: cycle through the minimal set forever. Rejects larger diameters,
-    which no Cauchy sequence can realize. The cycle runs in code order."""
-    masks = point_masks(m)
-    a = masks.mask_of(flt.min_set)
-    if any(a & ~(1 << i) & ~masks.zero[i] for i in bit_indices(a)):
-        raise InputError("minimal set has positive diameter; not realizable by a Cauchy sequence")
-    return TailSequence((), tuple(masks.points[i] for i in masks.order if a >> i & 1))
-
-
-def net_cluster_limit(m: MetricMapping, seq: TailSequence) -> tuple[frozenset, frozenset]:
-    """Cluster and limit sets of an eventually-cycling sequence, computed
-    from the terms themselves (one full cycle past the prefix)."""
-    start = len(seq.prefix) + 1
-    return cluster_and_limit_sets(m, (seq.at(n) for n in range(start, start + len(seq.tail))))
-
-
 def lemma2_check(m: MetricMapping) -> OracleVerdict:
     """For every realizable tied Cauchy sequence, cluster points and limit
     points agree inside the target fiber.
@@ -321,7 +263,7 @@ def lemma2_check(m: MetricMapping) -> OracleVerdict:
     """
     masks = point_masks(m)
     pts, zero = masks.points, masks.zero
-    nbhds = _neighborhoods(m)
+    nbhds = _neighborhoods(masks)
     clusters: dict[int, int] = {}
     limits: dict[int, int] = {}
     for y in m.base.points:
@@ -355,7 +297,7 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
     New carrier: one point per (zero class C, base point y) with C meeting
     T_y; its fiber is y, and its distances are the numerators between
     class representatives in the DistanceMatrix of m, over the same
-    ``den``, checked on those integers (_table_mapping_from_rows).
+    ``den``, checked on those integers (_mapping_from_rows).
     Its code is ``<representative code>*<y>``, with backslash and ``*``
     escaped in both parts so that distinct pairs never share a code; each
     class and base point is escaped once.
@@ -380,20 +322,21 @@ def finite_completion(m: MetricMapping) -> FiniteCompletion:
 
     rep_code = [escape(masks.points[rep[k]].code) for k in range(len(classes))]
     codes: dict[tuple[int, PointId], str] = {}
+    fibers: dict[str, BasePoint] = {}
     for y in m.base.points:
         core = _tied_core(masks, y.id)
         y_code = escape(y.id)
         for k, c in enumerate(classes):
             if c & core:
-                codes[(k, y.id)] = f"{rep_code[k]}*{y_code}"
+                code = codes[(k, y.id)] = f"{rep_code[k]}*{y_code}"
+                fibers[code] = y
     if len(codes) > MAX_POINTS:
         raise InputError(f"completion has {len(codes)} points, at most {MAX_POINTS} can be built")
 
     dm = distance_matrix(m)
-    fiber_table = {code: y for (_, y), code in codes.items()}
     idx = [rep[k] for k, _ in codes]
     rows = [[row[j] for j in idx] for row in (dm.num[i] for i in idx)]
-    instance = _table_mapping_from_rows(m.base, fiber_table, dm.den, rows)
+    instance = _mapping_from_rows(m.base, fibers, dm.den, rows)
     # The completed carrier keeps the order of ``codes``.
     star = dict(zip(codes, instance.points()))
     embedding = {

@@ -281,26 +281,20 @@ def table_mapping(
     return _table(carrier, base, fiber, den, rows)
 
 
-def _table_mapping_from_rows(
-    base: Base, fiber_table: dict[str, object], den: int, rows: list[list[int]]
-) -> MetricMapping:
-    """``table_mapping`` for a table already on integers: ``rows[i][j] / den``
-    is the distance between the i-th and j-th codes of ``fiber_table``.
-
-    For the package's own generated tables. The checks are the same rules
-    on the integers: a square table in carrier order, nonnegative, zero on
-    the diagonal and symmetric; a table that breaks one is a bug, and
-    raises. Numerators and ``den`` are divided by their gcd, so ``den`` is
-    the LCM of the realized denominators, as from ``table_mapping``.
-    """
-    return _mapping_from_rows(base, _fiber_points(base, fiber_table), den, rows)
-
-
 def _mapping_from_rows(
     base: Base, fibers: dict[str, BasePoint], den: int, rows: list[list[int]]
 ) -> MetricMapping:
-    """``_table_mapping_from_rows`` with each code's base point already
-    resolved, as random_instance draws them."""
+    """``table_mapping`` for a table already on integers: ``rows[i][j] / den``
+    is the distance between the i-th and j-th codes of ``fibers``, which
+    maps each code to its base point, already resolved.
+
+    For the package's own generated and completed tables. The checks are
+    the same rules on the integers: a square table in carrier order,
+    nonnegative, zero on the diagonal and symmetric; a table that breaks
+    one is a bug, and raises. Numerators and ``den`` are divided by their
+    gcd, so ``den`` is the LCM of the realized denominators, as from
+    ``table_mapping``.
+    """
     n = len(fibers)
     # In bulk, each a C-level pass. With n rows, a transpose equal to the
     # rows makes the table square and symmetric; then the diagonal and the
@@ -876,16 +870,6 @@ def point_masks(m: MetricMapping) -> PointMasks:
     return masks
 
 
-def fiber_preimage(m: MetricMapping, region: Iterable[BasePoint]) -> frozenset:
-    """Carrier points whose fiber lies in ``region`` (finite instances),
-    read from the fiber masks of ``point_masks(m)``."""
-    masks = point_masks(m)
-    mask = 0
-    for y in region:
-        mask |= masks.fiber.get(y.id, 0)
-    return masks.points_of(mask)
-
-
 def closure_radii(m: MetricMapping) -> list[Fraction]:
     """Ball radii that distinguish every ball on a finite carrier: the
     realized pairwise distances plus midpoints of consecutive values,
@@ -915,11 +899,11 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
     return positive or [Fraction(1)]
 
 
-def _neighborhoods(m: MetricMapping) -> list[tuple[int, ...]]:
+def _neighborhoods(masks: PointMasks) -> list[tuple[int, ...]]:
     """The minimal basic neighborhoods of every point of a finite
-    instance, as masks: for x_i, its zero class ``zero[i]`` of
-    ``point_masks(m)``, intersected with each preimage ``around`` its
-    fiber, each distinct mask once.
+    instance, as masks: for x_i, its zero class ``masks.zero[i]``,
+    intersected with each preimage ``around`` its fiber, each distinct
+    mask once.
 
     Only these decide a closure, with no assumption on the basis or the
     metric. Every ball of positive radius around x contains x's zero
@@ -928,7 +912,6 @@ def _neighborhoods(m: MetricMapping) -> list[tuple[int, ...]]:
     neighborhood does; the converse is plain, since the zero class is
     itself a ball (of radius the smallest positive distance from x).
     """
-    masks = point_masks(m)
     return [
         tuple({z & p for p in masks.around[fid]}) for z, fid in zip(masks.zero, masks.fiber_ids)
     ]
@@ -961,4 +944,4 @@ def closure_finite(m: MetricMapping, region: Iterable[CarrierPoint]) -> frozense
     back into points.
     """
     masks = point_masks(m)
-    return masks.points_of(_closure_mask(_neighborhoods(m), masks.mask_of(region)))
+    return masks.points_of(_closure_mask(_neighborhoods(masks), masks.mask_of(region)))

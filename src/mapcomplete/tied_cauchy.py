@@ -7,8 +7,8 @@ depth. A *tying witness* maps each basic neighborhood O of the target base
 point to an index past which all fibers of the sequence lie in O.
 
 Equivalence of two such sequences (same limit) is only semi-decidable, so
-the API exposes certified distance intervals and apartness bounds, never a
-boolean equality.
+the API never answers it with a boolean; completion.dstar_approx gives
+their limit distance within a requested eps instead.
 """
 
 from __future__ import annotations
@@ -264,52 +264,3 @@ def check_tying(s: TiedCauchySeq, depth: int) -> list[Violation]:
                 )
                 break
     return violations
-
-
-def _require_same_mapping(s, s2) -> None:
-    """Reject a pair of sequences or completion points over different
-    mappings; both carry the mapping as ``.mapping``."""
-    if s.mapping is not s2.mapping:
-        raise InputError("sequences live over different metric mappings")
-
-
-def gap_interval(s: TiedCauchySeq, s2: TiedCauchySeq, n: int) -> tuple[Fraction, Fraction]:
-    """A certified interval around the limit distance of two sequences.
-
-    Regularity pins the limit of d(at(k), at'(k)) inside
-    [d_n - 2/n, d_n + 2/n] where d_n is the distance of the n-th terms;
-    the lower end is clamped at zero. Width is at most 4/n.
-    """
-    _require_same_mapping(s, s2)
-    if not isinstance(n, int) or n < 1:
-        raise InputError("depth must be a positive integer")
-    d = s.mapping.distance(s.at(n), s2.at(n))
-    slack = Fraction(2, n)
-    return max(Fraction(0), d - slack), d + slack
-
-
-def apartness_witness(
-    s: TiedCauchySeq, s2: TiedCauchySeq, max_depth: int
-) -> Fraction | None:
-    """A sound positive lower bound on the limit distance, or None.
-
-    The depth schedule is 1, 2, 4, ... capped at ``max_depth``, and the
-    best lower end of the gap intervals is returned when positive. None
-    means indistinguishable at this depth; it is never a proof that the
-    sequences are equivalent.
-    """
-    _require_same_mapping(s, s2)
-    if max_depth < 1:
-        raise InputError("max_depth must be at least 1")
-    depths = []
-    n = 1
-    while n < max_depth:
-        depths.append(n)
-        n *= 2
-    depths.append(max_depth)
-    best = Fraction(0)
-    for n in depths:
-        lo, _ = gap_interval(s, s2, n)
-        if lo > best:
-            best = lo
-    return best if best > 0 else None

@@ -3,7 +3,8 @@ larger finite instances to run them on.
 
 Nothing here may call the code paths it checks: the square-root oracle is
 interval arithmetic on raw Fractions, the closure oracle generates the
-whole finite topology instead of quantifying over basic neighborhoods,
+whole finite topology, from every union of basis sets
+(all_opens_finite), instead of quantifying over basic neighborhoods,
 the filter and Lemma 2 oracles sweep every zero-diameter subset with
 their own threshold balls instead of calling closure_finite, the limit
 sets or the deciders, and the pseudometric oracle evaluates every
@@ -29,7 +30,7 @@ from itertools import combinations
 from math import lcm
 from weakref import WeakKeyDictionary
 
-from mapcomplete.base_topology import FiniteBase, all_opens_finite, describe_open
+from mapcomplete.base_topology import FiniteBase, describe_open
 from mapcomplete.errors import EvaluatorError, Violation
 from mapcomplete.metric_mapping import table_mapping
 from mapcomplete.rationals import format_rational
@@ -107,6 +108,25 @@ def _oracle_balls(m, x, pts):
 
 # One generated topology per live mapping.
 _TOPOLOGIES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def all_opens_finite(b: FiniteBase) -> frozenset:
+    """Every open of the finite base: all unions of basis sets, plus the
+    empty set, each in canonical sorted-tuple form. Exponential in the
+    basis; the full-topology oracle is its one reader, so it lives here
+    and that oracle imports no topology code from the package."""
+    generators = [frozenset(o) for o in b.basis]
+    known = {frozenset()} | set(generators)
+    changed = True
+    while changed:
+        changed = False
+        for o in list(known):
+            for g in generators:
+                u = o | g
+                if u not in known:
+                    known.add(u)
+                    changed = True
+    return frozenset(tuple(sorted(o)) for o in known)
 
 
 def full_topology(m) -> frozenset:

@@ -12,13 +12,12 @@ from mapcomplete.base_topology import (
     OnePointBase,
     RationalInterval,
     RationalOrderBase,
-    all_opens_finite,
     validate_basis,
 )
 from mapcomplete.errors import InputError
 from mapcomplete.metric_mapping import FiniteCarrier
 
-from oracles import _coarse_opens, _random_opens, basis_violations_by_scan
+from oracles import _coarse_opens, _random_opens, all_opens_finite, basis_violations_by_scan
 
 
 def test_validate_basis_accepts_nested_basis():

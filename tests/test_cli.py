@@ -997,7 +997,7 @@ def test_cli_completion_past_the_point_bound_exits_2_before_its_table(
             [a, b, "1"] for i, a in enumerate(codes) for b in codes[i + 1:]]},
     }
     calls = []
-    monkeypatch.setattr(finite_oracle, "_table_mapping_from_rows",
+    monkeypatch.setattr(finite_oracle, "_mapping_from_rows",
                         lambda *args: calls.append(args))
     assert run_command(["complete-construct", _write(tmp_path, doc)]) == 2
     captured = capsys.readouterr()

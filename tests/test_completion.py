@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapcomplete.base_topology import BasePoint, FiniteBase
+from mapcomplete.base_topology import BasePoint, FiniteBase, OnePointBase
 from mapcomplete.completion import (
     CompletionPoint,
     const_completion_seq,
@@ -18,7 +20,12 @@ from mapcomplete.completion import (
 )
 from mapcomplete.errors import InputError
 from mapcomplete.finite_oracle import finite_completion, random_instance
-from mapcomplete.metric_mapping import CarrierPoint, table_mapping
+from mapcomplete.metric_mapping import (
+    CarrierPoint,
+    RationalIntervalCarrier,
+    abs_diff_mapping,
+    table_mapping,
+)
 from mapcomplete.rationals import frac_ceil
 from mapcomplete.tied_cauchy import (
     RegularSeq,
@@ -156,6 +163,32 @@ def test_dstar_triangle_and_symmetry_sampled(interval_mapping):
         d_qr = dstar_approx(q, r, eps)
         assert d_pr <= d_pq + d_qr + 3 * eps
         assert abs(dstar_approx(p, q, eps) - dstar_approx(q, p, eps)) <= 2 * eps
+
+
+# Immutable, so safe to share across hypothesis examples.
+_LINE = abs_diff_mapping(RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"))
+_SMALL = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail=st.fractions(min_value=1, max_value=2, max_denominator=32),
+       deltas=st.lists(_SMALL, max_size=6))
+def test_dstar_brackets_share_a_common_point(tail, deltas):
+    # A regular table by shrinking offsets: |delta_i| <= 1/(2i). Each
+    # value at eps = 2/n lies within eps of the one limit distance, so
+    # the brackets [v - eps, v + eps] for n = 1..11 all hold it.
+    prefix = [
+        CarrierPoint(tail + d / (2 * (i + 1) * (1 + abs(d) * 2)))
+        for i, d in enumerate(deltas)
+    ]
+    p = CompletionPoint(table_seq(_LINE, prefix, CarrierPoint(tail)))
+    q = embed(_LINE, CarrierPoint(Fraction(1, 2)))
+    brackets = []
+    for n in range(1, 12):
+        eps = Fraction(2, n)
+        v = dstar_approx(p, q, eps)
+        brackets.append((v - eps, v + eps))
+    assert max(lo for lo, _ in brackets) <= min(hi for _, hi in brackets)
 
 
 def test_embed_isometry_exact_on_finite_instances():

@@ -6,7 +6,8 @@ start from the golden corpus and get one mutation each: a field dropped or
 retyped, a kind swapped, a rational corrupted or a code pointed at nothing.
 Three documents are refused before any field is read: one that is not
 UTF-8, JSON nested past the recursion limit, and an integer literal past
-the int-string limit; so is a string with a lone surrogate, at its path.
+the int-string limit; so is a string with a lone surrogate, at its path,
+and a ``--out`` path with one.
 """
 
 from __future__ import annotations
@@ -191,6 +192,17 @@ def test_lone_surrogate_code_exits_2_with_one_error_line(tmp_path, capsys, argv)
     assert captured.out == ""
     assert captured.err == ("ERROR $.carrier.points[0]: string is not UTF-8 text: "
                             "lone surrogate \\ud800 at character 0\n")
+
+
+def test_lone_surrogate_out_path_exits_2_before_writing(tmp_path, capsys):
+    # Undecodable argv bytes arrive as lone surrogates (U+DC80-U+DCFF),
+    # which no UTF-8 stdout can print, and the report echoes --out.
+    out = f"{tmp_path}/x\udcff.json"
+    assert run_command(["complete-construct", str(GOLDEN / "sierpinski.json"), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR cannot write {out!r}: path is not UTF-8 text\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_instance_takes_a_surrogate_pair_and_refuses_a_raw_surrogate():

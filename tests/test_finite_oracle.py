@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,16 +16,11 @@ from mapcomplete.cli import MAX_SUITE_Y
 from mapcomplete.completion import dstar_approx, embed
 from mapcomplete.errors import InputError
 from mapcomplete.finite_oracle import (
-    PrincipalFilter,
-    TailSequence,
     cluster_and_limit_sets,
-    filter_of_net,
     finite_completion,
     is_complete_filter,
     is_complete_net,
     lemma2_check,
-    net_cluster_limit,
-    net_of_filter,
     random_instance,
     zero_classes,
     _shortest_path_closure,
@@ -34,7 +31,6 @@ from mapcomplete.metric_mapping import (
     MetricMapping,
     closure_finite,
     distance_matrix,
-    fiber_preimage,
     table_mapping,
 )
 from mapcomplete.metric_mapping import validate_fiberwise_metric, validate_pseudometric
@@ -120,35 +116,6 @@ def test_zero_classes_by_union_find(sierpinski):
     assert len(classes) == 1 and _codes(classes[0]) == {"x_a", "x_b"}
 
 
-def test_filter_of_net_and_back(sierpinski, by_code):
-    x_a, x_b = by_code(sierpinski, "x_a"), by_code(sierpinski, "x_b")
-    seq = TailSequence((), (x_a,))
-    assert filter_of_net(seq).min_set == frozenset({x_a})
-    cycle = TailSequence((x_b,), (x_a, x_b))
-    flt = filter_of_net(cycle)
-    assert flt.min_set == frozenset({x_a, x_b})
-    # cluster/limit sets agree between the sequence and its filter
-    assert net_cluster_limit(sierpinski, cycle) == cluster_and_limit_sets(
-        sierpinski, flt.min_set
-    )
-
-
-def test_net_of_filter_cycles_the_minimal_set(sierpinski, by_code):
-    x_a, x_b = by_code(sierpinski, "x_a"), by_code(sierpinski, "x_b")
-    seq = net_of_filter(sierpinski, PrincipalFilter(frozenset({x_a, x_b})))
-    assert {seq.at(n) for n in range(1, 5)} == {x_a, x_b}
-    assert net_cluster_limit(sierpinski, seq) == cluster_and_limit_sets(
-        sierpinski, frozenset({x_a, x_b})
-    )
-
-
-def test_net_of_filter_rejects_positive_diameter():
-    base = FiniteBase.of(["a"], [["a"]])
-    m = table_mapping(base, {"u": "a", "v": "a"}, {("u", "v"): Fraction(1)})
-    with pytest.raises(InputError):
-        net_of_filter(m, PrincipalFilter(frozenset(m.points())))
-
-
 def test_lemma2_on_worked_instances(sierpinski, sierpinski_discrete, incomplete_instance):
     for m in (sierpinski, sierpinski_discrete, incomplete_instance):
         assert lemma2_check(m).ok
@@ -170,12 +137,9 @@ _FINITE_CALLS = {
     "cluster_and_limit_sets": lambda m: cluster_and_limit_sets(m, [CarrierPoint("u")]),
     "is_complete_filter": is_complete_filter,
     "is_complete_net": is_complete_net,
-    "net_of_filter": lambda m: net_of_filter(m, PrincipalFilter(frozenset({CarrierPoint("u")}))),
-    "net_cluster_limit": lambda m: net_cluster_limit(m, TailSequence((), (CarrierPoint("u"),))),
     "lemma2_check": lemma2_check,
     "finite_completion": finite_completion,
     "closure_finite": lambda m: closure_finite(m, [CarrierPoint("u")]),
-    "fiber_preimage": lambda m: fiber_preimage(m, [BasePoint("a")]),
 }
 
 
@@ -438,6 +402,24 @@ def test_deciders_share_no_decision_logic(monkeypatch, sierpinski, incomplete_in
                 decider(m)
 
 
+# What tests/oracles.py may take from the package: constructors, types and
+# formatters. An oracle that called a decision or topology function would
+# agree with the code it checks by construction.
+_ORACLE_IMPORTS = {"FiniteBase", "describe_open", "EvaluatorError", "Violation",
+                   "table_mapping", "format_rational"}
+
+
+def test_oracles_import_no_decision_or_topology_function():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "mapcomplete"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mapcomplete":
+            imported.update(a.name for a in node.names)
+    assert imported == _ORACLE_IMPORTS
+
+
 def _filter_outcome(m):
     verdict = is_complete_filter(m)
     return verdict.ok, verdict.certificate
@@ -644,18 +626,12 @@ def test_finite_topology_digest_is_frozen():
     )
 
 
-_U, _V = CarrierPoint("u"), CarrierPoint("v")
 _SIERPINSKI = table_mapping(FiniteBase.of(["a", "b"], [["a"], ["a", "b"]]),
                             {"x_a": "a", "x_b": "b"}, {("x_a", "x_b"): Fraction(0)})
 
 # The argument check of each function or method: the call, the exception
 # it raises and its message.
 _ARGUMENT_CHECKS = {
-    "PrincipalFilter": (lambda: PrincipalFilter(frozenset()), InputError,
-                        "a filter's minimal set must be nonempty"),
-    "TailSequence": (lambda: TailSequence((_U,), ()), InputError, "tail must be nonempty"),
-    "TailSequence.at": (lambda: TailSequence((), (_U,)).at(0), InputError,
-                        "sequence index starts at 1"),
     "cluster_and_limit_sets": (lambda: cluster_and_limit_sets(_SIERPINSKI, []), InputError,
                                "region must be nonempty"),
     "random_instance": (lambda: random_instance(0, 1, 0), InputError,
@@ -669,8 +645,3 @@ def test_argument_check_raises_its_message(name):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
-
-
-def test_tail_sequence_reads_its_prefix_then_cycles_its_tail():
-    seq = TailSequence((_U,), (_V, _U))
-    assert [seq.at(n) for n in range(1, 6)] == [_U, _V, _U, _V, _U]

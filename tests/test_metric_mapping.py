@@ -19,11 +19,10 @@ from mapcomplete.metric_mapping import (
     MetricMapping,
     RationalGridCarrier,
     RationalIntervalCarrier,
-    _table_mapping_from_rows,
+    _mapping_from_rows,
     abs_diff_mapping,
     closure_finite,
     distance_matrix,
-    fiber_preimage,
     max_metric_mapping,
     point_masks,
     table_mapping,
@@ -149,14 +148,6 @@ def test_budget_precondition():
     m = table_mapping(base, {"u": "a"}, {})
     with pytest.raises(InputError):
         validate_pseudometric(m, 0)
-
-
-def test_fiber_preimage_examples(sierpinski, by_code):
-    x_a, x_b = by_code(sierpinski, "x_a"), by_code(sierpinski, "x_b")
-    both = fiber_preimage(sierpinski, [BasePoint("a"), BasePoint("b")])
-    assert both == frozenset({x_a, x_b})
-    assert fiber_preimage(sierpinski, [BasePoint("a")]) == frozenset({x_a})
-    assert fiber_preimage(sierpinski, []) == frozenset()
 
 
 def test_closure_pulls_in_zero_distance_point(sierpinski, by_code):
@@ -395,14 +386,16 @@ def test_integer_tables_are_checked(rows):
     # The generator's and the completion's tables skip table_mapping's
     # item checks, so a bug that breaks the rules still raises.
     base = FiniteBase.of(["a"], [["a"]])
+    a = base.point("a")
     with pytest.raises(InputError, match="generated distance table"):
-        _table_mapping_from_rows(base, {"u": "a", "v": "a"}, 4, rows)
+        _mapping_from_rows(base, {"u": a, "v": a}, 4, rows)
 
 
 def test_integer_tables_keep_the_realized_denominator():
     base = FiniteBase.of(["a"], [["a"]])
-    m = _table_mapping_from_rows(base, {"u": "a", "v": "a", "w": "a"}, 12,
-                                 [[0, 6, 4], [6, 0, 2], [4, 2, 0]])
+    a = base.point("a")
+    m = _mapping_from_rows(base, {"u": a, "v": a, "w": a}, 12,
+                           [[0, 6, 4], [6, 0, 2], [4, 2, 0]])
     dm = distance_matrix(m)
     assert (dm.den, dm.num) == (6, [[0, 3, 2], [3, 0, 1], [2, 1, 0]])
     _matches_the_evaluator_path(m, m.points())

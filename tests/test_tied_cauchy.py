@@ -4,8 +4,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mapcomplete.base_topology import BasePoint, OnePointBase
 from mapcomplete.errors import InputError, WitnessError
@@ -15,11 +13,9 @@ from mapcomplete.tied_cauchy import (
     RegularSeq,
     TiedCauchySeq,
     TyingWitness,
-    apartness_witness,
     check_regularity,
     check_tying,
     const_seq,
-    gap_interval,
     newton_sqrt_seq,
     table_seq,
 )
@@ -225,107 +221,6 @@ def test_memoized_sequences_are_thread_transparent(interval_mapping):
     assert results == expected
 
 
-def test_gap_interval_const_pair_formula(sierpinski, by_code):
-    x_a, x_b = by_code(sierpinski, "x_a"), by_code(sierpinski, "x_b")
-    s, s2 = const_seq(sierpinski, x_a), const_seq(sierpinski, x_b)
-    for n in (1, 3, 10):
-        lo, hi = gap_interval(s, s2, n)
-        d = sierpinski.distance(x_a, x_b)
-        assert lo == max(Fraction(0), d - Fraction(2, n))
-        assert hi == d + Fraction(2, n)
-
-
-def test_gap_interval_self_is_small(interval_mapping):
-    s = newton_sqrt_seq(interval_mapping, Fraction(2))
-    lo, hi = gap_interval(s, s, 25)
-    assert lo == 0 and hi <= Fraction(4, 25)
-
-
-def test_gap_interval_brackets_the_oracle_value(interval_mapping):
-    s = newton_sqrt_seq(interval_mapping, Fraction(2))
-    c = const_seq(interval_mapping, CarrierPoint(Fraction(3, 2)))
-    lo, hi = gap_interval(s, c, 10**7)
-    target_lo, target_hi = sqrt_interval(Fraction(2))
-    assert lo <= Fraction(3, 2) - target_hi and Fraction(3, 2) - target_lo <= hi
-    assert hi - lo <= Fraction(4, 10**7)
-
-
-def test_gap_interval_rejects_mixed_mappings(sierpinski, interval_mapping, by_code):
-    s = const_seq(sierpinski, by_code(sierpinski, "x_a"))
-    c = const_seq(interval_mapping, CarrierPoint(Fraction(1)))
-    with pytest.raises(InputError):
-        gap_interval(s, c, 4)
-
-
-def test_apartness_const_points_at_distance_one():
-    from mapcomplete.base_topology import FiniteBase
-    from mapcomplete.metric_mapping import table_mapping
-
-    base = FiniteBase.of(["a"], [["a"]])
-    m = table_mapping(base, {"u": "a", "v": "a"}, {("u", "v"): Fraction(1)})
-    u, v = m.points()
-    bound = apartness_witness(const_seq(m, u), const_seq(m, v), 8)
-    assert bound is not None and bound >= Fraction(3, 4)
-
-
-def test_apartness_self_is_indistinguishable(interval_mapping):
-    s = newton_sqrt_seq(interval_mapping, Fraction(2))
-    assert apartness_witness(s, s, 64) is None
-
-
-def test_apartness_newton_vs_three_halves(interval_mapping):
-    s = newton_sqrt_seq(interval_mapping, Fraction(2))
-    c = const_seq(interval_mapping, CarrierPoint(Fraction(3, 2)))
-    bound = apartness_witness(s, c, 100)
-    assert bound is not None and bound > Fraction(6, 100)
-
-
-small_fracs = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=64)
-
-# immutable, safe to share across hypothesis examples
-_INTERVAL = None
-
-
-def _interval():
-    global _INTERVAL
-    if _INTERVAL is None:
-        from mapcomplete.base_topology import OnePointBase
-        from mapcomplete.metric_mapping import RationalIntervalCarrier, abs_diff_mapping
-
-        _INTERVAL = abs_diff_mapping(
-            RationalIntervalCarrier(Fraction(0), Fraction(3)),
-            OnePointBase("o"),
-        )
-    return _INTERVAL
-
-
-@settings(max_examples=60, deadline=None)
-@given(tail=st.fractions(min_value=1, max_value=2, max_denominator=32),
-       deltas=st.lists(small_fracs, max_size=6))
-def test_gap_intervals_share_a_common_point(tail, deltas):
-    # Build a regular table by shrinking offsets: |delta_i| <= 1/(2i)
-    m = _interval()
-    t = CarrierPoint(tail)
-    prefix = [
-        CarrierPoint(tail + d / (2 * (i + 1) * (1 + abs(d) * 2)))
-        for i, d in enumerate(deltas)
-    ]
-    s = table_seq(m, prefix, t)
-    c = const_seq(m, CarrierPoint(Fraction(1, 2)))
-    intervals = [gap_interval(s, c, n) for n in range(1, 12)]
-    assert max(lo for lo, _ in intervals) <= min(hi for _, hi in intervals)
-
-
-def test_apartness_agrees_with_gap(interval_mapping):
-    s = newton_sqrt_seq(interval_mapping, Fraction(2))
-    c = const_seq(interval_mapping, CarrierPoint(Fraction(3, 2)))
-    bound = apartness_witness(s, c, 64)
-    assert bound is not None
-    n = frac_ceil(8 / bound)
-    lo, _ = gap_interval(s, c, n)
-    assert lo >= bound / 2
-
-
 _LINE = abs_diff_mapping(RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"))
 _HALF = const_seq(_LINE, CarrierPoint(Fraction(1, 2)))
 _FAR = [CarrierPoint(Fraction(1, 10)), CarrierPoint(Fraction(29, 10))]
@@ -344,10 +239,6 @@ _ARGUMENT_CHECKS = {
     "check_regularity": (lambda: check_regularity(_HALF, 1), InputError,
                          "depth must be at least 2"),
     "check_tying": (lambda: check_tying(_HALF, 0), InputError, "depth must be at least 1"),
-    "gap_interval": (lambda: gap_interval(_HALF, _HALF, 0), InputError,
-                     "depth must be a positive integer"),
-    "apartness_witness": (lambda: apartness_witness(_HALF, _HALF, 0), InputError,
-                          "max_depth must be at least 1"),
 }
 
 
