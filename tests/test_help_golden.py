@@ -35,6 +35,9 @@ CASES = {
     "validate-no-instance": ["validate"],
     # --depth is declared by other subcommands, not by the suites.
     "theorem3-depth": ["theorem3", "--depth", "3"],
+    # An unknown option before the subcommand: argparse still dispatches
+    # to the subcommand after it.
+    "unknown-option-first": ["--foo", "theorem3", "--count", "2"],
 }
 
 
