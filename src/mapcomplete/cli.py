@@ -10,11 +10,19 @@ Each subcommand declares only the options it reads:
 - ``theorem3``, ``lemma2``: ``--seed``, ``--count``, ``--maxx``, ``--maxy``
 
 ``--eps`` is the precision of the completed distance d*, which only
-``dstar`` and ``density`` evaluate to a requested precision. run_command
-loads the instance once and owns the report; each handler only adds its
-lines. Output is the PROP/SUMMARY report format of cli_io on stdout; exit
-code 0 means all PASS, 1 means some FAIL, 2 means input error (diagnostics
-on stderr).
+``dstar`` and ``density`` evaluate to a requested precision.
+
+``_SUBCOMMANDS`` maps each name to its help line, its handler and the
+function that declares its arguments. ``_build_parser(command)``
+registers every subcommand, so the top-level help and errors list them
+all, but runs the declare function of ``command`` alone: an invocation
+parses one subcommand, and declaring the rest took most of a fast
+command's time. The parser is built afresh on each call.
+
+run_command loads the instance once and owns the report; each handler
+only adds its lines. Output is the PROP/SUMMARY report format of cli_io
+on stdout; exit code 0 means all PASS, 1 means some FAIL, 2 means input
+error (diagnostics on stderr).
 """
 
 from __future__ import annotations
@@ -89,66 +97,6 @@ def _rational_arg(text: str) -> Fraction:
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive rational")
     return value
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mapcomplete",
-        description="Validate metric-mapping instances, evaluate certified "
-        "completion distances, and run the seeded finite suites.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, handler):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        p.add_argument("instance", help="path to an instance JSON document")
-        p.add_argument("--depth", type=int, default=64,
-                       help=f"check depth / enumeration budget (default 64, from 1 to {MAX_DEPTH})")
-        return p
-
-    eps = dict(type=_rational_arg, default=Fraction(1, 1_000_000),
-               help="precision of d* as an exact rational (default 1/1000000)")
-
-    add("validate", "run the basis, pseudometric and fiberwise validators", _cmd_validate)
-
-    p = add("dstar", "certified distance between two completion points", _cmd_dstar)
-    p.add_argument("--point", action="append", required=True,
-                   help="completion point spec; give exactly twice")
-    p.add_argument("--eps", **eps)
-
-    p = add("density", "carrier point near a completion point, fiber inside a basic open",
-            _cmd_density)
-    p.add_argument("--point", action="append", required=True,
-                   help="completion point spec; give exactly once")
-    p.add_argument("--open", dest="basic_open", default=None,
-                   help="basic open as comma-separated base ids (finite base); "
-                        "default: first basic open containing the point's base point")
-    p.add_argument("--eps", **eps)
-
-    add("complete-check", "decide completeness of a finite instance exactly, "
-        "closing each point of T_y for each base point y", _cmd_complete_check)
-
-    for name in ("theorem3", "lemma2"):
-        p = sub.add_parser(name, help="seeded random-instance suite")
-        p.set_defaults(handler=_cmd_suite)
-        p.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
-        p.add_argument("--count", type=int, default=200,
-                       help=f"number of instances (default 200, at most {MAX_COUNT})")
-        p.add_argument("--maxx", type=int, default=6,
-                       help=f"max carrier size (default 6, at most {MAX_SUITE_X})")
-        p.add_argument("--maxy", type=int, default=3,
-                       help=f"max base size (default 3, at most {MAX_SUITE_Y})")
-
-    p = add("complete-construct", "emit the finite completion as an instance document",
-            _cmd_complete_construct)
-    p.add_argument("--out", default=None, help="write the document here instead of stdout")
-
-    p = add("limit-demo", "take the limit of a lifted sequence and check convergence "
-            "for k = 1..min(depth, 12)", _cmd_limit_demo)
-    p.add_argument("--point", action="append", required=True,
-                   help="completion point spec to lift; give exactly once")
-    return parser
 
 
 def _load_instance(path_text: str):
@@ -343,13 +291,103 @@ def _cmd_limit_demo(args, m, report: Report) -> None:
         )
 
 
+def _instance_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("instance", help="path to an instance JSON document")
+    p.add_argument("--depth", type=int, default=64,
+                   help=f"check depth / enumeration budget (default 64, from 1 to {MAX_DEPTH})")
+
+
+def _eps_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eps", type=_rational_arg, default=Fraction(1, 1_000_000),
+                   help="precision of d* as an exact rational (default 1/1000000)")
+
+
+def _dstar_options(p: argparse.ArgumentParser) -> None:
+    _instance_options(p)
+    p.add_argument("--point", action="append", required=True,
+                   help="completion point spec; give exactly twice")
+    _eps_option(p)
+
+
+def _density_options(p: argparse.ArgumentParser) -> None:
+    _instance_options(p)
+    p.add_argument("--point", action="append", required=True,
+                   help="completion point spec; give exactly once")
+    p.add_argument("--open", dest="basic_open", default=None,
+                   help="basic open as comma-separated base ids (finite base); "
+                        "default: first basic open containing the point's base point")
+    _eps_option(p)
+
+
+def _suite_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
+    p.add_argument("--count", type=int, default=200,
+                   help=f"number of instances (default 200, at most {MAX_COUNT})")
+    p.add_argument("--maxx", type=int, default=6,
+                   help=f"max carrier size (default 6, at most {MAX_SUITE_X})")
+    p.add_argument("--maxy", type=int, default=3,
+                   help=f"max base size (default 3, at most {MAX_SUITE_Y})")
+
+
+def _construct_options(p: argparse.ArgumentParser) -> None:
+    _instance_options(p)
+    p.add_argument("--out", default=None, help="write the document here instead of stdout")
+
+
+def _limit_demo_options(p: argparse.ArgumentParser) -> None:
+    _instance_options(p)
+    p.add_argument("--point", action="append", required=True,
+                   help="completion point spec to lift; give exactly once")
+
+
+# name -> (help line, handler, declare function), in top-level help order.
+_SUBCOMMANDS = {
+    "validate": ("run the basis, pseudometric and fiberwise validators",
+                 _cmd_validate, _instance_options),
+    "dstar": ("certified distance between two completion points", _cmd_dstar, _dstar_options),
+    "density": ("carrier point near a completion point, fiber inside a basic open",
+                _cmd_density, _density_options),
+    "complete-check": ("decide completeness of a finite instance exactly, "
+                       "closing each point of T_y for each base point y",
+                       _cmd_complete_check, _instance_options),
+    "theorem3": ("seeded random-instance suite", _cmd_suite, _suite_options),
+    "lemma2": ("seeded random-instance suite", _cmd_suite, _suite_options),
+    "complete-construct": ("emit the finite completion as an instance document",
+                           _cmd_complete_construct, _construct_options),
+    "limit-demo": ("take the limit of a lifted sequence and check convergence "
+                   "for k = 1..min(depth, 12)", _cmd_limit_demo, _limit_demo_options),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The CLI's parser, with arguments declared on ``command`` alone.
+
+    Every subcommand is registered, so the top-level usage, help and
+    errors do not depend on ``command``; a parse of an invocation of
+    ``command`` reaches no other subparser."""
+    parser = argparse.ArgumentParser(
+        prog="mapcomplete",
+        description="Validate metric-mapping instances, evaluate certified "
+        "completion distances, and run the seeded finite suites.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, declare) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if name == command:
+            declare(p)
+    return parser
+
+
 def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; prints the report, returns the exit code.
 
     The one place that loads an instance, once, for the subcommands that
     declare one (the suites get ``None``), and that owns the report: each
-    handler only adds its lines to it."""
-    parser = _build_parser()
+    handler only adds its lines to it. The subcommand is the first
+    argument that is not an option: the top-level parser takes no option
+    with a value, so that is the one argparse dispatches to."""
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

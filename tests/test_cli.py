@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import sys
@@ -850,10 +851,27 @@ def test_cli_parses_the_options_a_subcommand_declares(command):
     argv = [command, *REQUIRED[command]]
     for flag, value in OPTIONS[command].items():
         argv += [flag, value]
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(command).parse_args(argv)
     assert args.command == command
     assert getattr(args, "depth", None) == (3 if "--depth" in OPTIONS[command] else None)
     assert getattr(args, "eps", None) == (Fraction(1, 2) if "--eps" in OPTIONS[command] else None)
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_cli_parser_declares_options_on_the_named_subcommand_only(command):
+    from mapcomplete.cli import _SUBCOMMANDS, _build_parser
+
+    parser = _build_parser(command)
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(_SUBCOMMANDS) == list(OPTIONS)
+    for name, sub in subparsers.choices.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        positionals = [action.dest for action in sub._actions if not action.option_strings]
+        if name == command:
+            assert flags == {"-h", "--help", *OPTIONS[command]}
+            assert positionals == (["instance"] if REQUIRED[command] else [])
+        else:
+            assert flags == {"-h", "--help"} and positionals == []
 
 
 @pytest.mark.parametrize("command, flag", [
