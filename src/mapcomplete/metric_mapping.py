@@ -314,7 +314,7 @@ def _mapping_from_rows(
 def _table(carrier: FiniteCarrier, base: Base, fiber, den: int, rows: list[list[int]]):
     """The ``table`` mapping whose ``dist`` is the checked matrix rows / den."""
     pts = carrier.points
-    dm = DistanceMatrix(pts, {x: i for i, x in enumerate(pts)}, den, rows, {})
+    dm = DistanceMatrix(pts, den, rows, {})
     return MetricMapping(carrier, base, fiber, dm, "table")
 
 
@@ -423,19 +423,24 @@ class DistanceMatrix:
     """
 
     points: tuple[CarrierPoint, ...]
-    index: dict[CarrierPoint, int]
     den: int
     num: list[list[int | None]]
     failures: dict[tuple[int, int], str]
+
+    @cached_property
+    def index(self) -> dict[CarrierPoint, int]:
+        """The position of each point in ``points``, built on first use:
+        the validators and ``point_masks`` read the matrix by position
+        only."""
+        return {x: i for i, x in enumerate(self.points)}
 
     @classmethod
     def build(cls, m: MetricMapping, pts: tuple[CarrierPoint, ...]) -> DistanceMatrix:
         if m.dist_kind == "table" and pts == m.points():
             return m.dist
-        index = {x: i for i, x in enumerate(pts)}
         if m.dist_kind in ("abs_diff", "max_metric"):
             den, num = _chebyshev(pts, m.dist_kind == "abs_diff")
-            return cls(pts, index, den, num, {})
+            return cls(pts, den, num, {})
         n = len(pts)
         values: list[list] = [[None] * n for _ in range(n)]
         failures: dict[tuple[int, int], str] = {}
@@ -459,7 +464,7 @@ class DistanceMatrix:
             [None if v is None else v.numerator * (den // v.denominator) for v in row]
             for row in values
         ]
-        return cls(pts, index, den, num, failures)
+        return cls(pts, den, num, failures)
 
     def value(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
@@ -798,12 +803,17 @@ class PointMasks:
     """
 
     points: tuple[CarrierPoint, ...]
-    index: dict[CarrierPoint, int]
     order: tuple[int, ...]
     zero: list[int]
     fiber_ids: list[PointId]
     fiber: dict[PointId, int]
     around: dict[PointId, list[int]]
+
+    @cached_property
+    def index(self) -> dict[CarrierPoint, int]:
+        """The position of each point, built on first use: only
+        ``mask_of`` reads it, and the deciders never call that."""
+        return {x: i for i, x in enumerate(self.points)}
 
     def mask_of(self, region: Iterable[CarrierPoint]) -> int:
         mask = 0
@@ -859,7 +869,6 @@ def point_masks(m: MetricMapping) -> PointMasks:
         zero = [_zero_mask(dm.row(i), 0) for i in range(len(pts))]
         masks = PointMasks(
             pts,
-            dm.index,
             tuple(sorted(range(len(pts)), key=lambda i: str(pts[i].code))),
             zero,
             fiber_ids,

@@ -54,7 +54,7 @@ def _loops(m: MetricMapping) -> list:
 
 def _packed(num: list[list[int]]) -> bool:
     # The test reads only num and failures.
-    return _no_pseudometric_break(DistanceMatrix((), {}, 1, num, {}))
+    return _no_pseudometric_break(DistanceMatrix((), 1, num, {}))
 
 
 def _check(num: list[list[int]]) -> list:
