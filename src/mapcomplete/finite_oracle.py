@@ -37,6 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, compress
+from math import gcd
 from operator import not_
 
 from .base_topology import BasePoint, FiniteBase, PointId
@@ -414,9 +415,9 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
     contracts the zero entries into classes (see _shortest_path_closure).
     Zero distances inside one fiber are repaired by dropping duplicate
     points: one survivor per zero class and fiber, the one with the least
-    code. The closed integer table and each survivor's base point go to
-    _mapping_from_rows, which checks the table in bulk, with no Fraction
-    per entry.
+    code. The closed integer table, divided by the gcd it shares with the
+    denominator, and each survivor's base point go to _mapping_from_rows,
+    which checks the table in bulk, with no Fraction per entry.
     """
     if max_x < 1 or max_y < 1:
         raise InputError("max_x and max_y must be at least 1")
@@ -466,6 +467,12 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
     palette, size = _DISTANCE_PALETTE, len(_DISTANCE_PALETTE)
     weights = [palette[below(size)] for _ in range(n_x * (n_x - 1) // 2)]
     cls, d = _shortest_path_closure(n_x, weights)
+    # Every class keeps a survivor, so the rows below hold every entry of
+    # d: dividing d by its gcd with the denominator leaves
+    # _mapping_from_rows nothing to divide, and it copies no row.
+    g = gcd(_PALETTE_DEN, *(gcd(*dc) for dc in d))
+    if g > 1:
+        d = [[v // g for v in dc] for dc in d]
 
     # Fiberwise repair: inside each zero class keep one point per fiber,
     # the one of least code. The last write of a key wins, so the points
@@ -477,4 +484,4 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
     fibers = {x_ids[i]: base.points[fiber_of[i]] for i in survivors}
     cols = [cls[j] for j in survivors]
     rows = [[di[c] for c in cols] for di in (d[c] for c in cols)]
-    return _mapping_from_rows(base, fibers, _PALETTE_DEN, rows)
+    return _mapping_from_rows(base, fibers, _PALETTE_DEN // g, rows)
