@@ -105,9 +105,6 @@ class FiniteBase:
     def open_contains(self, basic_open, y: BasePoint) -> bool:
         return basic_open in self.basis and y.id in basic_open
 
-    def default_fiber(self, carrier):
-        raise InputError("a finite base has no default fiber; pass one")
-
 
 @dataclass(frozen=True)
 class OnePointBase:
@@ -133,11 +130,6 @@ class OnePointBase:
 
     def open_contains(self, basic_open, y: BasePoint) -> bool:
         return basic_open == (self.id,) and self.contains_point(y)
-
-    def default_fiber(self, carrier):
-        """Every carrier maps onto the one point."""
-        target = BasePoint(self.id)
-        return lambda x: target
 
 
 @dataclass(frozen=True)
@@ -185,14 +177,6 @@ class RationalOrderBase:
 
     def open_contains(self, basic_open, y: BasePoint) -> bool:
         return isinstance(basic_open, RationalInterval) and basic_open.contains_id(y.id)
-
-    def default_fiber(self, carrier):
-        """The identity, on a rational-interval carrier."""
-        if carrier.kind != "rational_interval":
-            raise InputError(
-                f"the rational order base has no default fiber on a {carrier.kind} carrier"
-            )
-        return lambda x: BasePoint(x.code)
 
 
 Base = Union[FiniteBase, OnePointBase, RationalOrderBase]

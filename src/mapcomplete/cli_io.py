@@ -318,7 +318,7 @@ def instance_document(m: MetricMapping) -> dict:
             "entries": [
                 [a.code, b.code, format_rational(Fraction(d, dm.den))]
                 for i, a in enumerate(points)
-                for b, d in zip(points[i + 1 :], dm.row(i)[i + 1 :])
+                for b, d in zip(points[i + 1 :], dm.num[i][i + 1 :])
             ],
         },
     }

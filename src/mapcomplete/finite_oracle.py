@@ -69,9 +69,6 @@ class OracleVerdict:
     ok: bool
     certificate: tuple | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _components(n: int, edges, order) -> list[int]:
     """The connected components of the graph on 0 .. n-1 with the pairs

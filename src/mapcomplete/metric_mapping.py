@@ -166,7 +166,9 @@ class MetricMapping:
     ``DistanceMatrix`` ``table_mapping`` checked, which only it builds.
     ``DistanceMatrix`` computes these three without calling ``dist``, so a
     mapping whose ``dist`` breaks the promise must use ``custom``, the
-    default, whose matrix calls ``distance`` on every ordered pair.
+    default, whose matrix calls ``distance`` on every ordered pair. A value
+    that ``distance`` rejects raises its ``EvaluatorError`` out of every
+    caller: the validators, the deciders and the completion.
     """
 
     carrier: Carrier
@@ -314,7 +316,7 @@ def _mapping_from_rows(
 def _table(carrier: FiniteCarrier, base: Base, fiber, den: int, rows: list[list[int]]):
     """The ``table`` mapping whose ``dist`` is the checked matrix rows / den."""
     pts = carrier.points
-    dm = DistanceMatrix(pts, den, rows, {})
+    dm = DistanceMatrix(pts, den, rows)
     return MetricMapping(carrier, base, fiber, dm, "table")
 
 
@@ -357,31 +359,26 @@ def _fiber_map(fibers: dict[str, BasePoint]):
 
 
 def abs_diff_mapping(
-    carrier: RationalIntervalCarrier, base: Base, fiber: Callable | None = None
+    carrier: RationalIntervalCarrier, base: Base, fiber: Callable
 ) -> MetricMapping:
-    """Rational interval carrier with distance |x - x'|.
-
-    Default fiber: the base's own (constant onto the one-point base,
-    identity onto the rational order base).
-    """
+    """Rational interval carrier with distance |x - x'|."""
     return MetricMapping(
         carrier,
         base,
-        fiber or base.default_fiber(carrier),
+        fiber,
         lambda x, x2: abs(x.code - x2.code),
         "abs_diff",
     )
 
 
-def max_metric_mapping(carrier: RationalGridCarrier, base: Base, fiber=None) -> MetricMapping:
-    """Grid carrier with the coordinatewise maximum distance. Default
-    fiber: the base's own (constant onto the one-point base)."""
+def max_metric_mapping(carrier: RationalGridCarrier, base: Base, fiber: Callable) -> MetricMapping:
+    """Grid carrier with the coordinatewise maximum distance."""
 
     def dist(x: CarrierPoint, x2: CarrierPoint) -> Fraction:
         (a, b), (c, d) = x.code, x2.code
         return max(abs(a - c), abs(b - d))
 
-    return MetricMapping(carrier, base, fiber or base.default_fiber(carrier), dist, "max_metric")
+    return MetricMapping(carrier, base, fiber, dist, "max_metric")
 
 
 # One distance matrix per live mapping and sample size; it depends only on
@@ -397,23 +394,16 @@ class DistanceMatrix:
     least common multiple of the denominators of all realized values, and
     ``num`` holds the integer numerators over it.
 
-    The built-in kinds never call the evaluator. Their ``failures`` is
-    empty, since they cannot fail, and each gives the ``den`` and ``num``
-    the evaluator path would. A ``table`` mapping's matrix over its whole
-    carrier is its ``dist``, the table ``table_mapping`` checked. The
-    ``abs_diff`` and ``max_metric`` distances are the Chebyshev distance
-    of the point codes, built row by row on integer coordinates from
-    per-axis rows of coordinate gaps (``_chebyshev``); each ordered entry
-    is computed on its own, so the symmetry check compares two separate
-    values rather than one value read twice.
-
-    The ``custom`` kind, and a table over a sample that is not its whole
-    carrier, go through ``MetricMapping.distance``, in the order
-    the validators report: the diagonal, then every pair i < j (forward)
-    in ``combinations`` order, then d(points[j], points[i]) (back) for
-    each forward pair that evaluated. An entry is None where its
-    evaluation raised an ``EvaluatorError`` or was not made; ``failures``
-    maps each failed (i, j) to the error's message, in evaluation order.
+    The built-in kinds never call the evaluator, and each gives the
+    ``den`` and ``num`` the evaluator would. A ``table`` mapping's matrix
+    is its ``dist``, the table ``table_mapping`` checked. The ``abs_diff``
+    and ``max_metric`` distances are the Chebyshev distance of the point
+    codes, built row by row on integer coordinates from per-axis rows of
+    coordinate gaps (``_chebyshev``). Every other kind asks
+    ``MetricMapping.distance`` for each ordered entry, row by row, and the
+    first value it rejects raises its ``EvaluatorError``. Either way each
+    ordered entry is computed on its own, so the symmetry check compares
+    two separate values rather than one value read twice.
 
     Exactness: ``den`` is positive, and scaling by a positive constant
     keeps both order and sums, so for rationals a, b, c: a == b iff
@@ -424,8 +414,7 @@ class DistanceMatrix:
 
     points: tuple[CarrierPoint, ...]
     den: int
-    num: list[list[int | None]]
-    failures: dict[tuple[int, int], str]
+    num: list[list[int]]
 
     @cached_property
     def index(self) -> dict[CarrierPoint, int]:
@@ -436,35 +425,13 @@ class DistanceMatrix:
 
     @classmethod
     def build(cls, m: MetricMapping, pts: tuple[CarrierPoint, ...]) -> DistanceMatrix:
-        if m.dist_kind == "table" and pts == m.points():
-            return m.dist
         if m.dist_kind in ("abs_diff", "max_metric"):
-            den, num = _chebyshev(pts, m.dist_kind == "abs_diff")
-            return cls(pts, den, num, {})
-        n = len(pts)
-        values: list[list] = [[None] * n for _ in range(n)]
-        failures: dict[tuple[int, int], str] = {}
-
-        def evaluate(i: int, j: int) -> None:
-            try:
-                values[i][j] = m.distance(pts[i], pts[j])
-            except EvaluatorError as e:
-                failures[(i, j)] = str(e)
-
-        for i in range(n):
-            evaluate(i, i)
-        pairs = list(combinations(range(n), 2))
-        for i, j in pairs:
-            evaluate(i, j)
-        for i, j in pairs:
-            if values[i][j] is not None:
-                evaluate(j, i)
-        den = lcm(*{v.denominator for row in values for v in row if v is not None})
-        num = [
-            [None if v is None else v.numerator * (den // v.denominator) for v in row]
-            for row in values
-        ]
-        return cls(pts, den, num, failures)
+            return cls(pts, *_chebyshev(pts, m.dist_kind == "abs_diff"))
+        distance = m.distance
+        values = [[distance(x, x2) for x2 in pts] for x in pts]
+        den = lcm(*{v.denominator for row in values for v in row})
+        return cls(pts, den, [[v.numerator * (den // v.denominator) for v in row]
+                              for row in values])
 
     def value(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
@@ -478,25 +445,6 @@ class DistanceMatrix:
         except KeyError:
             raise InputError(f"unknown carrier pair ({x.code!r}, {x2.code!r})") from None
         return Fraction(self.num[i][j], self.den)
-
-    def row(self, i: int) -> list[int]:
-        """Numerators of d(points[i], v) for every point v, in point order.
-
-        Raises the recorded ``EvaluatorError`` of the row's first failed
-        entry; a back entry left unevaluated raises its forward failure.
-        """
-        r = self.num[i]
-        # Entries are None only where an evaluation failed or was skipped
-        # after one, so without failures there is nothing to look for.
-        if self.failures and None in r:
-            j = r.index(None)
-            raise EvaluatorError(self.failures.get((i, j)) or self.failures[(j, i)])
-        return r
-
-    def evaluator_violation(self, i: int, j: int) -> Violation:
-        return Violation(
-            "evaluator", self.failures[(i, j)], (self.points[i].code, self.points[j].code)
-        )
 
 
 def _chebyshev(pts: tuple[CarrierPoint, ...], one_dim: bool) -> tuple[int, list[list[int]]]:
@@ -551,10 +499,10 @@ def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
     shared ``DistanceMatrix``, which is exact (see its docstring); values
     in messages print as the rationals they scale.
 
-    Violations come in this order: identity and diagonal evaluator
-    failures by point, forward evaluator failures by pair, back evaluator
-    failures and symmetry breaks by pair, then triangle breaks by triple
-    (i, j, k), each triple checked via j, then via i, then via k.
+    Violations come in this order: identity breaks by point, symmetry
+    breaks by pair, then triangle breaks by triple (i, j, k), each triple
+    checked via j, then via i, then via k. A value the evaluator rejects
+    raises its ``EvaluatorError`` from the matrix build.
 
     From ``_PACKED_MIN_POINTS`` points on, a matrix that passes
     ``_no_pseudometric_break`` returns [] at once: that test decides
@@ -564,16 +512,14 @@ def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
     if budget < 1:
         raise InputError("budget must be at least 1")
     dm = distance_matrix(m, budget)
-    pts, num, failures = dm.points, dm.num, dm.failures
+    pts, num = dm.points, dm.num
     n = len(pts)
     if n >= _PACKED_MIN_POINTS and _no_pseudometric_break(dm):
         return []
     violations: list[Violation] = []
 
     for i, x in enumerate(pts):
-        if (i, i) in failures:
-            violations.append(dm.evaluator_violation(i, i))
-        elif num[i][i] != 0:
+        if num[i][i] != 0:
             d = dm.value(i, i)
             violations.append(
                 Violation(
@@ -583,21 +529,15 @@ def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
                 )
             )
 
-    back: list[Violation] = []
     for i, j in combinations(range(n), 2):
-        if (i, j) in failures:
-            violations.append(dm.evaluator_violation(i, j))
-        elif (j, i) in failures:
-            back.append(dm.evaluator_violation(j, i))
-        elif num[j][i] != num[i][j]:
-            back.append(
+        if num[j][i] != num[i][j]:
+            violations.append(
                 Violation(
                     "symmetry",
                     f"d({pts[i].code!r},{pts[j].code!r}) != d({pts[j].code!r},{pts[i].code!r})",
                     (pts[i].code, pts[j].code),
                 )
             )
-    violations += back
 
     def forward(a: int, b: int) -> str:
         return format_rational(dm.value(min(a, b), max(a, b)))
@@ -610,19 +550,14 @@ def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
             (pts[a].code, pts[mid].code, pts[b].code),
         )
 
-    # Forward entries only (row i past column i): a triple with a failed
-    # pair is skipped.
+    # Forward entries only (row i past column i).
     for i in range(n):
         ri = num[i]
         for j in range(i + 1, n):
             dij = ri[j]
-            if dij is None:
-                continue
             rj = num[j]
             for k in range(j + 1, n):
                 dik, djk = ri[k], rj[k]
-                if dik is None or djk is None:
-                    continue
                 if dik > dij + djk:
                     violations.append(triangle(i, j, k))
                 if djk > dij + dik:
@@ -644,20 +579,18 @@ def _no_pseudometric_break(dm: DistanceMatrix) -> bool:
     nothing on ``dm``, decided without building a ``Violation``. True
     only then; False leaves the decision, and every report, to the loops.
 
-    It is True when ``failures`` is empty, every entry is nonnegative, the
-    diagonal is zero, ``num`` equals its transpose, and for every pair
-    i < j and every k, with d the integer numerators (exact, see
-    ``DistanceMatrix``),
+    It is True when every entry is nonnegative, the diagonal is zero,
+    ``num`` equals its transpose, and for every pair i < j and every k,
+    with d the integer numerators (exact, see ``DistanceMatrix``),
 
         (*)  |d(i,k) - d(j,k)| <= d(i,j).
 
-    Those conditions hold exactly when the loops find nothing. With no
-    failures every entry is an int, so the loops skip nothing and report
-    no evaluator failure; the diagonal and symmetry loops then report
-    nothing. The triangle loop reads forward entries only: for each triple
-    i < j < k it tests d(i,k) <= d(i,j) + d(j,k), d(j,k) <= d(i,j) +
-    d(i,k) and d(i,j) <= d(i,k) + d(j,k). (*) reads whole rows, which
-    symmetry makes equal to forward entries: d(a,b) = d(min, max).
+    Those conditions hold exactly when the loops find nothing. The
+    diagonal and symmetry loops then report nothing. The triangle loop
+    reads forward entries only: for each triple i < j < k it tests
+    d(i,k) <= d(i,j) + d(j,k), d(j,k) <= d(i,j) + d(i,k) and
+    d(i,j) <= d(i,k) + d(j,k). (*) reads whole rows, which symmetry makes
+    equal to forward entries: d(a,b) = d(min, max).
 
     - (*) gives no break: the first two tests are (*) for the pair (i, j)
       at k, each side of the absolute value; the third is (*) for the pair
@@ -668,10 +601,10 @@ def _no_pseudometric_break(dm: DistanceMatrix) -> bool:
       d(j,i) = d(i,j) >= 0; k = j is alike. This step, and the packing
       below, need every entry nonnegative.
 
-    No entry can be negative once ``failures`` is empty:
-    ``MetricMapping.distance`` refuses negatives, both table builders
-    refuse them, and ``_chebyshev`` takes absolute differences. A
-    negative entry still returns False, so the loops decide.
+    No entry can be negative: ``MetricMapping.distance`` refuses
+    negatives, both table builders refuse them, and ``_chebyshev`` takes
+    absolute differences. A negative entry still returns False, so the
+    loops decide.
 
     (*) runs on packed rows. With t the largest entry, a field holds
     w >= bitlen(2t) + 1 bits: whole bytes, and 1, 2, 4 or 8 of them when
@@ -703,7 +636,7 @@ def _no_pseudometric_break(dm: DistanceMatrix) -> bool:
     measured tables).
     """
     num, n = dm.num, len(dm.num)
-    if dm.failures or any(row[i] for i, row in enumerate(num)):
+    if any(row[i] for i, row in enumerate(num)):
         return False
     if list(map(list, zip(*num))) != num or min(map(min, num), default=0) < 0:
         return False
@@ -746,36 +679,27 @@ def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
 
     Run after validate_pseudometric at the same budget; this check assumes
     the pseudometric axioms already hold, and reads the forward entries of
-    the same ``DistanceMatrix``. Only a forward entry that is zero or that
-    failed can report. The failed ones are the ``None`` entries, the
-    forward keys of ``failures``; the zeros come from _zero_mask.
-    Violations come in pair order, as the pairs (i, j) sort.
+    the same ``DistanceMatrix``. Only a forward entry that is zero can
+    report; _zero_mask finds them row by row, so violations come in pair
+    order, as the pairs (i, j) sort.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
     dm = distance_matrix(m, budget)
-    pts, num = dm.points, dm.num
-    found = [(i, j) for i, j in dm.failures if i < j]
-    for i, row in enumerate(num):
-        zeros = _zero_mask(row, i + 1)
-        if zeros:
-            found += [(i, j) for j in bit_indices(zeros)]
-    found.sort()
+    pts = dm.points
     violations: list[Violation] = []
-    for i, j in found:
-        if num[i][j] is None:
-            violations.append(dm.evaluator_violation(i, j))
-            continue
-        x, x2 = pts[i], pts[j]
-        if m.fiber_of(x) == m.fiber_of(x2):
-            violations.append(
-                Violation(
-                    "fiberwise",
-                    f"distinct points {x.code!r} and {x2.code!r} share fiber "
-                    f"{m.fiber_of(x).id!r} at distance 0",
-                    (x.code, x2.code),
+    for i, row in enumerate(dm.num):
+        for j in bit_indices(_zero_mask(row, i + 1)):
+            x, x2 = pts[i], pts[j]
+            if m.fiber_of(x) == m.fiber_of(x2):
+                violations.append(
+                    Violation(
+                        "fiberwise",
+                        f"distinct points {x.code!r} and {x2.code!r} share fiber "
+                        f"{m.fiber_of(x).id!r} at distance 0",
+                        (x.code, x2.code),
+                    )
                 )
-            )
     return violations
 
 
@@ -839,8 +763,8 @@ def point_masks(m: MetricMapping) -> PointMasks:
     ``m`` and reused by every later one. The one gate of every finite
     function: a mapping that is not a finite instance, whose fiber leaves
     its base, or with a base point in no basis set (an empty ``around[y]``)
-    raises ``InputError``, and a ``custom`` mapping's recorded
-    ``EvaluatorError`` raises from ``DistanceMatrix.row``. Whatever
+    raises ``InputError``, and a value a ``custom`` evaluator rejects
+    raises its ``EvaluatorError`` from ``distance_matrix``. Whatever
     raises, nothing is kept."""
     masks = _POINT_MASKS.get(m)
     if masks is None:
@@ -866,7 +790,7 @@ def point_masks(m: MetricMapping) -> PointMasks:
         for y, pres in around.items():
             if not pres:
                 raise InputError(f"base point {format_id(y)} lies in no basis set")
-        zero = [_zero_mask(dm.row(i), 0) for i in range(len(pts))]
+        zero = [_zero_mask(row, 0) for row in dm.num]
         masks = PointMasks(
             pts,
             tuple(sorted(range(len(pts)), key=lambda i: str(pts[i].code))),
@@ -896,8 +820,8 @@ def closure_radii(m: MetricMapping) -> list[Fraction]:
     """
     dm = distance_matrix(m)
     values = {0}
-    for i in range(len(dm.points)):
-        values.update(dm.row(i)[i + 1:])
+    for i, row in enumerate(dm.num):
+        values.update(row[i + 1:])
     # Numerators, doubled so that midpoints stay integers.
     ordered = sorted(2 * v for v in values)
     radii = set(ordered)

@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mapcomplete import (
+    BasePoint,
     FiniteBase,
     OnePointBase,
     RationalGridCarrier,
@@ -52,6 +53,7 @@ def interval_mapping():
     return abs_diff_mapping(
         RationalIntervalCarrier(Fraction(0), Fraction(3)),
         OnePointBase("o"),
+        lambda x: BasePoint("o"),
     )
 
 
@@ -62,6 +64,7 @@ def unit_interval_identity():
     return abs_diff_mapping(
         RationalIntervalCarrier(Fraction(0), Fraction(1)),
         RationalOrderBase(),
+        lambda x: BasePoint(x.code),
     )
 
 
@@ -71,6 +74,7 @@ def grid_mapping():
     return max_metric_mapping(
         RationalGridCarrier(Fraction(1, 2), Fraction(0), Fraction(1)),
         OnePointBase("o"),
+        lambda x: BasePoint("o"),
     )
 
 

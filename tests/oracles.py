@@ -7,9 +7,9 @@ whole finite topology, from every union of basis sets
 (all_opens_finite), instead of quantifying over basic neighborhoods,
 the filter and Lemma 2 oracles sweep every zero-diameter subset with
 their own threshold balls instead of calling closure_finite, the limit
-sets or the deciders, and the pseudometric oracle evaluates every
-Fraction distance pair by pair instead of calling the validators or
-reading a DistanceMatrix. The basis oracle is the plain cubic scan that
+sets or the deciders, and the pseudometric oracle asks the evaluator for
+every ordered Fraction distance, row by row, instead of calling the
+validators or reading a DistanceMatrix. The basis oracle is the plain cubic scan that
 validate_basis replaced: every pair of basis sets, then the whole basis
 for each point they share. The Newton oracle is the Fraction recurrence
 and stopping rule that the integer term evaluator replaced. The
@@ -31,7 +31,7 @@ from math import lcm
 from weakref import WeakKeyDictionary
 
 from mapcomplete.base_topology import FiniteBase, describe_open
-from mapcomplete.errors import EvaluatorError, Violation
+from mapcomplete.errors import Violation
 from mapcomplete.metric_mapping import table_mapping
 from mapcomplete.rationals import format_rational
 
@@ -188,53 +188,41 @@ def limit_via_full_topology(m, region) -> frozenset:
     return frozenset(out)
 
 
+def _ordered_distances(m, pts) -> list[list[Fraction]]:
+    """Every ordered distance among ``pts``, row by row from the
+    evaluator: a value it rejects raises its EvaluatorError here."""
+    return [[m.distance(x, x2) for x2 in pts] for x in pts]
+
+
 def pseudometric_violations(m, budget: int) -> list[Violation]:
     """The pseudometric axioms over ``m.sample_points(budget)``, checked on
-    Fractions straight from the evaluator: identity and diagonal failures
-    by point, forward failures by pair, back failures and symmetry breaks
-    by pair, then triangle breaks by triple (i, j, k) via j, i and k."""
+    Fractions straight from the evaluator: identity breaks by point,
+    symmetry breaks by pair, then triangle breaks by triple (i, j, k) via
+    j, i and k. Every ordered distance is read first, row by row."""
     pts = m.sample_points(budget)
+    d = _ordered_distances(m, pts)
     violations = []
-    for x in pts:
-        try:
-            d = m.distance(x, x)
-        except EvaluatorError as e:
-            violations.append(Violation("evaluator", str(e), (x.code, x.code)))
-            continue
-        if d != 0:
+    for i, x in enumerate(pts):
+        if d[i][i] != 0:
             violations.append(Violation(
-                "identity", f"d({x.code!r},{x.code!r}) = {format_rational(d)}, expected 0",
-                (x.code, x.code, d),
+                "identity", f"d({x.code!r},{x.code!r}) = {format_rational(d[i][i])}, expected 0",
+                (x.code, x.code, d[i][i]),
             ))
-    pairs = list(combinations(range(len(pts)), 2))
-    dists = {}
-    for i, j in pairs:
-        try:
-            dists[(i, j)] = m.distance(pts[i], pts[j])
-        except EvaluatorError as e:
-            violations.append(Violation("evaluator", str(e), (pts[i].code, pts[j].code)))
-    for i, j in pairs:
-        if (i, j) not in dists:
-            continue
-        try:
-            back = m.distance(pts[j], pts[i])
-        except EvaluatorError as e:
-            violations.append(Violation("evaluator", str(e), (pts[j].code, pts[i].code)))
-            continue
-        if back != dists[(i, j)]:
+    for i, j in combinations(range(len(pts)), 2):
+        if d[j][i] != d[i][j]:
             violations.append(Violation(
                 "symmetry",
                 f"d({pts[i].code!r},{pts[j].code!r}) != d({pts[j].code!r},{pts[i].code!r})",
                 (pts[i].code, pts[j].code),
             ))
 
-    def dist(a: int, b: int):
-        return dists.get((min(a, b), max(a, b)))
+    def dist(a: int, b: int) -> Fraction:
+        return d[min(a, b)][max(a, b)]
 
     for i, j, k in combinations(range(len(pts)), 3):
         for a, mid, b in ((i, j, k), (j, i, k), (i, k, j)):
             d_ab, d_am, d_mb = dist(a, b), dist(a, mid), dist(mid, b)
-            if None in (d_ab, d_am, d_mb) or d_ab <= d_am + d_mb:
+            if d_ab <= d_am + d_mb:
                 continue
             violations.append(Violation(
                 "triangle",
@@ -246,16 +234,15 @@ def pseudometric_violations(m, budget: int) -> list[Violation]:
 
 
 def fiberwise_violations(m, budget: int) -> list[Violation]:
-    """Evaluator failures and zero distances between distinct points of one
-    fiber, over the pairs of ``m.sample_points(budget)`` in order."""
+    """Zero distances between distinct points of one fiber, over the pairs
+    of ``m.sample_points(budget)`` in order, after every ordered distance
+    is read row by row."""
+    pts = m.sample_points(budget)
+    d = _ordered_distances(m, pts)
     violations = []
-    for x, x2 in combinations(m.sample_points(budget), 2):
-        try:
-            d = m.distance(x, x2)
-        except EvaluatorError as e:
-            violations.append(Violation("evaluator", str(e), (x.code, x2.code)))
-            continue
-        if d == 0 and m.fiber_of(x) == m.fiber_of(x2):
+    for i, j in combinations(range(len(pts)), 2):
+        x, x2 = pts[i], pts[j]
+        if d[i][j] == 0 and m.fiber_of(x) == m.fiber_of(x2):
             violations.append(Violation(
                 "fiberwise",
                 f"distinct points {x.code!r} and {x2.code!r} share fiber "

@@ -63,6 +63,7 @@ def interval():
     return abs_diff_mapping(
         RationalIntervalCarrier(Fraction(0), Fraction(3)),
         OnePointBase("o"),
+        lambda x: BasePoint("o"),
     )
 
 

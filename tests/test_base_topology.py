@@ -15,7 +15,6 @@ from mapcomplete.base_topology import (
     validate_basis,
 )
 from mapcomplete.errors import InputError
-from mapcomplete.metric_mapping import FiniteCarrier
 
 from oracles import _coarse_opens, _random_opens, all_opens_finite, basis_violations_by_scan
 
@@ -165,9 +164,6 @@ def test_validate_basis_matches_the_whole_basis_scan():
 # The argument check of each method: the call, the exception it raises and
 # its message.
 _ARGUMENT_CHECKS = {
-    "FiniteBase.default_fiber": (
-        lambda: FiniteBase.of(["a"], [["a"]]).default_fiber(FiniteCarrier.of(["u"])),
-        InputError, "a finite base has no default fiber; pass one"),
     "OnePointBase.neighborhood_basis": (
         lambda: OnePointBase("o").neighborhood_basis(BasePoint("zz")),
         InputError, "point 'zz' does not belong to this base"),
@@ -179,9 +175,6 @@ _ARGUMENT_CHECKS = {
     "RationalOrderBase.opens_around": (
         lambda: RationalOrderBase().opens_around(BasePoint("a"), 4),
         InputError, "point 'a' does not belong to this base"),
-    "RationalOrderBase.default_fiber": (
-        lambda: RationalOrderBase().default_fiber(FiniteCarrier.of(["u"])),
-        InputError, "the rational order base has no default fiber on a finite carrier"),
     # Built without FiniteBase.of, which checks the ids first.
     "validate_basis": (
         lambda: validate_basis(FiniteBase((BasePoint("a"), BasePoint("a")), (("a",),))),

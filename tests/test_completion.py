@@ -166,7 +166,9 @@ def test_dstar_triangle_and_symmetry_sampled(interval_mapping):
 
 
 # Immutable, so safe to share across hypothesis examples.
-_LINE = abs_diff_mapping(RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"))
+_LINE = abs_diff_mapping(
+    RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"), lambda x: BasePoint("o")
+)
 _SMALL = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=64)
 
 

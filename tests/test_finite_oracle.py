@@ -405,8 +405,8 @@ def test_deciders_share_no_decision_logic(monkeypatch, sierpinski, incomplete_in
 # What tests/oracles.py may take from the package: constructors, types and
 # formatters. An oracle that called a decision or topology function would
 # agree with the code it checks by construction.
-_ORACLE_IMPORTS = {"FiniteBase", "describe_open", "EvaluatorError", "Violation",
-                   "table_mapping", "format_rational"}
+_ORACLE_IMPORTS = {"FiniteBase", "describe_open", "Violation", "table_mapping",
+                   "format_rational"}
 
 
 def test_oracles_import_no_decision_or_topology_function():

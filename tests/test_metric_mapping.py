@@ -29,7 +29,14 @@ from mapcomplete.metric_mapping import (
     validate_fiberwise_metric,
     validate_pseudometric,
 )
-from mapcomplete.finite_oracle import is_complete_filter, is_complete_net, random_instance
+from mapcomplete.completion import dstar_approx, embed
+from mapcomplete.finite_oracle import (
+    finite_completion,
+    is_complete_filter,
+    is_complete_net,
+    lemma2_check,
+    random_instance,
+)
 
 from oracles import (
     closure_via_full_topology,
@@ -82,25 +89,32 @@ def test_max_metric_grid_validates(grid_mapping):
 
 
 def test_evaluator_errors_reported_distinctly():
+    # A rejected value is neither bad input nor a violation: the validator
+    # raises the evaluator's own EvaluatorError, at the first entry.
     base = OnePointBase("o")
     carrier = RationalIntervalCarrier(Fraction(0), Fraction(1))
     broken = MetricMapping(
-        carrier, base, lambda x: base.point, lambda x, x2: Fraction(-1), "custom"
+        carrier, base, lambda x: BasePoint("o"), lambda x, x2: Fraction(-1), "custom"
     )
-    report = validate_pseudometric(broken, 3)
-    assert report and all(v.kind == "evaluator" for v in report)
-    with pytest.raises(EvaluatorError):
-        broken.distance(carrier.enumerate_point(0), carrier.enumerate_point(1))
+    x = carrier.enumerate_point(0)
+    with pytest.raises(EvaluatorError) as direct:
+        broken.distance(x, x)
+    with pytest.raises(EvaluatorError) as info:
+        validate_pseudometric(broken, 3)
+    assert not isinstance(info.value, InputError)
+    assert str(info.value) == str(direct.value) == (
+        f"distance evaluator returned negative -1 for ({x.code!r}, {x.code!r})"
+    )
 
 
 def test_evaluator_rejects_floats():
     base = OnePointBase("o")
     carrier = RationalIntervalCarrier(Fraction(0), Fraction(1))
     floaty = MetricMapping(
-        carrier, base, lambda x: base.point, lambda x, x2: 0.5, "custom"
+        carrier, base, lambda x: BasePoint("o"), lambda x, x2: 0.5, "custom"
     )
-    report = validate_pseudometric(floaty, 3)
-    assert report and all(v.kind == "evaluator" for v in report)
+    with pytest.raises(EvaluatorError, match=r"^distance evaluator returned non-rational 0\.5 "):
+        validate_pseudometric(floaty, 3)
 
 
 def test_fiberwise_examples(sierpinski):
@@ -255,12 +269,26 @@ def _mappings(draw):
     )
 
 
+def _agree(check, oracle, m, budget: int) -> None:
+    """``check`` and ``oracle`` on ``m`` give equal violations, or both
+    raise an EvaluatorError with the same message."""
+    try:
+        expected = oracle(m, budget)
+    except EvaluatorError as e:
+        with pytest.raises(EvaluatorError) as info:
+            check(m, budget)
+        assert str(info.value) == str(e)
+    else:
+        assert check(m, budget) == expected
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(m=_mappings())
 def test_validators_match_the_fraction_oracle(m):
-    # Same kinds, text, witnesses and order as the pair-by-pair Fraction loop.
-    assert validate_pseudometric(m, 8) == pseudometric_violations(m, 8)
-    assert validate_fiberwise_metric(m, 8) == fiberwise_violations(m, 8)
+    # Same kinds, text, witnesses and order as the Fraction loops, or the
+    # same rejected value raised.
+    _agree(validate_pseudometric, pseudometric_violations, m, 8)
+    _agree(validate_fiberwise_metric, fiberwise_violations, m, 8)
 
 
 def test_validators_match_the_fraction_oracle_on_a_countable_carrier(
@@ -268,25 +296,34 @@ def test_validators_match_the_fraction_oracle_on_a_countable_carrier(
 ):
     base = OnePointBase("o")
     carrier = RationalIntervalCarrier(Fraction(0), Fraction(1))
-    # Every fifth pair is rejected, and distances are scaled unevenly.
-    skewed = MetricMapping(
-        carrier, base, lambda x: base.point,
+
+    def skew(x, x2):
+        return abs(x.code - x2.code) * (x.code.denominator % 3 + 1)
+
+    # Distances scaled unevenly; then also every fifth pair rejected.
+    skewed = MetricMapping(carrier, base, lambda x: BasePoint("o"), skew)
+    rejecting = MetricMapping(
+        carrier, base, lambda x: BasePoint("o"),
         lambda x, x2: -1 if (x.code.denominator + x2.code.denominator) % 5 == 0
-        else abs(x.code - x2.code) * (x.code.denominator % 3 + 1),
+        else skew(x, x2),
     )
     # The oracle calls the evaluator, so on interval_mapping and
     # grid_mapping it checks the integer coordinate path.
-    for m in (interval_mapping, grid_mapping, skewed):
+    for m in (interval_mapping, grid_mapping, skewed, rejecting):
         for budget in (24, 64):
-            assert validate_pseudometric(m, budget) == pseudometric_violations(m, budget)
-            assert validate_fiberwise_metric(m, budget) == fiberwise_violations(m, budget)
-    assert {v.kind for v in validate_pseudometric(skewed, 24)} == {"evaluator", "symmetry", "triangle"}
+            _agree(validate_pseudometric, pseudometric_violations, m, budget)
+            _agree(validate_fiberwise_metric, fiberwise_violations, m, budget)
+    assert {v.kind for v in validate_pseudometric(skewed, 24)} == {"symmetry", "triangle"}
+    with pytest.raises(EvaluatorError, match="returned negative -1"):
+        validate_pseudometric(rejecting, 24)
 
 
 def _matches_the_evaluator_path(m, pts) -> None:
-    fast = DistanceMatrix.build(m, pts)
+    # A table mapping's matrix is its dist, checked by table_mapping or
+    # _mapping_from_rows; build makes none.
+    fast = distance_matrix(m) if m.dist_kind == "table" else DistanceMatrix.build(m, pts)
     slow = DistanceMatrix.build(dataclasses.replace(m, dist_kind="custom"), pts)
-    assert (fast.den, fast.num, fast.failures) == (slow.den, slow.num, slow.failures)
+    assert (fast.points, fast.den, fast.num) == (slow.points, slow.den, slow.num)
 
 
 # On (-7/2, -3/2) and the grid from 1/2 the realized distances have a
@@ -298,7 +335,10 @@ def _matches_the_evaluator_path(m, pts) -> None:
     ("-5/3", "7/2", 512),
 ])
 def test_abs_diff_matrix_matches_the_evaluator_path(lo, hi, budget):
-    m = abs_diff_mapping(RationalIntervalCarrier(Fraction(lo), Fraction(hi)), OnePointBase("o"))
+    m = abs_diff_mapping(
+        RationalIntervalCarrier(Fraction(lo), Fraction(hi)), OnePointBase("o"),
+        lambda x: BasePoint("o"),
+    )
     _matches_the_evaluator_path(m, m.sample_points(budget))
 
 
@@ -312,28 +352,37 @@ def test_abs_diff_matrix_matches_the_evaluator_path(lo, hi, budget):
 ])
 def test_max_metric_matrix_matches_the_evaluator_path(step, lo, hi):
     m = max_metric_mapping(
-        RationalGridCarrier(Fraction(step), Fraction(lo), Fraction(hi)), OnePointBase("o")
+        RationalGridCarrier(Fraction(step), Fraction(lo), Fraction(hi)), OnePointBase("o"),
+        lambda x: BasePoint("o"),
     )
     _matches_the_evaluator_path(m, m.points())
 
 
 def test_fiberwise_matches_the_oracle_with_failures_and_zeros_in_two_fibers():
-    # Zero pairs inside fiber a and inside fiber b, one across them, and
-    # two rejected forward entries, one in the same row as a zero pair.
+    # Zero pairs inside fiber a and inside fiber b and one across them;
+    # then two rejected entries, a back one in a later row than a forward
+    # one: the forward one, first in row order, raises from both sides.
     pos = {"p0": 0, "p1": 0, "p2": 2, "p3": 1, "p4": 1, "p5": 2}
     fibers = {"p0": "a", "p1": "a", "p2": "a", "p3": "b", "p4": "b", "p5": "b"}
-    rejected = {("p0", "p5"), ("p2", "p4")}
     base = FiniteBase.of(["a", "b"], [["a"], ["a", "b"]])
-    m = MetricMapping(
-        FiniteCarrier.of(pos), base, lambda x: BasePoint(fibers[x.code]),
-        lambda x, x2: -1 if (x.code, x2.code) in rejected else abs(pos[x.code] - pos[x2.code]),
-    )
+
+    def mapping(rejected):
+        return MetricMapping(
+            FiniteCarrier.of(pos), base, lambda x: BasePoint(fibers[x.code]),
+            lambda x, x2: -1 if (x.code, x2.code) in rejected else abs(pos[x.code] - pos[x2.code]),
+        )
+
+    m = mapping(set())
     violations = validate_fiberwise_metric(m, 8)
     assert violations == fiberwise_violations(m, 8)
     assert [(v.kind, v.witness) for v in violations] == [
-        ("fiberwise", ("p0", "p1")), ("evaluator", ("p0", "p5")),
-        ("evaluator", ("p2", "p4")), ("fiberwise", ("p3", "p4")),
+        ("fiberwise", ("p0", "p1")), ("fiberwise", ("p3", "p4")),
     ]
+    m = mapping({("p4", "p2"), ("p2", "p5")})
+    message = r"^distance evaluator returned negative -1 for \('p2', 'p5'\)$"
+    for check in (validate_fiberwise_metric, fiberwise_violations):
+        with pytest.raises(EvaluatorError, match=message):
+            check(m, 8)
 
 
 @pytest.mark.parametrize("seed, n", [(0, 12), (1, 100), (2, 512)])
@@ -401,30 +450,28 @@ def test_integer_tables_keep_the_realized_denominator():
     _matches_the_evaluator_path(m, m.points())
 
 
-class _Unscanned(list):
-    def __contains__(self, item):
-        raise AssertionError("row scanned for None")
-
-
-def test_row_scans_for_none_only_after_a_failure():
-    # Entries are None only where an evaluation failed, so a matrix with
-    # no failures hands out its rows without reading them.
-    dm = distance_matrix(stress_instance(1, 16, 4))
-    clean = dataclasses.replace(dm, num=[_Unscanned(r) for r in dm.num])
-    assert [clean.row(i) for i in range(len(clean.points))] == dm.num
-
+def test_build_asks_each_ordered_entry_once_in_row_order():
+    # Each ordered entry is its own evaluator call, row by row, and the
+    # first rejected one raises: (v, u) comes before (v, w) in row v.
     base = FiniteBase.of(["a"], [["a"]])
-    table = {("u", "v"): -1}
-    m = MetricMapping(
-        FiniteCarrier.of(["u", "v", "w"]), base, lambda x: BasePoint("a"),
-        lambda x, x2: table.get((x.code, x2.code), 0 if x == x2 else 1),
-    )
-    dm = DistanceMatrix.build(m, m.points())
-    assert dm.failures == {(0, 1): "distance evaluator returned negative -1 for ('u', 'v')"}
-    for i in (0, 1):
-        with pytest.raises(EvaluatorError, match=r"negative -1 for \('u', 'v'\)"):
-            dm.row(i)
-    assert dm.row(2) == [1, 1, 0]
+    codes = ["u", "v", "w"]
+    calls = []
+
+    def mapping(rejected):
+        def dist(x, x2):
+            calls.append((x.code, x2.code))
+            return -1 if (x.code, x2.code) in rejected else int(x != x2)
+
+        return MetricMapping(FiniteCarrier.of(codes), base, lambda x: BasePoint("a"), dist)
+
+    dm = DistanceMatrix.build(mapping(set()), tuple(map(CarrierPoint, codes)))
+    assert calls == [(a, b) for a in codes for b in codes]
+    assert (dm.den, dm.num) == (1, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    calls.clear()
+    with pytest.raises(EvaluatorError, match=r"^distance evaluator returned negative -1 "
+                                             r"for \('v', 'u'\)$"):
+        DistanceMatrix.build(mapping({("v", "w"), ("v", "u")}), tuple(map(CarrierPoint, codes)))
+    assert calls == [("u", "u"), ("u", "v"), ("u", "w"), ("v", "u")]
 
 
 def test_deciders_raise_the_failed_pair_error():
@@ -434,12 +481,42 @@ def test_deciders_raise_the_failed_pair_error():
         FiniteCarrier.of(["u", "v"]), base, lambda x: BasePoint("a"),
         lambda x, x2: table.get((x.code, x2.code), 0),
     )
-    assert [v.message for v in validate_pseudometric(m, 2)] == [
-        "distance evaluator returned negative -1 for ('u', 'v')"
-    ]
-    for decider in (is_complete_filter, is_complete_net):
-        with pytest.raises(EvaluatorError, match=r"negative -1 for \('u', 'v'\)"):
-            decider(m)
+    for check in (lambda m: validate_pseudometric(m, 2), is_complete_filter, is_complete_net):
+        with pytest.raises(EvaluatorError, match=r"^distance evaluator returned negative -1 "
+                                                 r"for \('u', 'v'\)$"):
+            check(m)
+
+
+# Every entry point that reads a custom mapping's distances, called on it.
+_ENTRY_POINTS = {
+    "validate_pseudometric": lambda m: validate_pseudometric(m, 8),
+    "validate_fiberwise_metric": lambda m: validate_fiberwise_metric(m, 8),
+    "distance_matrix": distance_matrix,
+    "is_complete_filter": is_complete_filter,
+    "is_complete_net": is_complete_net,
+    "lemma2_check": lemma2_check,
+    "finite_completion": finite_completion,
+    "dstar_approx": lambda m: dstar_approx(
+        embed(m, CarrierPoint("v")), embed(m, CarrierPoint("w")), Fraction(1)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("value, message", [
+    (-1, "distance evaluator returned negative -1 for ('v', 'w')"),
+    (0.5, "distance evaluator returned non-rational 0.5 for ('v', 'w')"),
+], ids=["negative", "float"])
+def test_a_rejected_value_raises_from_every_entry_point(value, message, entry):
+    # The evaluator rejects one ordered pair of an otherwise valid line.
+    pos = {"u": 0, "v": 1, "w": 3}
+    m = MetricMapping(
+        FiniteCarrier.of(pos), FiniteBase.of(["a"], [["a"]]), lambda x: BasePoint("a"),
+        lambda x, x2: value if (x.code, x2.code) == ("v", "w") else abs(pos[x.code] - pos[x2.code]),
+    )
+    with pytest.raises(EvaluatorError) as info:
+        _ENTRY_POINTS[entry](m)
+    assert str(info.value) == message
 
 
 def test_grid_points_are_built_once(monkeypatch):
@@ -476,7 +553,9 @@ def test_mappings_compare_and_hash_by_identity():
 
 _SIERPINSKI = table_mapping(FiniteBase.of(["a", "b"], [["a"], ["a", "b"]]),
                             {"x_a": "a", "x_b": "b"}, {("x_a", "x_b"): Fraction(0)})
-_LINE = abs_diff_mapping(RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"))
+_LINE = abs_diff_mapping(
+    RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"), lambda x: BasePoint("o")
+)
 
 # The argument check of each function or method: the call, the exception
 # it raises and its message.

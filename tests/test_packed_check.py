@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from mapcomplete import metric_mapping
 from mapcomplete.base_topology import OnePointBase
+from mapcomplete.errors import EvaluatorError
 from mapcomplete.metric_mapping import (
     DistanceMatrix,
     FiniteCarrier,
@@ -53,8 +54,8 @@ def _loops(m: MetricMapping) -> list:
 
 
 def _packed(num: list[list[int]]) -> bool:
-    # The test reads only num and failures.
-    return _no_pseudometric_break(DistanceMatrix((), 1, num, {}))
+    # The test reads only num.
+    return _no_pseudometric_break(DistanceMatrix((), 1, num))
 
 
 def _check(num: list[list[int]]) -> list:
@@ -183,13 +184,16 @@ def test_nonzero_diagonal_goes_to_the_loops():
     assert [v.kind for v in _check(num)][:1] == ["identity"]
 
 
-def test_failures_and_negative_entries_go_to_the_loops():
-    # The evaluator refuses the negative entry, so the matrix records a
-    # failure; handed the raw integers, the test refuses them itself.
+def test_negative_entries_go_to_the_loops():
+    # The evaluator refuses the negative entry, so validate_pseudometric
+    # raises before either test runs; handed the raw integers, the packed
+    # test refuses them itself.
     num = _line(list(range(CUT)))
     num[2][7] = num[7][2] = -1
-    report = _check(num)
-    assert report and report[0].kind == "evaluator"
+    with pytest.raises(EvaluatorError, match=r"^distance evaluator returned negative -1 "
+                                             r"for \('x002', 'x007'\)$"):
+        validate_pseudometric(_mapping(num), CUT)
+    assert not _packed(num)
     assert not _packed([[0, -1], [-1, 0]])
     assert not _packed([[0, -1, 0], [-1, 0, 0], [0, 0, 0]])
 
@@ -213,7 +217,12 @@ def _tables(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(num=_tables())
 def test_packed_test_matches_the_oracle_on_small_tables(num):
-    # True exactly when the oracle finds nothing; a negative entry is an
-    # evaluator failure to the oracle and False to the packed test.
+    # True exactly when the oracle finds nothing; a negative entry makes
+    # the oracle's evaluator raise, and the packed test False.
+    if min(map(min, num)) < 0:
+        with pytest.raises(EvaluatorError, match="returned negative -1"):
+            pseudometric_violations(_mapping(num), len(num))
+        assert not _packed(num)
+        return
     oracle = pseudometric_violations(_mapping(num), len(num))
     assert _packed(num) is (oracle == [])

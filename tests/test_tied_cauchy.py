@@ -86,7 +86,10 @@ def test_newton_top_rung_term_normalises_once_per_iterate(interval_mapping, monk
 def test_newton_term_that_leaves_the_carrier_is_refused():
     # On (29/20, 3) the start 3/2 lies inside, and at(6) stops there; at(7)
     # takes the next iterate, 17/12 < 29/20, which lies outside.
-    m = abs_diff_mapping(RationalIntervalCarrier(Fraction(29, 20), Fraction(3)), OnePointBase("o"))
+    m = abs_diff_mapping(
+        RationalIntervalCarrier(Fraction(29, 20), Fraction(3)), OnePointBase("o"),
+        lambda x: BasePoint("o"),
+    )
     s = newton_sqrt_seq(m, Fraction(2))
     assert s.at(6).code == Fraction(3, 2)
     with pytest.raises(InputError, match=r"^point '17/12' is not in the carrier$"):
@@ -221,7 +224,9 @@ def test_memoized_sequences_are_thread_transparent(interval_mapping):
     assert results == expected
 
 
-_LINE = abs_diff_mapping(RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"))
+_LINE = abs_diff_mapping(
+    RationalIntervalCarrier(Fraction(0), Fraction(3)), OnePointBase("o"), lambda x: BasePoint("o")
+)
 _HALF = const_seq(_LINE, CarrierPoint(Fraction(1, 2)))
 _FAR = [CarrierPoint(Fraction(1, 10)), CarrierPoint(Fraction(29, 10))]
 
