@@ -25,10 +25,12 @@ from .metric_mapping import (
     MetricMapping,
     RationalGridCarrier,
     RationalIntervalCarrier,
+    _fiber_points,
+    _mapping_from_rows,
+    _table_rows,
     abs_diff_mapping,
     distance_matrix,
     max_metric_mapping,
-    table_mapping,
 )
 from .rationals import format_rational, parse_rational
 from .tied_cauchy import const_seq, newton_sqrt_seq, table_seq
@@ -189,10 +191,11 @@ def parse_instance(text: str) -> MetricMapping:
 
     This module checks the JSON shape, the rational syntax, the kind
     pairings of _PAIRINGS and that the fiber entries match the carrier
-    list; the table rules (dangling codes and targets, signs, diagonal,
-    symmetry, missing pairs) are checked by table_mapping. Either way an
-    error raises InputError with the path of the offending field; of two
-    bad sections, the first in document order is reported. JSON nested
+    list; a table is then built as table_mapping builds it, by
+    _fiber_points, _table_rows (the table rules, fed one entry at a time)
+    and _mapping_from_rows. An error raises InputError with the path of
+    the offending field; of two bad sections or two bad distance entries,
+    the first in document order is reported, whatever its fault. JSON nested
     past the recursion limit, or with an integer past the int-string
     limit, raises at ``$``; a key or string with a lone surrogate, which
     no UTF-8 report could print, raises at its own path before any field
@@ -241,43 +244,37 @@ def parse_instance(text: str) -> MetricMapping:
     if dist_kind == "max_metric":
         return max_metric_mapping(carrier, base, fiber)
     if fiber_kind == "table":
-        fibers = _fiber_entries(fiber_obj, carrier)
+        fibers = _fiber_points(base, _fiber_entries(fiber_obj, carrier), "$.fiber_map.entries")
     else:
-        fibers = {p.code: target.id for p in carrier.points}
-    pairs = _distance_entries(dist_obj)
-    try:
-        return table_mapping(base, fibers, pairs)
-    except InputError as e:
-        # table_mapping locates its errors in fiber_table or distance_table.
-        table, _, rest = e.path.partition("_table")
-        where = "$.fiber_map.entries" if table == "fiber" else "$.distance.entries"
-        raise InputError(e.message, path=where + rest) from None
+        fibers = dict.fromkeys((p.code for p in carrier.points), target)
+    items = _distance_entries(dist_obj)
+    return _mapping_from_rows(base, fibers, *_table_rows(fibers, items, "$.distance.entries"))
 
 
 def _fiber_entries(obj, carrier) -> dict:
-    """The fiber entries in carrier order, one per carrier point."""
+    """The fiber entries in carrier order, one per carrier point: an
+    unknown entry code raises first, then the first missing code in
+    sorted order."""
     entries = obj["entries"]
     if not isinstance(entries, dict):
         raise InputError("entries must map carrier codes to base points", path="$.fiber_map.entries")
-    codes = [p.code for p in carrier.points]
+    codes = dict.fromkeys(p.code for p in carrier.points)
     for code in entries:
         if code not in codes:
             raise InputError(f"unknown carrier point {code!r}", path=f"$.fiber_map.entries.{code}")
-    for code in sorted(codes):
-        if code not in entries:
-            raise InputError(f"missing fiber entry for {code!r}", path="$.fiber_map.entries")
+    if missing := codes.keys() - entries.keys():
+        raise InputError(f"missing fiber entry for {min(missing)!r}", path="$.fiber_map.entries")
     return {code: entries[code] for code in codes}
 
 
-def _distance_entries(obj) -> list:
-    """The distance entries as ((x, y), value) items in document order.
-
+def _distance_entries(obj):
+    """The distance entries as ((x, y), value) items in document order, one
+    at a time: a bad shape or text raises once every earlier entry passed.
     Each distinct value text is parsed once; only texts that parsed are
     kept, so a bad one raises at its first entry's path."""
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise InputError("entries must be a list of [x, y, value] triples", path="$.distance.entries")
-    items = []
     parsed: dict[str, Fraction] = {}
     for i, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 3
@@ -288,8 +285,7 @@ def _distance_entries(obj) -> list:
         value = parsed.get(raw) if isinstance(raw, str) else None
         if value is None:
             value = parsed[raw] = parse_rational(raw, path=f"$.distance.entries[{i}]")
-        items.append(((a, b), value))
-    return items
+        yield (a, b), value
 
 
 def instance_document(m: MetricMapping) -> dict:

@@ -163,7 +163,7 @@ class MetricMapping:
     code is a Fraction and ``dist`` is |x - x'|; ``max_metric`` promises
     that every code is a pair of Fractions and ``dist`` is the larger
     coordinate difference. ``table`` promises that ``dist`` is the
-    ``DistanceMatrix`` ``table_mapping`` checked, which only it builds.
+    ``DistanceMatrix`` that only ``_mapping_from_rows`` builds.
     ``DistanceMatrix`` computes these three without calling ``dist``, so a
     mapping whose ``dist`` breaks the promise must use ``custom``, the
     default, whose matrix calls ``distance`` on every ordered pair. A value
@@ -221,81 +221,83 @@ def table_mapping(
     ``fiber_table`` fixes the carrier (insertion order is kept) and maps
     each code to a token naming its base point (see ``base.point``).
     ``distance_table`` is a dict from code pairs to values, or a sequence
-    of ``((a, b), value)`` items, with an entry for every unordered pair of
-    distinct codes. Values must be ints or Fractions, nonnegative, zero on
-    the diagonal and equal at symmetric duplicates. An error's path locates
-    the offending entry: ``fiber_table.<code>``, ``distance_table[<i>]``
-    for the i-th item, or ``distance_table`` for a missing pair.
-
-    The checks run on each value's reduced numerator and denominator, and
-    the mapping's ``dist`` is the checked table as a ``DistanceMatrix``.
+    of ``((a, b), value)`` items, checked by the table rules of
+    ``_table_rows``. An error's path is ``fiber_table.<code>``,
+    ``distance_table[<i>]`` for the i-th item, or ``distance_table`` for a
+    missing pair; ``parse_instance`` gives the same checks document paths.
     """
-    carrier, fiber = _fiber_map(_fiber_points(base, fiber_table))
-    index = {code: i for i, code in enumerate(fiber_table)}
+    fibers = _fiber_points(base, fiber_table, "fiber_table")
     items = distance_table.items() if isinstance(distance_table, dict) else distance_table
-    # (i, j) with i < j in carrier order -> reduced (numerator, denominator)
-    table: dict[tuple[int, int], tuple[int, int]] = {}
+    return _mapping_from_rows(base, fibers, *_table_rows(fibers, items, "distance_table"))
+
+
+def _table_rows(codes: Iterable[str], items, path: str) -> tuple[int, list[list[int]]]:
+    """The table rules, checked once: ``(den, rows)`` with ``rows[i][j] / den``
+    the distance ``items`` give the i-th and j-th of ``codes``, over the LCM
+    of the reduced denominators.
+
+    Each ``((a, b), value)`` item, in order, has known codes and an int or
+    Fraction value whose reduced numerator is nonnegative, zero on the
+    diagonal and equal, with the denominator, at a symmetric duplicate; then
+    no pair of distinct codes is missing. An error raises at ``<path>[<k>]``
+    for the k-th item, or at ``path`` for the first missing pair in sorted
+    order; the path is built only then.
+    """
+    index = {code: i for i, code in enumerate(codes)}
+    n = len(index)
+    # nums[i][j] / dens[i][j] is the entry of (i, j); a zero den marks an
+    # unset pair, and the diagonal stays unset.
+    nums = [[0] * n for _ in range(n)]
+    dens = [[0] * n for _ in range(n)]
     for k, ((a, b), value) in enumerate(items):
-        for code in (a, b):
-            if code not in index:
-                raise InputError(
-                    f"distance entry references unknown carrier point {code!r}",
-                    path=f"distance_table[{k}]",
-                )
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            raise InputError("distance entry references unknown carrier point "
+                             f"{a if i is None else b!r}", path=f"{path}[{k}]")
         if not isinstance(value, (int, Fraction)):
             raise InputError(f"distance {value!r} for ({a!r}, {b!r}) is not an int or "
-                             "Fraction", path=f"distance_table[{k}]")
+                             "Fraction", path=f"{path}[{k}]")
         p, q = value.numerator, value.denominator
         if p < 0:
-            raise InputError(
-                f"negative distance {format_rational(Fraction(p, q))} for ({a!r}, {b!r})",
-                path=f"distance_table[{k}]",
-            )
-        if a == b:
-            if p != 0:
-                raise InputError(
-                    f"nonzero diagonal distance {format_rational(Fraction(p, q))} for {a!r}",
-                    path=f"distance_table[{k}]",
-                )
+            raise InputError(f"negative distance {format_rational(Fraction(p, q))} for "
+                             f"({a!r}, {b!r})", path=f"{path}[{k}]")
+        if i == j:
+            if p:
+                raise InputError(f"nonzero diagonal distance {format_rational(Fraction(p, q))} "
+                                 f"for {a!r}", path=f"{path}[{k}]")
             continue
-        i, j = index[a], index[b]
-        key = (i, j) if i < j else (j, i)
-        seen = table.setdefault(key, (p, q))
-        if seen != (p, q):
-            raise InputError(
-                f"non-symmetric distance table at ({a!r}, {b!r}): "
-                f"{format_rational(Fraction(*seen))} vs {format_rational(Fraction(p, q))}",
-                path=f"distance_table[{k}]",
-            )
-    n = len(index)
-    if len(table) < n * (n - 1) // 2:
+        seen = dens[i][j]
+        if not seen:
+            nums[i][j] = nums[j][i] = p
+            dens[i][j] = dens[j][i] = q
+        elif seen != q or nums[i][j] != p:
+            old = format_rational(Fraction(nums[i][j], seen))
+            raise InputError(f"non-symmetric distance table at ({a!r}, {b!r}): {old} vs "
+                             f"{format_rational(Fraction(p, q))}", path=f"{path}[{k}]")
+    # Each row's diagonal is its one unset entry in a full table.
+    if sum(row.count(0) for row in dens) > n:
         for a, b in combinations(sorted(index), 2):
-            if tuple(sorted((index[a], index[b]))) not in table:
-                raise InputError(
-                    f"missing distance entry for ({a!r}, {b!r})", path="distance_table"
-                )
-
-    # den is the LCM of the reduced denominators, so no factor divides out.
-    den = lcm(*{q for _, q in table.values()})
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), (p, q) in table.items():
-        rows[i][j] = rows[j][i] = p * (den // q)
-    return _table(carrier, base, fiber, den, rows)
+            if not dens[index[a]][index[b]]:
+                raise InputError(f"missing distance entry for ({a!r}, {b!r})", path=path)
+    qs = set().union(*dens) - {0}
+    den = lcm(*qs)
+    if len(qs) > 1:
+        nums = [[p * (den // q) if q else 0 for p, q in zip(*pq)] for pq in zip(nums, dens)]
+    return den, nums
 
 
 def _mapping_from_rows(
     base: Base, fibers: dict[str, BasePoint], den: int, rows: list[list[int]]
 ) -> MetricMapping:
-    """``table_mapping`` for a table already on integers: ``rows[i][j] / den``
-    is the distance between the i-th and j-th codes of ``fibers``, which
-    maps each code to its base point, already resolved.
+    """The one constructor of every ``table`` mapping, whose ``dist`` is
+    ``rows[i][j] / den`` between the i-th and j-th codes of ``fibers``, which
+    maps each code, in carrier order, to its base point, already resolved.
 
-    For the package's own generated and completed tables. The checks are
-    the same rules on the integers: a square table in carrier order,
-    nonnegative, zero on the diagonal and symmetric; a table that breaks
-    one is a bug, and raises. Numerators and ``den`` are divided by their
-    gcd, so ``den`` is the LCM of the realized denominators, as from
-    ``table_mapping``.
+    Tables come from ``_table_rows``, the generator and the completion; the
+    rules are checked again in bulk on the integers (a square table,
+    symmetric, nonnegative, zero on the diagonal), and a break raises as a
+    bug. Numerators and ``den`` are divided by their gcd, so ``den`` is the
+    LCM of the realized denominators.
     """
     n = len(fibers)
     # In bulk, each a C-level pass. With n rows, a transpose equal to the
@@ -309,14 +311,16 @@ def _mapping_from_rows(
     ):
         raise InputError("generated distance table is not square, symmetric and "
                          "nonnegative with zero diagonal")
-    carrier, fiber = _fiber_map(fibers)
-    return _table(carrier, base, fiber, *_reduced(den, rows))
+    # Dict keys are distinct, so the carrier needs no duplicate check.
+    carrier = FiniteCarrier(tuple(map(CarrierPoint, fibers)))
 
+    def fiber(x: CarrierPoint) -> BasePoint:
+        try:
+            return fibers[x.code]
+        except KeyError:
+            raise InputError(f"unknown carrier point {x.code!r}") from None
 
-def _table(carrier: FiniteCarrier, base: Base, fiber, den: int, rows: list[list[int]]):
-    """The ``table`` mapping whose ``dist`` is the checked matrix rows / den."""
-    pts = carrier.points
-    dm = DistanceMatrix(pts, den, rows)
+    dm = DistanceMatrix(carrier.points, *_reduced(den, rows))
     return MetricMapping(carrier, base, fiber, dm, "table")
 
 
@@ -329,33 +333,18 @@ def _reduced(den: int, num: list[list[int]]) -> tuple[int, list[list[int]]]:
     return den // g, [[v // g for v in row] for row in num]
 
 
-def _fiber_points(base: Base, fiber_table: dict[str, object]) -> dict[str, BasePoint]:
+def _fiber_points(base: Base, fiber_table: dict[str, object], path: str) -> dict[str, BasePoint]:
     """The base point each code of ``fiber_table`` names, in its order; a
-    token that names no base point raises at ``fiber_table.<code>``."""
+    token that names no base point raises at ``<path>.<code>``."""
     fibers = {}
     for code, token in fiber_table.items():
         try:
             fibers[code] = base.point(token)
         except InputError as e:
             raise InputError(
-                f"fiber of {code!r} targets {e.message}", path=f"fiber_table.{code}"
+                f"fiber of {code!r} targets {e.message}", path=f"{path}.{code}"
             ) from None
     return fibers
-
-
-def _fiber_map(fibers: dict[str, BasePoint]):
-    """The carrier of ``fibers``, in its order, and the fiber map that
-    reads it."""
-    # Dict keys are distinct, so the carrier needs no duplicate check.
-    carrier = FiniteCarrier(tuple(map(CarrierPoint, fibers)))
-
-    def fiber(x: CarrierPoint) -> BasePoint:
-        try:
-            return fibers[x.code]
-        except KeyError:
-            raise InputError(f"unknown carrier point {x.code!r}") from None
-
-    return carrier, fiber
 
 
 def abs_diff_mapping(
@@ -396,7 +385,7 @@ class DistanceMatrix:
 
     The built-in kinds never call the evaluator, and each gives the
     ``den`` and ``num`` the evaluator would. A ``table`` mapping's matrix
-    is its ``dist``, the table ``table_mapping`` checked. The ``abs_diff``
+    is its ``dist``, the table ``_mapping_from_rows`` checked. The ``abs_diff``
     and ``max_metric`` distances are the Chebyshev distance of the point
     codes, built row by row on integer coordinates from per-axis rows of
     coordinate gaps (``_chebyshev``). Every other kind asks

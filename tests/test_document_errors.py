@@ -195,6 +195,15 @@ CASES = {
                                   "$.fiber_map.entries.zz: unknown carrier point 'zz'"),
     "fiber-entry-missing": (FINITE, {"fiber_map.entries.v": DROP},
                             "$.fiber_map.entries: missing fiber entry for 'v'"),
+    # An unknown entry code before any missing one, and of two missing
+    # codes the first in sorted order, not in carrier order.
+    "fiber-entry-unknown-and-missing": (FINITE, {"fiber_map.entries.zz": "a",
+                                                 "fiber_map.entries.v": DROP},
+                                        "$.fiber_map.entries.zz: unknown carrier point 'zz'"),
+    "fiber-entries-two-missing": (FINITE, {"carrier.points": ["w", "v", "u"],
+                                           "fiber_map.entries.v": DROP,
+                                           "fiber_map.entries.u": DROP},
+                                  "$.fiber_map.entries: missing fiber entry for 'u'"),
     "fiber-entry-unknown-target": (FINITE, {"fiber_map.entries.w": "zz"},
                                    "$.fiber_map.entries.w: fiber of 'w' targets unknown base point 'zz'"),
     "fiber-entry-list-target": (FINITE, {"fiber_map.entries.w": ["b"]},
@@ -269,6 +278,24 @@ CASES = {
     "distance-entry-unknown-code": (FINITE, {"distance.entries": [["u", "zz", "1"]]},
                                     "$.distance.entries[0]: distance entry references unknown "
                                     "carrier point 'zz'"),
+    # Of a bad fiber target and a bad distance entry, the fiber section's
+    # error, which comes first in the document; of two bad distance entries,
+    # the first, whether a shape, a text or a table rule is at fault.
+    "fiber-target-before-bad-text": (FINITE, {"fiber_map.entries.u": "zz",
+                                              "distance.entries": [*FINITE_ENTRIES[:2],
+                                                                   ["v", "w", "0.5"]]},
+                                     "$.fiber_map.entries.u: fiber of 'u' targets unknown base "
+                                     "point 'zz'"),
+    "fiber-target-before-bad-shape": (FINITE, {"fiber_map.entries.u": "zz",
+                                               "distance.entries": [*FINITE_ENTRIES[:2],
+                                                                    ["v", "w"]]},
+                                      "$.fiber_map.entries.u: fiber of 'u' targets unknown base "
+                                      "point 'zz'"),
+    "unknown-code-before-bad-text": (FINITE, {"distance.entries": [["u", "zz", "1"],
+                                                                   FINITE_ENTRIES[1],
+                                                                   ["v", "w", "0.5"]]},
+                                     "$.distance.entries[0]: distance entry references unknown "
+                                     "carrier point 'zz'"),
     # A lone surrogate, which json.dumps writes as an escape: refused at its
     # path, a key at its object's, before any field is read.
     "carrier-code-lone-surrogate": (FINITE, {"carrier.points": ["u", "\ud800", "w"]},
