@@ -200,11 +200,14 @@ def validate_basis(b: FiniteBase) -> list[Violation]:
     point sits in the intersection of two basis sets, some basis set fits
     between the point and that intersection. A refinement test scans only
     the basis sets that contain its point, each a frozenset built once.
+    An intersection that is itself a basis set fits every point of it,
+    so only the other intersections are scanned.
     """
     ids = b.point_ids()
     if len(set(ids)) != len(ids):
         raise InputError("duplicate point ids in base space")
     sets = [frozenset(o) for o in b.basis]
+    known = set(sets)
     containing: dict[PointId, list[frozenset]] = {}
     for s in sets:
         for pid in s:
@@ -217,6 +220,8 @@ def validate_basis(b: FiniteBase) -> list[Violation]:
             )
     for (o1, s1), (o2, s2) in combinations(zip(b.basis, sets), 2):
         meet = s1 & s2
+        if meet in known:
+            continue
         for pid in sorted(meet):
             if not any(s <= meet for s in containing[pid]):
                 violations.append(

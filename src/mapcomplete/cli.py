@@ -70,11 +70,12 @@ MAX_COUNT = 100_000
 # at --maxx 64, and its intersection closure of the basis is quadratic in
 # the number of sets it closes, which grows fast in --maxy. Over 300 seeds
 # on one core of a shared 2-core Xeon host (the least of three runs per
-# seed, in two sessions), an instance at --maxx 64 takes 0.2-0.3 ms in the
-# median and 1 ms at worst; at --maxy 12 the worst, seed 116, takes 4-7 ms
-# (median 0.1 ms), against 50-80 ms at --maxy 16. MAX_SUITE_Y stays at
-# most 21: the generator replays the branch of Random.sample that draws
-# from a pool, which sample takes for every population of at most 21.
+# seed, in two runs), an instance at --maxx 64 takes 0.13-0.17 ms in the
+# median and 0.5-0.7 ms at worst; at --maxy 12 the worst, seed 116, takes
+# 4-6 ms (median 0.05 ms), against 60 ms for seed 103 at --maxy 16.
+# MAX_SUITE_Y stays at most 21: the generator replays the branch of
+# Random.sample that draws from a pool, which sample takes for every
+# population of at most 21.
 MAX_SUITE_X = 64
 MAX_SUITE_Y = 12
 # Each integer option a subcommand declares must lie in 1..bound; checked
@@ -215,13 +216,13 @@ def _cmd_suite(args, _, report: Report) -> None:
     name = args.command
     for seed in range(args.seed, args.seed + args.count):
         m = random_instance(seed, args.maxx, args.maxy)
-        # Every point is checked; the detail of the first failing line names
-        # the first violation.
-        checks = Report()
-        _add_validators(checks, m, len(m.points()))
-        failed = [detail for _, ok, detail in checks.entries if not ok]
-        if failed:
-            report.add(f"{name}[seed={seed}]", False, f"invalid instance {failed[0]}")
+        # Every point is checked, in _add_validators' order; the first
+        # violation of the first validator that finds one is the detail.
+        n = len(m.points())
+        violations = (validate_basis(m.base) or validate_pseudometric(m, n)
+                      or validate_fiberwise_metric(m, n))
+        if violations:
+            report.add(f"{name}[seed={seed}]", False, f"invalid instance {violations[0]}")
             continue
         if name == "theorem3":
             filter_side = is_complete_filter(m)
@@ -359,18 +360,26 @@ _SUBCOMMANDS = {
 }
 
 
+_INDENT = " " * len("usage: mapcomplete ")
+# The top-level usage, written out in the layout argparse gives it up to
+# Python 3.12: 3.13 wraps an argparse-made usage differently.
+_USAGE = f"mapcomplete [-h]\n{_INDENT}{{{','.join(_SUBCOMMANDS)}}}\n{_INDENT}..."
+
+
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The CLI's parser, with arguments declared on ``command`` alone.
 
     Every subcommand is registered, so the top-level usage, help and
     errors do not depend on ``command``; a parse of an invocation of
-    ``command`` reaches no other subparser."""
+    ``command`` reaches no other subparser. The subparsers take their
+    ``prog`` from ``mapcomplete``, not from the fixed top-level usage."""
     parser = argparse.ArgumentParser(
         prog="mapcomplete",
+        usage=_USAGE,
         description="Validate metric-mapping instances, evaluate certified "
         "completion distances, and run the seeded finite suites.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="mapcomplete")
     for name, (help_text, handler, declare) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)

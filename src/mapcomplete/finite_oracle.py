@@ -365,12 +365,20 @@ def _shortest_path_closure(n: int, weights: list[int]) -> tuple[list, list]:
     Floyd-Warshall then runs on one representative per class, each class
     pair starting at its least entry. Integers keep order and sums exact
     (as in DistanceMatrix).
+
+    With fewer than 3 classes Floyd-Warshall is skipped, as it can change
+    nothing. Its step lowers d[a][b] to d[a][k] + d[k][b] when that is
+    less, which never happens for k = a or k = b: on a zero diagonal the
+    sum is d[a][b] itself. Nor for a = b, whose 0 no nonnegative sum
+    undercuts. With 1 or 2 classes every other k is a or b.
     """
     pairs = list(combinations(range(n), 2))
     cls = _components(n, compress(pairs, map(not_, weights)), range(n))
-    # Every class pair has an entry, and none exceeds the largest weight.
-    top = max(weights, default=0)
     c = max(cls, default=-1) + 1
+    if c == 1:
+        return cls, [[0]]
+    # Every class pair has an entry, and none exceeds the largest weight.
+    top = max(weights)
     d = [[top] * c for _ in range(c)]
     for (i, j), w in zip(pairs, weights):
         a, b = cls[i], cls[j]
@@ -378,6 +386,8 @@ def _shortest_path_closure(n: int, weights: list[int]) -> tuple[list, list]:
             d[a][b] = d[b][a] = w
     for a, da in enumerate(d):
         da[a] = 0
+    if c < 3:
+        return cls, d
     for k, dk in enumerate(d):
         for di in d:
             dik = di[k]
@@ -385,6 +395,40 @@ def _shortest_path_closure(n: int, weights: list[int]) -> tuple[list, list]:
                 if dik + dkj < di[j]:
                     di[j] = dik + dkj
     return cls, d
+
+
+# What random_instance builds from a drawn size alone, made on the first
+# draw of that size: at most one entry per size. For a base of n points,
+# its BasePoints, the bit of each, and the (id, bit) pairs in text order,
+# where y10 sorts before y2; for a carrier of n points, its codes and the
+# indices in reverse text order.
+_BASE_TABLES: dict[int, tuple] = {}
+_CARRIER_TABLES: dict[int, tuple] = {}
+# A FiniteBase per drawn family of basis sets on at most _SHARED_BASE_SIZE
+# points, keyed by the base size and the family as masks. On n points
+# there are 2^(2^n - 1) - 1 nonempty families: 1, 7 and 127 for n = 1, 2,
+# 3, so this holds at most 135 bases, which the default --maxy 3 draws
+# again and again. On 4 points there are 32767, and larger bases seldom
+# repeat.
+_BASES: dict[tuple, FiniteBase] = {}
+_SHARED_BASE_SIZE = 3
+
+
+def _base_table(n: int) -> tuple:
+    table = _BASE_TABLES.get(n)
+    if table is None:
+        ids = [f"y{i}" for i in range(n)]
+        bits = [1 << i for i in range(n)]
+        table = _BASE_TABLES[n] = (tuple(map(BasePoint, ids)), bits, sorted(zip(ids, bits)))
+    return table
+
+
+def _carrier_table(n: int) -> tuple:
+    table = _CARRIER_TABLES.get(n)
+    if table is None:
+        ids = [f"x{i}" for i in range(n)]
+        table = _CARRIER_TABLES[n] = (ids, sorted(range(n), key=ids.__getitem__, reverse=True))
+    return table
 
 
 def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
@@ -415,6 +459,11 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
     code. The closed integer table, divided by the gcd it shares with the
     denominator, and each survivor's base point go to _mapping_from_rows,
     which checks the table in bulk, with no Fraction per entry.
+
+    What depends on a drawn size alone (ids, base points, bits, text
+    orders) is built once per size, and a drawn basis's FiniteBase is
+    shared with the instances that draw it again (see _BASES); neither
+    moves a draw.
     """
     if max_x < 1 or max_y < 1:
         raise InputError("max_x and max_y must be at least 1")
@@ -428,7 +477,7 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
         return r
 
     n_y = 1 + below(max_y)
-    bits = [1 << i for i in range(n_y)]
+    points, bits, by_text = _base_table(n_y)
     sets = set()
     for _ in range(1 + below(2 * n_y)):
         # A sample of 1 + below(n_y) ids as a mask: each pick moves the
@@ -439,25 +488,29 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
             mask |= pool[j]
             pool[j] = pool[last]
         sets.add(mask)
-    # Close under nonempty pairwise intersection as a worklist: each set
-    # meets every set taken before it once, and only new meets are queued.
-    todo, done = list(sets), []
-    while todo:
-        s1 = todo.pop()
-        for s2 in done:
-            meet = s1 & s2
-            if meet and meet not in sets:
-                sets.add(meet)
-                todo.append(meet)
-        done.append(s1)
-    covered = 0
-    for s in sets:
-        covered |= s
-    sets.update(b for b in bits if not covered & b)
-    y_ids = [f"y{i}" for i in range(n_y)]
-    by_text = sorted(zip(y_ids, bits))
-    basis = sorted(tuple(y for y, b in by_text if s & b) for s in sets)
-    base = FiniteBase(tuple(map(BasePoint, y_ids)), tuple(basis))
+    key = (n_y, frozenset(sets))
+    base = _BASES.get(key)
+    if base is None:
+        # Close under nonempty pairwise intersection as a worklist: each
+        # set meets every set taken before it once, and only new meets are
+        # queued.
+        todo, done = list(sets), []
+        while todo:
+            s1 = todo.pop()
+            for s2 in done:
+                meet = s1 & s2
+                if meet and meet not in sets:
+                    sets.add(meet)
+                    todo.append(meet)
+            done.append(s1)
+        covered = 0
+        for s in sets:
+            covered |= s
+        sets.update(b for b in bits if not covered & b)
+        basis = sorted(tuple(y for y, b in by_text if s & b) for s in sets)
+        base = FiniteBase(points, tuple(basis))
+        if n_y <= _SHARED_BASE_SIZE:
+            _BASES[key] = base
 
     n_x = 1 + below(max_x)
     fiber_of = [below(n_y) for _ in range(n_x)]
@@ -474,11 +527,10 @@ def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:
     # Fiberwise repair: inside each zero class keep one point per fiber,
     # the one of least code. The last write of a key wins, so the points
     # go down the text order.
-    x_ids = [f"x{i}" for i in range(n_x)]
-    down = sorted(range(n_x), key=x_ids.__getitem__, reverse=True)
+    x_ids, down = _carrier_table(n_x)
     survivors = sorted({(cls[i], fiber_of[i]): i for i in down}.values())
 
-    fibers = {x_ids[i]: base.points[fiber_of[i]] for i in survivors}
+    fibers = {x_ids[i]: points[fiber_of[i]] for i in survivors}
     cols = [cls[j] for j in survivors]
     rows = [[di[c] for c in cols] for di in (d[c] for c in cols)]
     return _mapping_from_rows(base, fibers, _PALETTE_DEN // g, rows)

@@ -326,10 +326,16 @@ def _mapping_from_rows(
 
 def _reduced(den: int, num: list[list[int]]) -> tuple[int, list[list[int]]]:
     """``den`` and ``num`` over their gcd g: v/den reduces to denominator
-    den / gcd(den, v), so den / g is the LCM of the realized denominators."""
-    g = gcd(den, *(gcd(*row) for row in num))
-    if g == 1:
-        return den, num
+    den / gcd(den, v), so den / g is the LCM of the realized denominators.
+
+    The running gcd only falls, so the pass stops at the first row that
+    brings it to 1: a table already in lowest terms, as ``_table_rows`` and
+    the generator build them, costs only the rows up to that one."""
+    g = den
+    for row in num:
+        g = gcd(g, *row)
+        if g == 1:
+            return den, num
     return den // g, [[v // g for v in row] for row in num]
 
 

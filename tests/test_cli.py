@@ -549,15 +549,26 @@ def test_cli_suite_reports_invalid_instance_as_fail(monkeypatch, capsys):
     from mapcomplete.base_topology import FiniteBase
     from mapcomplete.metric_mapping import table_mapping
 
-    broken = table_mapping(
-        FiniteBase.of(["a"], [["a"]]),
-        {"u": "a", "v": "a", "w": "a"},
-        {("u", "v"): Fraction(1), ("v", "w"): Fraction(1), ("u", "w"): Fraction(3)},
-    )
-    monkeypatch.setattr(cli, "random_instance", lambda seed, max_x, max_y: broken)
-    assert run_command(["theorem3", "--seed", "4", "--count", "1"]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("PROP theorem3[seed=4] FAIL invalid instance [triangle]")
+    # One instance per validator, each also breaking the fiberwise metric:
+    # the first validator in the validators' order that finds a violation
+    # names the detail.
+    cases = [
+        ([["a", "b"], ["b", "c"]], {"u": "a", "v": "a"}, {("u", "v"): 0},
+         "[intersection] no basis set contains 'b' inside {a,b} & {b,c}"),
+        ([["a"], ["b"], ["c"]], {"u": "a", "v": "a", "w": "a", "x": "a"},
+         {("u", "v"): 1, ("v", "w"): 1, ("u", "w"): 3, ("u", "x"): 0, ("v", "x"): 1,
+          ("w", "x"): 3},
+         "[triangle] d('u','w') = 3 > 1 + 1 via 'v'"),
+        ([["a"], ["b"], ["c"]], {"u": "a", "v": "a"}, {("u", "v"): 0},
+         "[fiberwise] distinct points 'u' and 'v' share fiber 'a' at distance 0"),
+    ]
+    for basis, fibers, distances, detail in cases:
+        broken = table_mapping(FiniteBase.of(["a", "b", "c"], basis), fibers, distances)
+        monkeypatch.setattr(cli, "random_instance", lambda seed, max_x, max_y: broken)
+        assert run_command(["theorem3", "--seed", "4", "--count", "1"]) == 1
+        assert capsys.readouterr().out == (
+            f"PROP theorem3[seed=4] FAIL invalid instance {detail}\nSUMMARY 0/1\n"
+        )
 
 
 RATIONAL_IDENTITY_DOC = {
@@ -919,6 +930,38 @@ def test_suite_stdout_digests_are_frozen(capsys, argv, theorem3_digest, lemma2_d
     # print the same instances, verdicts and certificates.
     import hashlib
 
+    for command, digest in (("theorem3", theorem3_digest), ("lemma2", lemma2_digest)):
+        assert run_command([command, *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize("argv, theorem3_digest, lemma2_digest", [
+    (["--seed", "0", "--count", "500", "--maxx", "10", "--maxy", "4"],
+     "ac677ba7f13c31e76cfd3c10644defd95770d756cdf520354f5f40fca5a1e888",
+     "841fcc9fe726c285d880197786c98e610d581f5f93d65f009dedfad05c39cb2e"),
+    (["--seed", "0", "--count", "60", "--maxx", "64", "--maxy", "12"],
+     "3a2527d1f1399cf9e706fb2c742f7322492ce0b497a772004aca52e91e2b3cdc",
+     "03013599f545cc3ef0768cdc3bd8a887f591faa2174bf8ae34ba0f49788861a3"),
+])
+def test_suite_digests_hold_when_the_generator_tables_empty_midway(
+    monkeypatch, capsys, argv, theorem3_digest, lemma2_digest
+):
+    # The generator's per-size tables and shared bases only save work:
+    # emptied every few seeds, mid-run, the suites still print the frozen
+    # digests of test_suite_stdout_digests_are_frozen.
+    import hashlib
+
+    from mapcomplete import cli, finite_oracle
+
+    def generate(seed, max_x, max_y):
+        if seed % 7 == 3:
+            for table in (finite_oracle._BASE_TABLES, finite_oracle._CARRIER_TABLES,
+                          finite_oracle._BASES):
+                table.clear()
+        return finite_oracle.random_instance(seed, max_x, max_y)
+
+    monkeypatch.setattr(cli, "random_instance", generate)
     for command, digest in (("theorem3", theorem3_digest), ("lemma2", lemma2_digest)):
         assert run_command([command, *argv]) == 0
         out = capsys.readouterr().out

@@ -281,6 +281,32 @@ def test_random_instance_draws_the_stdlib_stream(max_x, max_y, seeds):
         assert (dm.den, dm.num) == (den, num), seed
 
 
+def test_random_instance_tables_hold_every_size_in_any_order():
+    # random_instance keeps what depends on a drawn size alone, and the
+    # bases it drew, across calls. Sizes that come back after others, in
+    # one process, must still draw what the stdlib stream draws, so a
+    # table keyed more coarsely than by its size fails here.
+    from mapcomplete import finite_oracle
+
+    for table in (finite_oracle._BASE_TABLES, finite_oracle._CARRIER_TABLES,
+                  finite_oracle._BASES):
+        table.clear()
+    for max_x, max_y in [(6, 3), (64, 12), (1, 1), (10, 4), (6, 3), (64, 12)]:
+        for seed in range(60):
+            m = random_instance(seed, max_x, max_y)
+            dm = distance_matrix(m)
+            codes, fibers, basis, den, num = random_tables_by_stdlib(seed, max_x, max_y)
+            assert [p.code for p in m.points()] == codes, (max_x, max_y, seed)
+            assert [m.fiber_of(p).id for p in m.points()] == fibers, (max_x, max_y, seed)
+            assert m.base.basis == tuple(basis), (max_x, max_y, seed)
+            assert [p.id for p in m.base.points] == [f"y{i}" for i in range(len(m.base.points))]
+            assert (dm.den, dm.num) == (den, num), (max_x, max_y, seed)
+    # At most one entry per size, and a bounded number of shared bases.
+    assert set(finite_oracle._BASE_TABLES) <= set(range(1, 13))
+    assert set(finite_oracle._CARRIER_TABLES) <= set(range(1, 65))
+    assert {n for n, _ in finite_oracle._BASES} <= set(range(1, finite_oracle._SHARED_BASE_SIZE + 1))
+
+
 def test_suite_bases_stay_on_the_sample_pool_branch():
     # random_instance replays Random.sample as the partial Fisher-Yates of
     # its pool branch, which sample takes for every population of at most

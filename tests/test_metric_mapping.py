@@ -450,6 +450,20 @@ def test_integer_tables_keep_the_realized_denominator():
     _matches_the_evaluator_path(m, m.points())
 
 
+def test_integer_tables_divide_by_the_gcd_of_all_rows():
+    # The gcd pass may stop only at a row that brings the gcd to 1: here
+    # the first row shares 2 with den, and the second ends it at 1.
+    base = FiniteBase.of(["a"], [["a"]])
+    a = base.point("a")
+    rows = [[0, 2, 4], [2, 0, 1], [4, 1, 0]]
+    m = _mapping_from_rows(base, {"u": a, "v": a, "w": a}, 4, [row[:] for row in rows])
+    dm = distance_matrix(m)
+    assert (dm.den, dm.num) == (4, rows)
+    m = _mapping_from_rows(base, {"u": a, "v": a, "w": a}, 8, [[0, 2, 4], [2, 0, 6], [4, 6, 0]])
+    dm = distance_matrix(m)
+    assert (dm.den, dm.num) == (4, [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+
+
 def test_build_asks_each_ordered_entry_once_in_row_order():
     # Each ordered entry is its own evaluator call, row by row, and the
     # first rejected one raises: (v, u) comes before (v, w) in row v.
