@@ -240,13 +240,18 @@ def _cmd_suite(args, _, report: Report) -> None:
 
 
 def _cmd_complete_construct(args, m, report: Report) -> None:
-    # The report echoes the path, and a lone surrogate (from undecodable
-    # argv bytes) cannot be printed as UTF-8: refuse it before any work.
+    # The report echoes the path on one line, and neither a lone surrogate
+    # (from undecodable argv bytes), which cannot be printed as UTF-8, nor
+    # a line break fits there: refuse both before any work. A break is any
+    # character at which str.splitlines splits; the appended character
+    # keeps a break at the end from being dropped.
     if args.out is not None:
         try:
             args.out.encode("utf-8")
         except UnicodeEncodeError:
             raise InputError(f"cannot write {args.out!r}: path is not UTF-8 text") from None
+        if len((args.out + ".").splitlines()) > 1:
+            raise InputError(f"cannot write {args.out!r}: path holds a line break")
     _add_validators(report, m, args.depth, finite_only=True)
     if report.exit_code != 0:
         return

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm
 from operator import getitem
 from typing import Callable, ClassVar, Iterable, Iterator, Union
-from weakref import WeakKeyDictionary
 
 from .base_topology import Base, BasePoint, FiniteBase, PointId, format_id
 from .errors import EvaluatorError, InputError, Violation
@@ -156,8 +155,9 @@ class MetricMapping:
     ``fiber`` and ``dist`` must be pure: same inputs, same outputs, no side
     effects. Values are immutable and safe to share across threads; so are
     the sequences over them, whose terms are pure functions of their index.
-    Equality and hashing are by identity: each mapping is its own key in
-    the per-mapping caches, found without hashing its carrier and base.
+    Equality and hashing are by identity (``eq=False``), a cheap hash for
+    a dictionary key. Each mapping keeps the matrices and the masks that
+    ``distance_matrix`` and ``point_masks`` build from it.
 
     ``dist_kind`` names the distance. ``abs_diff`` promises that every
     code is a Fraction and ``dist`` is |x - x'|; ``max_metric`` promises
@@ -176,6 +176,8 @@ class MetricMapping:
     fiber: Callable[[CarrierPoint], BasePoint]
     dist: Callable[[CarrierPoint, CarrierPoint], Fraction]
     dist_kind: str = "custom"
+    _matrices: dict = field(default_factory=dict, init=False, repr=False)
+    _masks: PointMasks | None = field(default=None, init=False, repr=False)
 
     def distance(self, x: CarrierPoint, x2: CarrierPoint) -> Fraction:
         value = self.dist(x, x2)
@@ -294,25 +296,17 @@ def _mapping_from_rows(
     maps each code, in carrier order, to its base point, already resolved.
 
     Tables come from ``_table_rows``, the generator and the completion; the
-    rules are checked again in bulk on the integers (a square table,
-    symmetric, nonnegative, zero on the diagonal), and a break raises as a
-    bug. Numerators and ``den`` are divided by their gcd, so ``den`` is the
-    LCM of the realized denominators.
+    rules are checked again as the matrix's ``_table_rules``, with one row
+    per code, and a break raises as a bug. Numerators and ``den`` are
+    divided by their gcd, which keeps that verdict, so ``den`` is the LCM
+    of the realized denominators.
     """
-    n = len(fibers)
-    # In bulk, each a C-level pass. With n rows, a transpose equal to the
-    # rows makes the table square and symmetric; then the diagonal and the
-    # least entry.
-    if not (
-        len(rows) == n
-        and list(map(list, zip(*rows))) == rows
-        and not any(map(getitem, rows, range(n)))
-        and (not rows or min(map(min, rows)) >= 0)
-    ):
-        raise InputError("generated distance table is not square, symmetric and "
-                         "nonnegative with zero diagonal")
     # Dict keys are distinct, so the carrier needs no duplicate check.
     carrier = FiniteCarrier(tuple(map(CarrierPoint, fibers)))
+    dm = DistanceMatrix(carrier.points, *_reduced(den, rows))
+    if len(rows) != len(fibers) or not dm._table_rules:
+        raise InputError("generated distance table is not square, symmetric and "
+                         "nonnegative with zero diagonal")
 
     def fiber(x: CarrierPoint) -> BasePoint:
         try:
@@ -320,7 +314,6 @@ def _mapping_from_rows(
         except KeyError:
             raise InputError(f"unknown carrier point {x.code!r}") from None
 
-    dm = DistanceMatrix(carrier.points, *_reduced(den, rows))
     return MetricMapping(carrier, base, fiber, dm, "table")
 
 
@@ -376,11 +369,6 @@ def max_metric_mapping(carrier: RationalGridCarrier, base: Base, fiber: Callable
     return MetricMapping(carrier, base, fiber, dist, "max_metric")
 
 
-# One distance matrix per live mapping and sample size; it depends only on
-# the mapping, and goes when the mapping does.
-_MATRICES: WeakKeyDictionary = WeakKeyDictionary()
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Every distance among ``points``, each computed once.
@@ -405,11 +393,27 @@ class DistanceMatrix:
     a*den == b*den, and a <= b + c iff a*den <= b*den + c*den. Every
     comparison and triangle sum made on numerators therefore decides as
     it would on the rationals themselves.
+
+    Built, it also holds two facts of ``num`` alone, never of ``points``:
+    ``zero[i]``, the columns where row i holds 0 as a bitmask, and
+    ``_table_rules``, whether ``num`` equals its transpose (so it is
+    square), has a zero diagonal and no negative entry.
     """
 
     points: tuple[CarrierPoint, ...]
     den: int
     num: list[list[int]]
+    zero: list[int] = field(init=False, repr=False)
+    _table_rules: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Fields, not cached properties: a suite instance reads both. With
+        # the transpose equal to the rows, the diagonal reads in range.
+        num = self.num
+        object.__setattr__(self, "zero", [_zero_mask(row) for row in num])
+        object.__setattr__(self, "_table_rules", list(map(list, zip(*num))) == num
+                           and not any(map(getitem, num, range(len(num))))
+                           and min(map(min, num), default=0) >= 0)
 
     @cached_property
     def index(self) -> dict[CarrierPoint, int]:
@@ -472,17 +476,16 @@ def _chebyshev(pts: tuple[CarrierPoint, ...], one_dim: bool) -> tuple[int, list[
 
 def distance_matrix(m: MetricMapping, budget: int | None = None) -> DistanceMatrix:
     """The distance matrix over ``m.sample_points(budget)``, built on the
-    first call for that mapping and sample and reused by every later one.
-    Finite carriers ignore ``budget``; countable ones need it. A ``table``
-    mapping's matrix is its ``dist``, returned without a cache lookup."""
+    first call for that mapping and sample and kept by ``m`` for every
+    later one. Finite carriers ignore ``budget``; countable ones need it.
+    A ``table`` mapping's matrix is its ``dist``, returned as it is."""
     if m.dist_kind == "table":
         return m.dist
     key = None if carrier_is_finite(m.carrier) else budget
-    by_sample = _MATRICES.setdefault(m, {})
-    if key not in by_sample:
-        pts = m.points() if key is None else m.sample_points(key)
-        by_sample[key] = DistanceMatrix.build(m, pts)
-    return by_sample[key]
+    dm = m._matrices.get(key)
+    if dm is None:
+        dm = m._matrices[key] = DistanceMatrix.build(m, m.sample_points(budget))
+    return dm
 
 
 def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
@@ -574,9 +577,9 @@ def _no_pseudometric_break(dm: DistanceMatrix) -> bool:
     nothing on ``dm``, decided without building a ``Violation``. True
     only then; False leaves the decision, and every report, to the loops.
 
-    It is True when every entry is nonnegative, the diagonal is zero,
-    ``num`` equals its transpose, and for every pair i < j and every k,
-    with d the integer numerators (exact, see ``DistanceMatrix``),
+    It is True when ``dm._table_rules`` holds (every entry nonnegative,
+    the diagonal zero, ``num`` equal to its transpose) and for every pair
+    i < j and every k,    with d the integer numerators (exact, see ``DistanceMatrix``),
 
         (*)  |d(i,k) - d(j,k)| <= d(i,j).
 
@@ -630,11 +633,9 @@ def _no_pseudometric_break(dm: DistanceMatrix) -> bool:
     rational interval, the two took the same time (CHANGES.md has the
     measured tables).
     """
+    if not dm._table_rules:
+        return False
     num, n = dm.num, len(dm.num)
-    if any(row[i] for i, row in enumerate(num)):
-        return False
-    if list(map(list, zip(*num))) != num or min(map(min, num), default=0) < 0:
-        return False
     size = ((2 * max(map(max, num), default=0)).bit_length() + 8) // 8
     if size <= 8:
         size = 1 << (size - 1).bit_length()
@@ -657,11 +658,11 @@ def _no_pseudometric_break(dm: DistanceMatrix) -> bool:
     return True
 
 
-def _zero_mask(row: list, start: int) -> int:
-    """The columns from ``start`` on where ``row`` holds 0, as a bitmask.
-    ``list.count`` and ``list.index`` scan in C, so Python steps once per
-    zero, not once per entry."""
-    mask, j, zeros = 0, start - 1, row[start:].count(0)
+def _zero_mask(row: list) -> int:
+    """The columns where ``row`` holds 0, as a bitmask. ``list.count`` and
+    ``list.index`` scan in C, so Python steps once per zero, not once per
+    entry."""
+    mask, j, zeros = 0, -1, row.count(0)
     while zeros:
         j = row.index(0, j + 1)
         mask |= 1 << j
@@ -675,16 +676,16 @@ def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
     Run after validate_pseudometric at the same budget; this check assumes
     the pseudometric axioms already hold, and reads the forward entries of
     the same ``DistanceMatrix``. Only a forward entry that is zero can
-    report; _zero_mask finds them row by row, so violations come in pair
-    order, as the pairs (i, j) sort.
+    report: the bits past i of the matrix's zero mask ``zero[i]``, row by
+    row, so violations come in pair order, as the pairs (i, j) sort.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
     dm = distance_matrix(m, budget)
     pts = dm.points
     violations: list[Violation] = []
-    for i, row in enumerate(dm.num):
-        for j in bit_indices(_zero_mask(row, i + 1)):
+    for i, z in enumerate(dm.zero):
+        for j in bit_indices(z >> (i + 1) << (i + 1)):
             x, x2 = pts[i], pts[j]
             if m.fiber_of(x) == m.fiber_of(x2):
                 violations.append(
@@ -710,34 +711,31 @@ def bit_indices(mask: int) -> Iterator[int]:
 class PointMasks:
     """The plain data of a finite instance's topology, with each set of
     points an ``int`` bitmask: bit i stands for ``points[i]``, the i-th
-    point of the mapping's DistanceMatrix.
+    point of the mapping's DistanceMatrix ``matrix``.
 
-    ``order`` lists the point indices by code (as text), the order of
-    every certificate. ``zero[i]`` is the zero class {v : d(x_i, v) = 0}
-    of x_i, read from the zeros of its matrix row. ``fiber_ids[i]`` is
-    the id of x_i's base point, ``fiber[y]`` the points over base point id
-    y, and ``around[y]`` the preimages of the basis sets that hold y, in
-    basis order. Nothing here decides a closure or a limit; both finite
-    sides read it, as they read the matrix.
+    ``points`` and ``zero`` are the matrix's own, shared rather than
+    rebuilt: ``zero[i]`` is the zero class {v : d(x_i, v) = 0} of x_i.
+    ``mask_of`` reads the matrix's index. The rest is what the base and
+    the fibers add: ``order`` lists the point indices by code (as text),
+    the order of every certificate; ``fiber_ids[i]`` is the id of x_i's
+    base point, ``fiber[y]`` the points over base point id y, and
+    ``around[y]`` the preimages of the basis sets that hold y, in basis
+    order. Nothing here decides a closure or a limit; both finite sides
+    read it, as they read the matrix.
     """
 
+    matrix: DistanceMatrix
     points: tuple[CarrierPoint, ...]
-    order: tuple[int, ...]
     zero: list[int]
+    order: tuple[int, ...]
     fiber_ids: list[PointId]
     fiber: dict[PointId, int]
     around: dict[PointId, list[int]]
 
-    @cached_property
-    def index(self) -> dict[CarrierPoint, int]:
-        """The position of each point, built on first use: only
-        ``mask_of`` reads it, and the deciders never call that."""
-        return {x: i for i, x in enumerate(self.points)}
-
     def mask_of(self, region: Iterable[CarrierPoint]) -> int:
         mask = 0
         for x in region:
-            i = self.index.get(x)
+            i = self.matrix.index.get(x)
             if i is None:
                 raise InputError(f"point {x.code!r} is not in the carrier")
             mask |= 1 << i
@@ -748,20 +746,15 @@ class PointMasks:
         return frozenset(pts[i] for i in bit_indices(mask))
 
 
-# One PointMasks per live mapping; it depends only on the mapping, and
-# goes when the mapping does.
-_POINT_MASKS: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def point_masks(m: MetricMapping) -> PointMasks:
     """The PointMasks of a finite instance, built on the first call for
-    ``m`` and reused by every later one. The one gate of every finite
-    function: a mapping that is not a finite instance, whose fiber leaves
-    its base, or with a base point in no basis set (an empty ``around[y]``)
-    raises ``InputError``, and a value a ``custom`` evaluator rejects
-    raises its ``EvaluatorError`` from ``distance_matrix``. Whatever
-    raises, nothing is kept."""
-    masks = _POINT_MASKS.get(m)
+    ``m`` and kept by ``m``; their zero classes are the matrix's. The one
+    gate of every finite function: a mapping that is not a finite
+    instance, whose fiber leaves its base, or with a base point in no
+    basis set (an empty ``around[y]``) raises ``InputError``, and a value
+    a ``custom`` evaluator rejects raises its ``EvaluatorError`` from
+    ``distance_matrix``. Whatever raises, no masks are kept."""
+    masks = m._masks
     if masks is None:
         if not m.is_finite_instance():
             raise InputError("this oracle needs a finite carrier and a finite base")
@@ -785,16 +778,17 @@ def point_masks(m: MetricMapping) -> PointMasks:
         for y, pres in around.items():
             if not pres:
                 raise InputError(f"base point {format_id(y)} lies in no basis set")
-        zero = [_zero_mask(row, 0) for row in dm.num]
         masks = PointMasks(
+            dm,
             pts,
+            dm.zero,
             tuple(sorted(range(len(pts)), key=lambda i: str(pts[i].code))),
-            zero,
             fiber_ids,
             fiber,
             around,
         )
-        _POINT_MASKS[m] = masks
+        # Derived from the frozen mapping, so set past its __setattr__.
+        object.__setattr__(m, "_masks", masks)
     return masks
 
 

@@ -14,7 +14,8 @@ from math import isqrt
 
 from .errors import InputError
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
+# ASCII digits only: \d and int() also take other Unicode digits.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class _DigitLimitError(InputError):
@@ -23,7 +24,7 @@ class _DigitLimitError(InputError):
 
 
 def parse_rational(text: object, path: str | None = None) -> Fraction:
-    """Parse ``p/q`` or integer text into an exact Fraction.
+    """Parse ``p/q`` or integer text, in ASCII digits, into an exact Fraction.
 
     Decimal notation is rejected on purpose: every number in an instance
     document must round-trip bit-exactly. Either part past Python's

@@ -331,6 +331,28 @@ def test_cli_report_is_the_same_without_the_packed_test(tmp_path, capsys, monkey
     assert capsys.readouterr().out == out
 
 
+def test_each_matrix_row_is_scanned_for_zeros_once(tmp_path, capsys, monkeypatch):
+    # The validators, the finite gate and the deciders all read the zero
+    # masks that the matrix computed when it was built.
+    from mapcomplete import metric_mapping
+    from mapcomplete.finite_oracle import random_instance
+    from oracles import stress_instance
+
+    path = _write(tmp_path, instance_document(stress_instance(1, 16, 4)))
+    n = len(random_instance(3).points())
+    scanned = []
+    zero_mask = metric_mapping._zero_mask
+    monkeypatch.setattr(metric_mapping, "_zero_mask",
+                        lambda row, *rest: scanned.append(row) or zero_mask(row, *rest))
+    assert run_command(["complete-check", path]) in (0, 1)
+    assert len(scanned) == 16
+    for suite in ("theorem3", "lemma2"):
+        scanned.clear()
+        assert run_command([suite, "--seed", "3", "--count", "1"]) == 0
+        assert len(scanned) == n == 4
+    capsys.readouterr()
+
+
 def _grid_doc(step: str) -> dict:
     return {**GRID_DOC, "carrier": {**GRID_DOC["carrier"], "step": step}}
 

@@ -6,8 +6,9 @@ start from the golden corpus and get one mutation each: a field dropped or
 retyped, a kind swapped, a rational corrupted or a code pointed at nothing.
 Three documents are refused before any field is read: one that is not
 UTF-8, JSON nested past the recursion limit, and an integer literal past
-the int-string limit; so is a string with a lone surrogate, at its path,
-and a ``--out`` path with one.
+the int-string limit; so is a string with a lone surrogate or a line
+break, at its path, and a ``--out`` path with either. Rational text in
+digits other than ASCII ones is bad input wherever it is read.
 """
 
 from __future__ import annotations
@@ -213,3 +214,105 @@ def test_parse_instance_takes_a_surrogate_pair_and_refuses_a_raw_surrogate():
     assert [p.code for p in parse_instance(pair).points()] == ["\U0001f600"]
     with pytest.raises(InputError, match=r"^\$\.carrier\.points\[0\]: string is not UTF-8"):
         parse_instance(LONE_SURROGATE.replace("\\ud800", "\ud800"))
+
+
+def test_false_tie_claim_exits_2_with_its_error_line(capsys):
+    argv = ["dstar", str(GOLDEN / "rational_order.json"), "--point", "const(1/2)@1/3",
+            "--point", "const(1/3)"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ERROR tie claim 'const(1/2)@1/3' is false: [tying] fiber of at(1) "
+                            "is '1/2', outside (-1/2,1/2) despite witness index 1\n")
+
+
+# Unicode digits that are not ASCII: Arabic-Indic (whose five, "\u0665",
+# looks like a zero), fullwidth and mathematical bold. \\d and int() take
+# them all.
+NON_ASCII_DIGITS = ["\u0661/\u0661\u0660\u0660", "1/\uff12", "\U0001d7cf", "\u0665"]
+_INTERVAL = (GOLDEN / "interval.json").read_text(encoding="utf-8")
+_EXPECTED = "expected an exact rational like '3' or '1/2', got {text!r}"
+
+
+@pytest.mark.parametrize("text", NON_ASCII_DIGITS, ids=ascii)
+@pytest.mark.parametrize("entry", ["document", "point", "eps"])
+def test_non_ascii_digits_exit_2_with_one_error_line(tmp_path, capsys, entry, text):
+    path = tmp_path / "doc.json"
+    path.write_text(_INTERVAL.replace('"hi": "3"', f'"hi": "{text}"') if entry == "document"
+                    else _INTERVAL, encoding="utf-8")
+    argv = ["dstar", str(path), "--point", "const(1/2)", "--point", "const(1)"]
+    if entry == "point":
+        argv[3] = f"const({text})"
+    if entry == "eps":
+        argv += ["--eps", text]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if entry == "eps":  # argparse's usage, then its error line
+        assert captured.err.splitlines()[-1] == (
+            "mapcomplete dstar: error: argument --eps: expected an exact rational like "
+            f"'1/1000', got {text!r}")
+    else:
+        where = "$.carrier.hi: " if entry == "document" else ""
+        assert captured.err == f"ERROR {where}{_EXPECTED.format(text=text)}\n"
+
+
+# Every character at which str.splitlines splits, and so every character
+# that would split a report line in two.
+LINE_BREAKS = ["\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_line_breaks_are_those_of_splitlines():
+    assert LINE_BREAKS == [c for c in map(chr, range(sys.maxunicode + 1))
+                           if len((c + ".").splitlines()) > 1]
+
+
+# Each break in a code, as a JSON escape and, where JSON takes it (past
+# the control characters), as the character itself.
+_BROKEN_CODES = [pytest.param(brk, json.dumps(f"x{brk}b", ensure_ascii=escape),
+                              id=f"{ascii(brk)}-{'escaped' if escape else 'raw'}")
+                 for escape in (True, False) for brk in LINE_BREAKS if escape or brk >= " "]
+
+
+@pytest.mark.parametrize("brk, code", _BROKEN_CODES)
+@pytest.mark.parametrize("argv", [["complete-check"], ["density", "--point", "const(x_b)"]],
+                         ids=["complete-check", "density"])
+def test_line_break_in_a_code_exits_2_with_one_error_line(tmp_path, capsys, argv, brk, code):
+    # incomplete.json with its carrier code "x_b" holding a line break.
+    # complete-check would print the code in its certificate and density
+    # in its witness= line.
+    path = tmp_path / "doc.json"
+    path.write_text((GOLDEN / "incomplete.json").read_text(encoding="utf-8").replace(
+        '"x_b"', code), encoding="utf-8")
+    assert run_command([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ERROR $.carrier.points[0]: string is not one line: "
+                            f"line break {ascii(brk)[1:-1]} at character 1\n")
+
+
+@pytest.mark.parametrize("edit, line", [
+    ({"fiber_map": {"kind": "table", "entries": {"x_b": "b", "y\r\n": "b"}}},
+     "$.fiber_map.entries: key is not one line: line break \\r at character 1"),
+    ({"base": {"kind": "finite", "points": ["a", "b\u2028"], "basis": [["a"]]}},
+     "$.base.points[1]: string is not one line: line break \\u2028 at character 1"),
+], ids=["fiber-key", "base-point"])
+def test_line_break_in_a_key_or_base_point_exits_2_at_its_path(tmp_path, capsys, edit, line):
+    doc = {**DOCUMENTS["incomplete.json"], **edit}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_command(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {line}\n"
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"], ids=ascii)
+def test_line_break_out_path_exits_2_before_writing(tmp_path, capsys, brk):
+    # The report echoes --out on its document_written line.
+    out = f"{tmp_path}/x{brk}y.json"
+    assert run_command(["complete-construct", str(GOLDEN / "sierpinski.json"), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR cannot write {out!r}: path holds a line break\n"
+    assert list(tmp_path.iterdir()) == []

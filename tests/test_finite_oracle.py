@@ -494,26 +494,24 @@ def test_deciders_scale_to_256_points(n, coarse):
 
 
 def test_closure_table_is_built_once_per_mapping(monkeypatch):
-    # Every build of the point masks ends by storing them for their
-    # mapping; masks rebuilt on each closure would be stored each time.
-    from weakref import WeakKeyDictionary
-
+    # Every build of the point masks constructs one PointMasks; masks
+    # rebuilt on each closure would be constructed each time.
     from mapcomplete import metric_mapping
 
     builds = []
 
-    class Recording(WeakKeyDictionary):
-        def __setitem__(self, key, value):
-            builds.append(key)
-            super().__setitem__(key, value)
+    class Recording(metric_mapping.PointMasks):
+        def __init__(self, matrix, *rest):
+            builds.append(matrix)
+            super().__init__(matrix, *rest)
 
-    monkeypatch.setattr(metric_mapping, "_POINT_MASKS", Recording())
+    monkeypatch.setattr(metric_mapping, "PointMasks", Recording)
     m = stress_instance(3, 14)
     is_complete_filter(m)
     is_complete_net(m)
     lemma2_check(m)
     cluster_and_limit_sets(m, m.points()[:3])
-    assert builds == [m]
+    assert len(builds) == 1 and builds[0] is distance_matrix(m)
 
 
 def _lemma2_outcome(m):

@@ -13,6 +13,7 @@ and say in CHANGES.md which files moved and why.
 from __future__ import annotations
 
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -39,6 +40,11 @@ CASES = {
                              "--point", "table(1/2;tail=1/3)"],
     "dstar-sierpinski": ["dstar", "sierpinski.json", "--point", "table(x_b;tail=x_a)",
                          "--point", "const(x_b)"],
+    # Tie claims that hold at a target other than the default one.
+    "dstar-sierpinski-tied": ["dstar", "sierpinski.json", "--point", "const(x_a)@b",
+                              "--point", "const(x_b)"],
+    "dstar-rational-order-tied": ["dstar", "rational_order.json", "--point", "const(1/2)@1/2",
+                                  "--point", "table(1/2;tail=1/3)"],
     "dstar-one-point": ["dstar", "sierpinski.json", "--point", "const(x_a)"],
     "density-interval": ["density", "interval.json", "--point", "newton_sqrt(2)",
                          "--eps", "1/1000"],
@@ -47,6 +53,7 @@ CASES = {
                                 "--open", "b,a"],
     "density-mixed": ["density", "mixed_complete.json", "--point", "const(w2)"],
     "density-uncovered": ["density", "uncovered.json", "--point", "const(x_c)"],
+    "density-rational-order": ["density", "rational_order.json", "--point", "const(1/2)"],
     "complete-check-sierpinski": ["complete-check", "sierpinski.json"],
     "complete-check-incomplete": ["complete-check", "incomplete.json"],
     "complete-check-mixed-complete": ["complete-check", "mixed_complete.json"],
@@ -84,6 +91,20 @@ def render(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_report(case):
     assert render(case) == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report_lines_are_prop_or_summary_lines(case):
+    # Each line break is a "\n", and every report line is one PROP or
+    # SUMMARY line; complete-construct prints its document, JSON, first.
+    # Read as bytes: text mode would turn a "\r" into a "\n".
+    text = (GOLDEN / f"{case}.out").read_bytes().decode("utf-8")
+    head, *lines = text.splitlines()
+    assert text == "\n".join([head, *lines, ""])
+    start = next((i for i, line in enumerate(lines) if line.startswith("PROP ")), len(lines))
+    if start:
+        json.loads("\n".join(lines[:start]))
+    assert all(line.startswith(("PROP ", "SUMMARY ")) for line in lines[start:])
 
 
 def test_every_golden_file_has_a_case():
