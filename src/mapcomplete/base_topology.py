@@ -3,19 +3,19 @@
 Three kinds are supported: finite spaces given by an explicit basis of
 opens, the one-point space, and the rationals with the order topology.
 Each answers the questions the other layers ask of a base: which point a
-token names (``point``), which basic opens surround a point
-(``neighborhood_basis``, and ``opens_around`` for a check with a budget),
-and whether a basic open contains a point (``open_contains``). Tying
-conditions elsewhere only ever quantify over the basic opens exposed here,
-so every basic open has a finite description.
+token names (``point``), which basic opens surround a point among the
+first ``depth`` (``opens_around``, the one listing; a finite base lists
+them all), and whether a basic open contains a point (``open_contains``).
+Tying conditions elsewhere only ever quantify over the basic opens
+exposed here, so every basic open has a finite description.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, count
-from typing import Iterable, Iterator, Union
+from itertools import combinations
+from typing import Iterable, Union
 
 from .errors import InputError, Violation
 from .rationals import _DigitLimitError, cantor_unpair, nth_rational, parse_rational
@@ -52,7 +52,7 @@ class FiniteBase:
 
     points: tuple[BasePoint, ...]
     basis: tuple[FiniteOpen, ...]
-    # The point ids as a set, for ``point``'s lookups.
+    # The point ids as a set, for ``point`` and ``contains_point``.
     _id_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,25 +82,23 @@ class FiniteBase:
         return tuple(p.id for p in self.points)
 
     def point(self, token) -> BasePoint:
-        try:
-            known = token in self._id_set
-        except TypeError:
-            # An unhashable token, such as a JSON list, names no point.
-            known = False
-        if not known:
+        y = BasePoint(token)
+        if not self.contains_point(y):
             raise InputError(f"unknown base point {format_id(token)}")
-        return BasePoint(token)
+        return y
 
     def contains_point(self, y: BasePoint) -> bool:
-        return any(p == y for p in self.points)
+        try:
+            return y.id in self._id_set
+        except TypeError:
+            # An unhashable id, such as a JSON list, names no point.
+            return False
 
-    def neighborhood_basis(self, y: BasePoint) -> list[FiniteOpen]:
+    def opens_around(self, y: BasePoint, depth: int) -> list[FiniteOpen]:
+        """Every basis set around ``y``, in basis order, whatever ``depth``."""
         if not self.contains_point(y):
             raise InputError(f"unknown base point {format_id(y.id)}")
         return [o for o in self.basis if y.id in o]
-
-    def opens_around(self, y: BasePoint, depth: int) -> list[FiniteOpen]:
-        return self.neighborhood_basis(y)
 
     def open_contains(self, basic_open, y: BasePoint) -> bool:
         return basic_open in self.basis and y.id in basic_open
@@ -120,13 +118,11 @@ class OnePointBase:
     def contains_point(self, y: BasePoint) -> bool:
         return y.id == self.id
 
-    def neighborhood_basis(self, y: BasePoint) -> list[FiniteOpen]:
+    def opens_around(self, y: BasePoint, depth: int) -> list[FiniteOpen]:
+        """The whole space, whatever ``depth``."""
         if not self.contains_point(y):
             raise InputError(f"point {format_id(y.id)} does not belong to this base")
         return [(self.id,)]
-
-    def opens_around(self, y: BasePoint, depth: int) -> list[FiniteOpen]:
-        return self.neighborhood_basis(y)
 
     def open_contains(self, basic_open, y: BasePoint) -> bool:
         return basic_open == (self.id,) and self.contains_point(y)
@@ -162,11 +158,6 @@ class RationalOrderBase:
         center = nth_rational(i)
         radius = Fraction(1, j + 1)
         return RationalInterval(center - radius, center + radius)
-
-    def neighborhood_basis(self, y: BasePoint) -> Iterator[RationalInterval]:
-        if not self.contains_point(y):
-            raise InputError(f"point {format_id(y.id)} does not belong to this base")
-        return (o for o in map(self.basic_open, count()) if o.contains_id(y.id))
 
     def opens_around(self, y: BasePoint, depth: int) -> list[RationalInterval]:
         """The basic opens around ``y`` among the first ``depth`` of the

@@ -34,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .base_topology import FiniteBase, describe_open, format_id, validate_basis
-from .cli_io import Report, instance_document, names_target, parse_instance, parse_point_spec
+from .cli_io import Report, _line_break_at, instance_document, parse_instance, parse_point_spec
 from .completion import (
     dstar_approx,
     density_witness,
@@ -55,7 +55,6 @@ from .finite_oracle import (
 from .metric_mapping import carrier_is_finite, closure_finite, distance_matrix
 from .metric_mapping import point_masks, validate_fiberwise_metric, validate_pseudometric
 from .rationals import decimal_approx, format_rational, parse_rational
-from .tied_cauchy import check_tying
 
 # The pseudometric check grows fast in the points it checks, and on a
 # rational interval its numbers widen with them: validate there takes
@@ -81,6 +80,17 @@ MAX_SUITE_Y = 12
 # Each integer option a subcommand declares must lie in 1..bound; checked
 # in this order.
 _BOUNDS = {"depth": MAX_DEPTH, "count": MAX_COUNT, "maxx": MAX_SUITE_X, "maxy": MAX_SUITE_Y}
+
+
+def _int_arg(text: str) -> int:
+    """An integer in ASCII text, as int() reads it: int() alone would also
+    take any Unicode digit, such as an Arabic-Indic or a fullwidth one."""
+    try:
+        if text.isascii():
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -144,24 +154,13 @@ def _cmd_validate(args, m, report: Report) -> None:
 
 
 def _points(args, m, n: int) -> list:
-    """The ``n`` --point specs of a command, parsed against ``m``.
-
-    A spec that names its target with ``@y`` is a claim; it is run through
-    check_tying at --depth, and the first violation refutes it.
-    """
+    """The ``n`` --point specs of a command, parsed in order against ``m``,
+    with any tie claim checked at --depth."""
     specs = args.point or []
     if len(specs) != n:
         count = "one --point spec" if n == 1 else "two --point specs"
         raise InputError(f"{args.command} needs exactly {count}")
-    points = []
-    for spec in specs:
-        p = parse_point_spec(spec, m)
-        if names_target(spec):
-            violations = check_tying(p.rep, args.depth)
-            if violations:
-                raise InputError(f"tie claim {spec!r} is false: {violations[0]}")
-        points.append(p)
-    return points
+    return [parse_point_spec(spec, m, args.depth) for spec in specs]
 
 
 def _cmd_dstar(args, m, report: Report) -> None:
@@ -179,8 +178,11 @@ def _cmd_density(args, m, report: Report) -> None:
     if args.basic_open is not None:
         if not isinstance(m.base, FiniteBase):
             raise InputError("--open applies to finite bases only")
-        ids = tuple(sorted({s.strip() for s in args.basic_open.split(",") if s.strip()}))
-        basic = ids
+        basic = tuple(sorted({s.strip() for s in args.basic_open.split(",") if s.strip()}))
+        # No base point id holds a line break, and the ERROR line echoing
+        # the open would split at one.
+        if any(_line_break_at(i) < len(i) for i in basic):
+            raise InputError(f"--open {args.basic_open!r} holds a line break")
     else:
         y = fstar(p)
         basic = next(iter(m.base.opens_around(y, args.depth)), None)
@@ -242,15 +244,13 @@ def _cmd_suite(args, _, report: Report) -> None:
 def _cmd_complete_construct(args, m, report: Report) -> None:
     # The report echoes the path on one line, and neither a lone surrogate
     # (from undecodable argv bytes), which cannot be printed as UTF-8, nor
-    # a line break fits there: refuse both before any work. A break is any
-    # character at which str.splitlines splits; the appended character
-    # keeps a break at the end from being dropped.
+    # a line break fits there: refuse both before any work.
     if args.out is not None:
         try:
             args.out.encode("utf-8")
         except UnicodeEncodeError:
             raise InputError(f"cannot write {args.out!r}: path is not UTF-8 text") from None
-        if len((args.out + ".").splitlines()) > 1:
+        if _line_break_at(args.out) < len(args.out):
             raise InputError(f"cannot write {args.out!r}: path holds a line break")
     _add_validators(report, m, args.depth, finite_only=True)
     if report.exit_code != 0:
@@ -299,7 +299,7 @@ def _cmd_limit_demo(args, m, report: Report) -> None:
 
 def _instance_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", help="path to an instance JSON document")
-    p.add_argument("--depth", type=int, default=64,
+    p.add_argument("--depth", type=_int_arg, default=64,
                    help=f"check depth / enumeration budget (default 64, from 1 to {MAX_DEPTH})")
 
 
@@ -326,12 +326,12 @@ def _density_options(p: argparse.ArgumentParser) -> None:
 
 
 def _suite_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
-    p.add_argument("--count", type=int, default=200,
+    p.add_argument("--seed", type=_int_arg, default=0, help="first seed (default 0)")
+    p.add_argument("--count", type=_int_arg, default=200,
                    help=f"number of instances (default 200, at most {MAX_COUNT})")
-    p.add_argument("--maxx", type=int, default=6,
+    p.add_argument("--maxx", type=_int_arg, default=6,
                    help=f"max carrier size (default 6, at most {MAX_SUITE_X})")
-    p.add_argument("--maxy", type=int, default=3,
+    p.add_argument("--maxy", type=_int_arg, default=3,
                    help=f"max base size (default 3, at most {MAX_SUITE_Y})")
 
 

@@ -33,7 +33,7 @@ from .metric_mapping import (
     max_metric_mapping,
 )
 from .rationals import format_rational, parse_rational
-from .tied_cauchy import const_seq, newton_sqrt_seq, table_seq
+from .tied_cauchy import check_tying, const_seq, newton_sqrt_seq, table_seq
 
 
 @dataclass
@@ -155,6 +155,13 @@ def _parse_carrier(kind: str, obj: dict):
     return RationalGridCarrier(bounds["step"], bounds["lo"], bounds["hi"])
 
 
+def _line_break_at(text: str) -> int:
+    """The index of the first character of ``text`` at which
+    ``str.splitlines`` splits; past the end of ``text`` if there is none."""
+    # The appended character keeps a break at the end from being dropped.
+    return len((text + ".").splitlines()[0])
+
+
 def _refuse_unprintable(text: str, doc) -> None:
     """Raise at the path of the first key or string of ``doc``, in
     document order, that no report line could print: one that holds a
@@ -177,9 +184,7 @@ def _refuse_unprintable(text: str, doc) -> None:
                 raise InputError(
                     f"{what} is not UTF-8 text: lone surrogate "
                     f"{ascii(value[e.start])[1:-1]} at character {e.start}", path=path) from None
-            # The first line ends at the first break; the appended
-            # character keeps a break at the end from being dropped.
-            at = len((value + ".").splitlines()[0])
+            at = _line_break_at(value)
             if at < len(value):
                 raise InputError(f"{what} is not one line: line break "
                                  f"{ascii(value[at])[1:-1]} at character {at}", path=path)
@@ -349,19 +354,14 @@ def _resolve_point(token: str, m: MetricMapping, what: str) -> CarrierPoint:
     return x
 
 
-def names_target(text: str) -> bool:
-    """Whether a point spec names its tying target with ``@<basepoint>``."""
-    match = _SPEC_RE.fullmatch(text.strip())
-    return bool(match and match.group("tie"))
-
-
-def parse_point_spec(text: str, m: MetricMapping) -> CompletionPoint:
+def parse_point_spec(text: str, m: MetricMapping, depth: int) -> CompletionPoint:
     """Resolve a completion-point spec against a loaded instance.
 
     Grammar: `const(<point>)` | `newton_sqrt(<rational>)` |
     `table(<p1>,<p2>,...;tail=<point>)`, each with an optional
     `@<basepoint>` suffix naming the tying target when it is not the
-    implied one.
+    implied one. A named target is a claim: the sequence is run through
+    check_tying at ``depth``, and the first violation refutes it.
     """
     match = _SPEC_RE.fullmatch(text.strip())
     if not match:
@@ -370,12 +370,10 @@ def parse_point_spec(text: str, m: MetricMapping) -> CompletionPoint:
     y = m.base.point(tie.strip()) if tie else None
 
     if ctor == "const":
-        x = _resolve_point(args, m, "const")
-        return CompletionPoint(const_seq(m, x, y))
-    if ctor == "newton_sqrt":
-        a = parse_rational(args.strip())
-        return CompletionPoint(newton_sqrt_seq(m, a, y))
-    if ctor == "table":
+        seq = const_seq(m, _resolve_point(args, m, "const"), y)
+    elif ctor == "newton_sqrt":
+        seq = newton_sqrt_seq(m, parse_rational(args.strip()), y)
+    elif ctor == "table":
         if ";" not in args:
             raise InputError("table spec needs ';tail=<point>'")
         head, tail_part = args.split(";", 1)
@@ -388,5 +386,9 @@ def parse_point_spec(text: str, m: MetricMapping) -> CompletionPoint:
             for tok in head.split(",")
             if tok.strip()
         ]
-        return CompletionPoint(table_seq(m, prefix, tail, y))
-    raise InputError(f"unknown point constructor {ctor!r}")
+        seq = table_seq(m, prefix, tail, y)
+    else:
+        raise InputError(f"unknown point constructor {ctor!r}")
+    if tie and (violations := check_tying(seq, depth)):
+        raise InputError(f"tie claim {text!r} is false: {violations[0]}")
+    return CompletionPoint(seq)

@@ -136,8 +136,8 @@ def lift_seq(s: TiedCauchySeq) -> RegularCompletionSeq:
 def _narrowing_open(base, psi: RegularCompletionSeq, n: int, y_n: BasePoint):
     """A basic open around ``y_n`` inside every basic open of the target
     that the tying witness has certified by index ``n``."""
-    binding = [o for o in base.neighborhood_basis(psi.y) if psi.tie.index_for(o) <= n]
-    for candidate in base.neighborhood_basis(y_n):
+    binding = [o for o in base.opens_around(psi.y, n) if psi.tie.index_for(o) <= n]
+    for candidate in base.opens_around(y_n, n):
         if all(set(candidate) <= set(o) for o in binding):
             return candidate
     raise InputError(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, compress
 from math import gcd
 from operator import not_
@@ -397,13 +398,6 @@ def _shortest_path_closure(n: int, weights: list[int]) -> tuple[list, list]:
     return cls, d
 
 
-# What random_instance builds from a drawn size alone, made on the first
-# draw of that size: at most one entry per size. For a base of n points,
-# its BasePoints, the bit of each, and the (id, bit) pairs in text order,
-# where y10 sorts before y2; for a carrier of n points, its codes and the
-# indices in reverse text order.
-_BASE_TABLES: dict[int, tuple] = {}
-_CARRIER_TABLES: dict[int, tuple] = {}
 # A FiniteBase per drawn family of basis sets on at most _SHARED_BASE_SIZE
 # points, keyed by the base size and the family as masks. On n points
 # there are 2^(2^n - 1) - 1 nonempty families: 1, 7 and 127 for n = 1, 2,
@@ -414,21 +408,23 @@ _BASES: dict[tuple, FiniteBase] = {}
 _SHARED_BASE_SIZE = 3
 
 
+# What random_instance builds from a drawn size alone, made on the first
+# draw of that size: at most one entry per size.
+@cache
 def _base_table(n: int) -> tuple:
-    table = _BASE_TABLES.get(n)
-    if table is None:
-        ids = [f"y{i}" for i in range(n)]
-        bits = [1 << i for i in range(n)]
-        table = _BASE_TABLES[n] = (tuple(map(BasePoint, ids)), bits, sorted(zip(ids, bits)))
-    return table
+    """For a base of n points: its BasePoints, the bit of each, and the
+    (id, bit) pairs in text order, where y10 sorts before y2."""
+    ids = [f"y{i}" for i in range(n)]
+    bits = [1 << i for i in range(n)]
+    return tuple(map(BasePoint, ids)), bits, sorted(zip(ids, bits))
 
 
+@cache
 def _carrier_table(n: int) -> tuple:
-    table = _CARRIER_TABLES.get(n)
-    if table is None:
-        ids = [f"x{i}" for i in range(n)]
-        table = _CARRIER_TABLES[n] = (ids, sorted(range(n), key=ids.__getitem__, reverse=True))
-    return table
+    """For a carrier of n points: its codes and the indices in reverse
+    text order."""
+    ids = [f"x{i}" for i in range(n)]
+    return ids, sorted(range(n), key=ids.__getitem__, reverse=True)
 
 
 def random_instance(seed: int, max_x: int = 6, max_y: int = 3) -> MetricMapping:

@@ -223,7 +223,7 @@ def test_09_density_witness_contract(suite, interval):
             p = CompletionPoint(table_seq(m, [partner], x0))
             run_trial(p, open_of)
 
-    whole = interval.base.neighborhood_basis(BasePoint("o"))[0]
+    whole = interval.base.opens_around(BasePoint("o"), 1)[0]
     run_trial(CompletionPoint(newton_sqrt_seq(interval, Fraction(2))), whole)
     run_trial(CompletionPoint(newton_sqrt_seq(interval, Fraction(3))), whole)
     run_trial(

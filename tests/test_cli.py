@@ -99,37 +99,41 @@ def test_parse_rejects_missing_pair():
 
 def test_point_spec_const_and_table():
     m = parse_instance(json.dumps(SIERPINSKI_DOC))
-    p = parse_point_spec("const(x_a)", m)
+    p = parse_point_spec("const(x_a)", m, 64)
     assert p.y.id == "a"
-    q = parse_point_spec("const(x_b)@a", m)
-    assert q.y.id == "a"
+    # x_a lies over a, and every open around b holds a: a true claim.
+    q = parse_point_spec("const(x_a)@b", m, 64)
+    assert q.y.id == "b"
+    # x_b lies over b, outside the open {a}: a false one.
+    with pytest.raises(InputError, match=r"^tie claim 'const\(x_b\)@a' is false: \[tying\] "):
+        parse_point_spec("const(x_b)@a", m, 64)
     m2 = parse_instance(json.dumps(INTERVAL_DOC))
-    r = parse_point_spec("table(1/2,1/3;tail=1/3)", m2)
+    r = parse_point_spec("table(1/2,1/3;tail=1/3)", m2, 64)
     assert r.rep.at(1).code == Fraction(1, 2)
     assert r.rep.at(9).code == Fraction(1, 3)
 
 
 def test_point_spec_newton():
     m = parse_instance(json.dumps(INTERVAL_DOC))
-    p = parse_point_spec("newton_sqrt(2)", m)
+    p = parse_point_spec("newton_sqrt(2)", m, 64)
     assert p.y.id == "o"
 
 
 def test_point_spec_errors():
     m = parse_instance(json.dumps(SIERPINSKI_DOC))
     with pytest.raises(InputError):
-        parse_point_spec("bogus(x_a)", m)
+        parse_point_spec("bogus(x_a)", m, 64)
     with pytest.raises(InputError):
-        parse_point_spec("const(nope)", m)
+        parse_point_spec("const(nope)", m, 64)
     with pytest.raises(InputError):
-        parse_point_spec("const(x_a)@zz", m)
+        parse_point_spec("const(x_a)@zz", m, 64)
 
 
 def test_grid_document_and_point_specs():
     m = parse_instance(json.dumps(GRID_DOC))
     assert len(m.points()) == 9
-    p = parse_point_spec("const(1/2 0)", m)
-    q = parse_point_spec("const(1 1)", m)
+    p = parse_point_spec("const(1/2 0)", m, 64)
+    q = parse_point_spec("const(1 1)", m, 64)
     from mapcomplete.completion import dstar_approx
 
     assert dstar_approx(p, q, Fraction(1, 10)) == 1
@@ -519,13 +523,13 @@ def test_cli_unreachable_tie_claim_exits_2(tmp_path, capsys, argv):
 def test_cli_density_fails_when_witness_fiber_is_outside_the_open(tmp_path, capsys, monkeypatch):
     # The claim check refutes the false tie first; with it out of the way
     # the density report's own fiber check still catches the witness.
-    from mapcomplete import cli
+    from mapcomplete import cli_io
 
     path = _write(tmp_path, DISCRETE_DOC)
     argv = ["density", path, "--point", "const(x_b)@a", "--open", "a"]
     assert run_command(argv) == 2
     assert "tie claim 'const(x_b)@a' is false" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "check_tying", lambda s, depth: [])
+    monkeypatch.setattr(cli_io, "check_tying", lambda s, depth: [])
     assert run_command(argv) == 1
     out = capsys.readouterr().out
     assert "PROP density_witness FAIL witness=x_b open={a}" in out
@@ -978,9 +982,9 @@ def test_suite_digests_hold_when_the_generator_tables_empty_midway(
 
     def generate(seed, max_x, max_y):
         if seed % 7 == 3:
-            for table in (finite_oracle._BASE_TABLES, finite_oracle._CARRIER_TABLES,
-                          finite_oracle._BASES):
-                table.clear()
+            finite_oracle._base_table.cache_clear()
+            finite_oracle._carrier_table.cache_clear()
+            finite_oracle._BASES.clear()
         return finite_oracle.random_instance(seed, max_x, max_y)
 
     monkeypatch.setattr(cli, "random_instance", generate)

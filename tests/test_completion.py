@@ -108,7 +108,7 @@ def test_density_witness_newton(interval_mapping):
     base = interval_mapping.base
     p = CompletionPoint(newton_sqrt_seq(interval_mapping, Fraction(2)))
     eps = Fraction(1, 1000)
-    x = density_witness(p, eps, base.neighborhood_basis(p.y)[0])
+    x = density_witness(p, eps, base.opens_around(p.y, 1)[0])
     assert dstar_approx(p, embed(interval_mapping, x), eps / 4) <= eps + eps / 4
     lo, hi = sqrt_interval(Fraction(2))
     assert abs(x.code - lo) <= eps

@@ -7,8 +7,10 @@ retyped, a kind swapped, a rational corrupted or a code pointed at nothing.
 Three documents are refused before any field is read: one that is not
 UTF-8, JSON nested past the recursion limit, and an integer literal past
 the int-string limit; so is a string with a lone surrogate or a line
-break, at its path, and a ``--out`` path with either. Rational text in
-digits other than ASCII ones is bad input wherever it is read.
+break, at its path, a ``--out`` path with either, and an ``--open`` id
+with a line break. Rational and integer text in digits other than ASCII
+ones is bad input wherever it is read. Exit 2 prints nothing on stdout,
+and on stderr either one ERROR line or argparse's usage and error line.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -91,13 +94,33 @@ def _spec(rnd, tokens) -> str:
     return spec
 
 
+# The last line of argparse's usage block: the program, then the error.
+_ARGPARSE_ERROR = re.compile(r"mapcomplete(?: [a-z0-9-]+)?: error: ")
+
+
+def _assert_exit_2_shape(out: str, err: str) -> None:
+    """Nothing on stdout; on stderr one ERROR line, or argparse's usage
+    block ending in its one error line."""
+    assert out == "", err
+    lines = err.splitlines()
+    assert err.endswith("\n"), err
+    if err.startswith("ERROR "):
+        assert len(lines) == 1, err
+    else:
+        assert lines[0].startswith("usage: mapcomplete"), err
+        assert _ARGPARSE_ERROR.match(lines[-1]), err
+        assert not any(_ARGPARSE_ERROR.match(line) for line in lines[:-1]), err
+
+
 def _run(argv) -> int:
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = run_command(argv)
     # A flag the subcommand does not declare stops every example in
     # argparse, before any document is read.
     assert "unrecognized arguments" not in err.getvalue(), argv
+    if code == 2:
+        _assert_exit_2_shape(out.getvalue(), err.getvalue())
     return code
 
 
@@ -121,7 +144,7 @@ def test_every_document_command_exits_0_1_or_2(tmp_path, rnd):
     if command in ("dstar", "density"):
         argv += ["--eps", rnd.choice(["1/1000", "1/3", "0", "x"])]
     if command == "density" and rnd.random() < 0.5:
-        argv += ["--open", ",".join(rnd.choices(tokens + ["zz"], k=rnd.randint(0, 2)))]
+        argv += ["--open", ",".join(rnd.choices(tokens + ["zz", "a\nb"], k=rnd.randint(0, 2)))]
     assert _run(argv) in (0, 1, 2)
 
 
@@ -316,3 +339,41 @@ def test_line_break_out_path_exits_2_before_writing(tmp_path, capsys, brk):
     assert captured.out == ""
     assert captured.err == f"ERROR cannot write {out!r}: path holds a line break\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# Each integer option, after a command that takes it and a run of one
+# seed or a small document.
+_INT_OPTIONS = {"depth": ["validate", str(GOLDEN / "interval.json")],
+                "seed": ["theorem3", "--count", "1"], "count": ["theorem3"],
+                "maxx": ["lemma2", "--count", "1"], "maxy": ["lemma2", "--count", "1"]}
+
+
+@pytest.mark.parametrize("text", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("option", sorted(_INT_OPTIONS))
+def test_non_ascii_integer_option_exits_2_in_argparse(capsys, option, text):
+    # int() takes any Unicode digit: "\u0663" and "\uff13" would both read 3.
+    command, *rest = _INT_OPTIONS[option]
+    assert run_command([command, *rest, f"--{option}", text]) == 2
+    captured = capsys.readouterr()
+    _assert_exit_2_shape(captured.out, captured.err)
+    assert captured.err.splitlines()[-1] == (
+        f"mapcomplete {command}: error: argument --{option}: invalid int value: {text!r}")
+
+
+@pytest.mark.parametrize("brk", ["\n", "\u2028"], ids=ascii)
+def test_line_break_in_an_open_id_exits_2_with_one_error_line(capsys, brk):
+    # density echoes the open in its report line and in its errors.
+    basic_open = f"a{brk}b"
+    argv = ["density", str(GOLDEN / "sierpinski.json"), "--point", "const(x_a)",
+            "--open", basic_open]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR --open {basic_open!r} holds a line break\n"
+
+
+def test_line_break_at_either_end_of_an_open_id_is_stripped(capsys):
+    argv = ["density", str(GOLDEN / "sierpinski.json"), "--point", "const(x_a)",
+            "--open", "\na\u2028,b\r"]
+    assert run_command(argv) == 0
+    assert "open={a,b}" in capsys.readouterr().out

@@ -288,9 +288,9 @@ def test_random_instance_tables_hold_every_size_in_any_order():
     # table keyed more coarsely than by its size fails here.
     from mapcomplete import finite_oracle
 
-    for table in (finite_oracle._BASE_TABLES, finite_oracle._CARRIER_TABLES,
-                  finite_oracle._BASES):
-        table.clear()
+    finite_oracle._base_table.cache_clear()
+    finite_oracle._carrier_table.cache_clear()
+    finite_oracle._BASES.clear()
     for max_x, max_y in [(6, 3), (64, 12), (1, 1), (10, 4), (6, 3), (64, 12)]:
         for seed in range(60):
             m = random_instance(seed, max_x, max_y)
@@ -302,8 +302,8 @@ def test_random_instance_tables_hold_every_size_in_any_order():
             assert [p.id for p in m.base.points] == [f"y{i}" for i in range(len(m.base.points))]
             assert (dm.den, dm.num) == (den, num), (max_x, max_y, seed)
     # At most one entry per size, and a bounded number of shared bases.
-    assert set(finite_oracle._BASE_TABLES) <= set(range(1, 13))
-    assert set(finite_oracle._CARRIER_TABLES) <= set(range(1, 65))
+    assert finite_oracle._base_table.cache_info().currsize <= 12
+    assert finite_oracle._carrier_table.cache_info().currsize <= 64
     assert {n for n, _ in finite_oracle._BASES} <= set(range(1, finite_oracle._SHARED_BASE_SIZE + 1))
 
 
