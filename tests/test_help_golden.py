@@ -38,6 +38,13 @@ CASES = {
     # An unknown option before the subcommand: argparse still dispatches
     # to the subcommand after it.
     "unknown-option-first": ["--foo", "theorem3", "--count", "2"],
+    # -h before the subcommand is the top-level help, which lists every
+    # subcommand though the parser is built for the one named after it;
+    # argparse takes --he as an abbreviation of --help.
+    "help-before-command": ["-h", "dstar"],
+    "abbreviated-help-before-command": ["--he", "validate"],
+    # An unknown option first, then the subcommand's own help.
+    "unknown-option-then-command-help": ["--foo", "dstar", "-h"],
 }
 
 
