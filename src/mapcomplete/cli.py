@@ -14,10 +14,12 @@ Each subcommand declares only the options it reads:
 
 ``_SUBCOMMANDS`` maps each name to its help line, its handler and the
 function that declares its arguments. ``_build_parser(command)``
-registers every subcommand, so the top-level help and errors list them
-all, but runs the declare function of ``command`` alone: an invocation
-parses one subcommand, and declaring the rest took most of a fast
-command's time. The parser is built afresh on each call.
+registers every subcommand by its name and help line, which are all
+that the top-level usage, help and errors read, so they list all eight.
+Only ``command``'s subparser holds actions (its ``-h``, its arguments
+and its handler): an invocation parses one subcommand, and building
+the others' actions took most of a fast command's time. The parser is
+built afresh on each call.
 
 run_command loads the instance once and owns the report; each handler
 only adds its lines. Output is the PROP/SUMMARY report format of cli_io
@@ -179,8 +181,8 @@ def _cmd_density(args, m, report: Report) -> None:
         if not isinstance(m.base, FiniteBase):
             raise InputError("--open applies to finite bases only")
         basic = tuple(sorted({s.strip() for s in args.basic_open.split(",") if s.strip()}))
-        # No base point id holds a line break, and the ERROR line echoing
-        # the open would split at one.
+        # No base point id holds a line break; an id with one is refused
+        # as such, not as an open that is not basic.
         if any(_line_break_at(i) < len(i) for i in basic):
             raise InputError(f"--open {args.basic_open!r} holds a line break")
     else:
@@ -376,8 +378,10 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 
     Every subcommand is registered, so the top-level usage, help and
     errors do not depend on ``command``; a parse of an invocation of
-    ``command`` reaches no other subparser. The subparsers take their
-    ``prog`` from ``mapcomplete``, not from the fixed top-level usage."""
+    ``command`` reaches no other subparser, so every other subparser
+    holds no action, ``-h`` included, and no handler. The subparsers
+    take their ``prog`` from ``mapcomplete``, not from the fixed
+    top-level usage."""
     parser = argparse.ArgumentParser(
         prog="mapcomplete",
         usage=_USAGE,
@@ -386,9 +390,9 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, prog="mapcomplete")
     for name, (help_text, handler, declare) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
+            p.set_defaults(handler=handler)
             declare(p)
     return parser
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .base_topology import BasePoint, FiniteBase, OnePointBase, describe_open, format_id
+from .base_topology import (
+    BasePoint,
+    FiniteBase,
+    OnePointBase,
+    RationalInterval,
+    describe_open,
+    format_id,
+)
 from .errors import InputError
 from .metric_mapping import CarrierPoint, MetricMapping
 from .rationals import frac_ceil
@@ -87,9 +94,11 @@ def density_witness(p: CompletionPoint, eps: Fraction, basic_open) -> CarrierPoi
     if eps <= 0:
         raise InputError("precision must be positive")
     if not p.mapping.base.open_contains(basic_open, p.y):
-        raise InputError(
-            f"{describe_open(basic_open)} is not a basic open around {format_id(p.y.id)}"
-        )
+        # A finite open may come from the command line, so each id is
+        # quoted, as every ERROR line echoes user text.
+        shown = (describe_open(basic_open) if isinstance(basic_open, RationalInterval)
+                 else "{" + ",".join(map(format_id, basic_open)) + "}")
+        raise InputError(f"{shown} is not a basic open around {format_id(p.y.id)}")
     n = max(frac_ceil(1 / eps), p.rep.tie.index_for(basic_open), 1)
     return p.rep.at(n)
 

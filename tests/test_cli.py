@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mapcomplete.cli import run_command
 from mapcomplete.cli_io import Report, instance_document, parse_instance, parse_point_spec
@@ -908,7 +912,53 @@ def test_cli_parser_declares_options_on_the_named_subcommand_only(command):
             assert flags == {"-h", "--help", *OPTIONS[command]}
             assert positionals == (["instance"] if REQUIRED[command] else [])
         else:
-            assert flags == {"-h", "--help"} and positionals == []
+            assert flags == set() and positionals == []
+
+
+def _parser_with_every_help(command):
+    """A reference for ``_build_parser``: every subcommand registered with
+    its own ``-h`` and handler default, and ``command``'s options declared."""
+    from mapcomplete.cli import _SUBCOMMANDS, _USAGE
+
+    parser = argparse.ArgumentParser(
+        prog="mapcomplete", usage=_USAGE,
+        description="Validate metric-mapping instances, evaluate certified "
+        "completion distances, and run the seeded finite suites.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, prog="mapcomplete")
+    for name, (help_text, handler, declare) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if name == command:
+            declare(p)
+    return parser
+
+
+PARSER_TOKENS = ["-h", "--help", "--he", "--foo", "--", "dstar", "validate", "theorem3",
+                 "nope", "x.json", "--depth", "3", "--count", "2", "--point", "const(1)"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.lists(st.sampled_from(PARSER_TOKENS), max_size=4))
+def test_cli_parser_reads_as_one_with_every_subcommand_help(tmp_path, monkeypatch, argv):
+    # Help and usage errors, the subcommand a parse dispatches to, and
+    # what its handler then prints: the same through either parser.
+    import mapcomplete.cli as cli
+
+    monkeypatch.chdir(tmp_path)  # no x.json here
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_command(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    built = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", _parser_with_every_help)
+        assert built == run()
 
 
 @pytest.mark.parametrize("command, flag", [
