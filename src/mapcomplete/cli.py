@@ -19,7 +19,9 @@ that the top-level usage, help and errors read, so they list all eight.
 Only ``command``'s subparser holds actions (its ``-h``, its arguments
 and its handler): an invocation parses one subcommand, and building
 the others' actions took most of a fast command's time. The parser is
-built afresh on each call.
+built afresh on each call. Its class, ``_Parser``, words the error for
+an unknown subcommand itself, so that line reads the same on every
+Python release.
 
 run_command loads the instance once and owns the report; each handler
 only adds its lines. Output is the PROP/SUMMARY report format of cli_io
@@ -54,8 +56,8 @@ from .finite_oracle import (
     lemma2_check,
     random_instance,
 )
-from .metric_mapping import carrier_is_finite, closure_finite, distance_matrix
-from .metric_mapping import point_masks, validate_fiberwise_metric, validate_pseudometric
+from .metric_mapping import closure_finite, distance_matrix, require_finite_instance
+from .metric_mapping import validate_fiberwise_metric, validate_pseudometric
 from .rationals import decimal_approx, format_rational, parse_rational
 
 # The pseudometric check grows fast in the points it checks, and on a
@@ -120,23 +122,19 @@ def _load_instance(path_text: str):
         raise InputError(f"cannot read {path_text!r}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise InputError(f"cannot read {path_text!r}: not UTF-8 text at byte {e.start}") from None
-    m = parse_instance(text)
-    if carrier_is_finite(m.carrier) and m.carrier.size > MAX_POINTS:
-        raise InputError(
-            f"finite carrier has {m.carrier.size} points, at most {MAX_POINTS} can be checked"
-        )
-    return m
+    return parse_instance(text)
 
 
-def _add_validators(report: Report, m, depth: int, finite_only: bool = False) -> None:
-    """Add the basis, pseudometric and fiberwise lines of ``m`` at ``depth``."""
+def _add_validators(report: Report, m, depth: int) -> None:
+    """Add the basis, pseudometric and fiberwise lines of ``m`` at ``depth``.
+
+    The basis line is for a finite base only. The finite commands call
+    this only once ``require_finite_instance`` has passed, so an instance
+    they refuse gets no line at all."""
     if isinstance(m.base, FiniteBase):
         violations = validate_basis(m.base)
         report.add("basis_axioms", not violations,
                    str(violations[0]) if violations else f"{len(m.base.basis)} basic opens")
-    if finite_only and report.exit_code == 0:
-        # Gate before any check at --depth, but report a failing basis (exit 1).
-        point_masks(m)
     violations = validate_pseudometric(m, depth)
     report.add("pseudometric_axioms", not violations,
                str(violations[0]) if violations else f"budget={depth}")
@@ -203,7 +201,8 @@ def _cmd_density(args, m, report: Report) -> None:
 
 
 def _cmd_complete_check(args, m, report: Report) -> None:
-    _add_validators(report, m, args.depth, finite_only=True)
+    require_finite_instance(m)
+    _add_validators(report, m, args.depth)
     if report.exit_code != 0:
         return
     verdict = is_complete_filter(m)
@@ -254,7 +253,8 @@ def _cmd_complete_construct(args, m, report: Report) -> None:
             raise InputError(f"cannot write {args.out!r}: path is not UTF-8 text") from None
         if _line_break_at(args.out) < len(args.out):
             raise InputError(f"cannot write {args.out!r}: path holds a line break")
-    _add_validators(report, m, args.depth, finite_only=True)
+    require_finite_instance(m)
+    _add_validators(report, m, args.depth)
     if report.exit_code != 0:
         return
     completed = finite_completion(m)
@@ -367,6 +367,19 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with the package's own text for an unknown
+    subcommand: the choices quoted, as argparse quoted them up to Python
+    3.13.0 (later releases list them bare). The subcommand is the one
+    argument with choices, so this is the one error it words."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, _SUBCOMMANDS))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
+
+
 _INDENT = " " * len("usage: mapcomplete ")
 # The top-level usage, written out in the layout argparse gives it up to
 # Python 3.12: 3.13 wraps an argparse-made usage differently.
@@ -382,7 +395,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     holds no action, ``-h`` included, and no handler. The subparsers
     take their ``prog`` from ``mapcomplete``, not from the fixed
     top-level usage."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mapcomplete",
         usage=_USAGE,
         description="Validate metric-mapping instances, evaluate certified "

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .base_topology import BasePoint, FiniteBase, OnePointBase, RationalOrderBase
 from .completion import CompletionPoint
 from .errors import InputError
+from .finite_oracle import MAX_POINTS
 from .metric_mapping import (
     CarrierPoint,
     FiniteCarrier,
@@ -29,6 +30,7 @@ from .metric_mapping import (
     _mapping_from_rows,
     _table_rows,
     abs_diff_mapping,
+    carrier_is_finite,
     distance_matrix,
     max_metric_mapping,
 )
@@ -199,12 +201,16 @@ def parse_instance(text: str) -> MetricMapping:
     """Parse an instance document into a validated-shape metric mapping.
 
     This module checks the JSON shape, the rational syntax, the kind
-    pairings of _PAIRINGS and that the fiber entries match the carrier
-    list; a table is then built as table_mapping builds it, by
-    _fiber_points, _table_rows (the table rules, fed one entry at a time)
-    and _mapping_from_rows. An error raises InputError with the path of
-    the offending field; of two bad sections or two bad distance entries,
-    the first in document order is reported, whatever its fault. JSON nested
+    pairings of _PAIRINGS, the point bound and that the fiber entries
+    match the carrier list; a table is then built as table_mapping builds
+    it, by _fiber_points, _table_rows (the table rules, fed one entry at a
+    time) and _mapping_from_rows. An error raises InputError with the path
+    of the offending field; of two bad sections or two bad distance
+    entries, the first in document order is reported, whatever its fault.
+    A finite carrier or a grid of more than MAX_POINTS points raises,
+    without a path, once the sections and their pairing pass and before
+    any fiber or distance table is built, since the tables grow with the
+    square of the points and the validators with their cube. JSON nested
     past the recursion limit, or with an integer past the int-string
     limit, raises at ``$``; a key or string with a lone surrogate or a
     line break, which no report line could print, raises at its own path
@@ -236,6 +242,9 @@ def parse_instance(text: str) -> MetricMapping:
             f"fiber kind {fiber_kind!r} does not apply to a {carrier.kind} carrier",
             path="$.fiber_map.kind",
         )
+    if carrier_is_finite(carrier) and carrier.size > MAX_POINTS:
+        raise InputError(
+            f"finite carrier has {carrier.size} points, at most {MAX_POINTS} can be checked")
     if fiber_kind == "constant":
         try:
             target = base.point(fiber_obj["to"])

@@ -55,10 +55,11 @@ from .metric_mapping import (
     point_masks,
 )
 
-# The most points of a finite carrier, loaded by the CLI or built by
-# finite_completion: the pseudometric check is cubic in them, and a
-# completion has a point per (zero class, base point) pair that meets, so
-# 16 carrier points over a 128-point base can ask for 2048.
+# The most points of a finite carrier, read from a document
+# (cli_io.parse_instance) or built by finite_completion: the pseudometric
+# check is cubic in them, and a completion has a point per (zero class,
+# base point) pair that meets, so 16 carrier points over a 128-point base
+# can ask for 2048.
 MAX_POINTS = 512
 
 

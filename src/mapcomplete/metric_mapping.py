@@ -484,7 +484,10 @@ def distance_matrix(m: MetricMapping, budget: int | None = None) -> DistanceMatr
     key = None if carrier_is_finite(m.carrier) else budget
     dm = m._matrices.get(key)
     if dm is None:
-        dm = m._matrices[key] = DistanceMatrix.build(m, m.sample_points(budget))
+        # A countable carrier without a budget reaches m.points(), which
+        # refuses it.
+        pts = m.points() if key is None else m.sample_points(key)
+        dm = m._matrices[key] = DistanceMatrix.build(m, pts)
     return dm
 
 
@@ -746,18 +749,28 @@ class PointMasks:
         return frozenset(pts[i] for i in bit_indices(mask))
 
 
+def require_finite_instance(m: MetricMapping) -> None:
+    """The finiteness gate: raise ``InputError`` unless ``m`` has a finite
+    carrier (a finite one or a grid) and a finite base. It reads neither
+    the distance nor the fibers, so it costs nothing to call before any
+    other check; ``point_masks`` calls it first, and the CLI's finite
+    commands before their first report line."""
+    if not m.is_finite_instance():
+        raise InputError("this oracle needs a finite carrier and a finite base")
+
+
 def point_masks(m: MetricMapping) -> PointMasks:
     """The PointMasks of a finite instance, built on the first call for
     ``m`` and kept by ``m``; their zero classes are the matrix's. The one
-    gate of every finite function: a mapping that is not a finite
-    instance, whose fiber leaves its base, or with a base point in no
-    basis set (an empty ``around[y]``) raises ``InputError``, and a value
-    a ``custom`` evaluator rejects raises its ``EvaluatorError`` from
-    ``distance_matrix``. Whatever raises, no masks are kept."""
+    gate of every finite function: a mapping that fails
+    ``require_finite_instance``, whose fiber leaves its base, or with a
+    base point in no basis set (an empty ``around[y]``) raises
+    ``InputError``, and a value a ``custom`` evaluator rejects raises its
+    ``EvaluatorError`` from ``distance_matrix``. Whatever raises, no masks
+    are kept."""
     masks = m._masks
     if masks is None:
-        if not m.is_finite_instance():
-            raise InputError("this oracle needs a finite carrier and a finite base")
+        require_finite_instance(m)
         dm = distance_matrix(m)
         pts = dm.points
         fiber_ids = [m.fiber_of(x).id for x in pts]

@@ -917,10 +917,11 @@ def test_cli_parser_declares_options_on_the_named_subcommand_only(command):
 
 def _parser_with_every_help(command):
     """A reference for ``_build_parser``: every subcommand registered with
-    its own ``-h`` and handler default, and ``command``'s options declared."""
-    from mapcomplete.cli import _SUBCOMMANDS, _USAGE
+    its own ``-h`` and handler default, and ``command``'s options declared.
+    It is a ``_Parser`` too, so both word an unknown subcommand alike."""
+    from mapcomplete.cli import _SUBCOMMANDS, _USAGE, _Parser
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mapcomplete", usage=_USAGE,
         description="Validate metric-mapping instances, evaluate certified "
         "completion distances, and run the seeded finite suites.",
@@ -1060,6 +1061,30 @@ def test_cli_finite_carrier_has_an_upper_bound(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_cli_point_bound_is_checked_before_any_table_is_built(tmp_path, capsys, monkeypatch):
+    # 513 points and no distance entries: the bound is checked where the
+    # document is read, before the fiber or the distance table is built,
+    # not reported as the missing entry the table walk would find first.
+    from mapcomplete import cli_io
+
+    def never(*args):
+        raise AssertionError("a table was built past the point bound")
+
+    monkeypatch.setattr(cli_io, "_fiber_points", never)
+    monkeypatch.setattr(cli_io, "_table_rows", never)
+    codes = [f"x{i}" for i in range(513)]
+    doc = {
+        "base": {"kind": "finite", "points": ["a"], "basis": [["a"]]},
+        "carrier": {"kind": "finite", "points": codes},
+        "fiber_map": {"kind": "table", "entries": dict.fromkeys(codes, "a")},
+        "distance": {"kind": "table", "entries": []},
+    }
+    assert run_command(["validate", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR finite carrier has 513 points, at most 512 can be checked\n"
+
+
 # Python's int-string limit, or 0 where the interpreter has none. The
 # cases below are sized for the default limit of 4300 digits.
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -1180,10 +1205,17 @@ def test_cli_open_on_an_interval_exits_2(capsys):
     assert captured.err == "ERROR --open applies to finite bases only\n"
 
 
+# An interval carrier over a finite base whose basis misses the point b.
+UNCOVERED_INTERVAL_DOC = dict(
+    INTERVAL_DOC, base={"kind": "finite", "points": ["a", "b"], "basis": [["a"]]},
+    fiber_map={"kind": "constant", "to": "a"})
+
+
 @pytest.mark.parametrize("command", ["complete-check", "complete-construct"])
-@pytest.mark.parametrize("document", ["interval.json", "grid.json"])
-def test_cli_finite_commands_name_the_one_gate(capsys, monkeypatch, command, document):
-    # The gate refuses the document before any validator runs at --depth.
+@pytest.mark.parametrize("document", ["interval.json", "grid.json", "uncovered-interval"])
+def test_cli_finite_commands_name_the_one_gate(tmp_path, capsys, monkeypatch, command, document):
+    # The gate refuses the document before any validator runs at --depth,
+    # even before a basis check that would fail.
     from mapcomplete import cli
 
     def never(*args):
@@ -1191,7 +1223,9 @@ def test_cli_finite_commands_name_the_one_gate(capsys, monkeypatch, command, doc
 
     for name in ("validate_basis", "validate_pseudometric", "validate_fiberwise_metric"):
         monkeypatch.setattr(cli, name, never)
-    assert run_command([command, str(GOLDEN / document), "--depth", "512"]) == 2
+    path = (_write(tmp_path, UNCOVERED_INTERVAL_DOC) if document == "uncovered-interval"
+            else str(GOLDEN / document))
+    assert run_command([command, path, "--depth", "512"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "ERROR this oracle needs a finite carrier and a finite base\n"

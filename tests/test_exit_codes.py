@@ -37,9 +37,13 @@ DOCUMENTS = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in sorted(G
 KINDS = ["finite", "one_point", "rational_order", "rational_interval", "rational_grid",
          "table", "constant", "identity", "abs_diff", "max_metric", "bogus"]
 # Syntax errors and out-of-range values only: a valid wide grid bound would
-# make the cubic validators, not the contract, the subject of the test.
-BAD_RATIONALS = ["1/0", "0.5", "x", "-", "1/-2", "", "1//2", "-1/2"]
-OTHER_VALUES = [None, 0, 1.5, True, [], {}, "zz", ["zz"], {"zz": 1}]
+# make the cubic validators, not the contract, the subject of the test. The
+# last has a denominator of 4301 digits, past Python's int-string limit.
+BAD_RATIONALS = ["1/0", "0.5", "x", "-", "1/-2", "", "1//2", "-1/2", "1/1" + "0" * 4300]
+# Among them a huge integer (1001 digits, under the int-string limit), a
+# lone surrogate and a distance triple with an unknown code.
+OTHER_VALUES = [None, 0, -1, 10**1000, 1.5, True, [], {}, "zz", "\ud800", ["zz"],
+                ["x_a", "zz", "1"], {"zz": 1}]
 DEPTH = "12"
 
 
@@ -353,10 +357,13 @@ _INT_OPTIONS = {"depth": ["validate", str(GOLDEN / "interval.json")],
                 "maxx": ["lemma2", "--count", "1"], "maxy": ["lemma2", "--count", "1"]}
 
 
-@pytest.mark.parametrize("text", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("text", ["\u0663", "\uff13", "x", "1.5"],
+                         ids=["arabic-indic", "fullwidth", "letter", "decimal"])
 @pytest.mark.parametrize("option", sorted(_INT_OPTIONS))
 def test_non_ascii_integer_option_exits_2_in_argparse(capsys, option, text):
-    # int() takes any Unicode digit: "\u0663" and "\uff13" would both read 3.
+    # A value that is not an integer in ASCII digits. int() takes any
+    # Unicode digit: "\u0663" and "\uff13" would both read 3; it refuses
+    # "x" and "1.5" itself, and both get the same error line.
     command, *rest = _INT_OPTIONS[option]
     assert run_command([command, *rest, f"--{option}", text]) == 2
     captured = capsys.readouterr()

@@ -25,6 +25,7 @@ from mapcomplete.metric_mapping import (
     distance_matrix,
     max_metric_mapping,
     point_masks,
+    require_finite_instance,
     table_mapping,
     validate_fiberwise_metric,
     validate_pseudometric,
@@ -582,6 +583,11 @@ _ARGUMENT_CHECKS = {
         lambda: RationalGridCarrier(Fraction(1, 2), Fraction(1), Fraction(0)),
         InputError, "rational_grid needs lo <= hi"),
     "MetricMapping.points": (lambda: _LINE.points(), InputError, "operation needs a finite carrier"),
+    # A countable carrier's matrix needs a budget.
+    "distance_matrix": (lambda: distance_matrix(_LINE), InputError,
+                        "operation needs a finite carrier"),
+    "require_finite_instance": (lambda: require_finite_instance(_LINE), InputError,
+                                "this oracle needs a finite carrier and a finite base"),
     "table fiber": (lambda: _SIERPINSKI.fiber_of(CarrierPoint("zz")), InputError,
                     "unknown carrier point 'zz'"),
     "validate_fiberwise_metric": (lambda: validate_fiberwise_metric(_SIERPINSKI, 0), InputError,
