@@ -184,15 +184,17 @@ def describe_open(basic_open) -> str:
     return "{" + ",".join(str(i) for i in basic_open) + "}"
 
 
-def validate_basis(b: FiniteBase) -> list[Violation]:
-    """Check the two basis axioms; an empty report means the basis is valid.
+def validate_basis(b: FiniteBase) -> Violation | None:
+    """Check the two basis axioms: the first violation in this order, or
+    None when the basis is valid.
 
-    Covering: every point lies in some basis set. Refinement: whenever a
-    point sits in the intersection of two basis sets, some basis set fits
-    between the point and that intersection. A refinement test scans only
-    the basis sets that contain its point, each a frozenset built once.
-    An intersection that is itself a basis set fits every point of it,
-    so only the other intersections are scanned.
+    Covering: every point lies in some basis set, checked by point.
+    Refinement: whenever a point sits in the intersection of two basis
+    sets, some basis set fits between the point and that intersection,
+    checked by pair of basis sets, then by point. A refinement test scans
+    only the basis sets that contain its point, each a frozenset built
+    once. An intersection that is itself a basis set fits every point of
+    it, so only the other intersections are scanned.
     """
     ids = b.point_ids()
     if len(set(ids)) != len(ids):
@@ -203,24 +205,19 @@ def validate_basis(b: FiniteBase) -> list[Violation]:
     for s in sets:
         for pid in s:
             containing.setdefault(pid, []).append(s)
-    violations: list[Violation] = []
     for pid in ids:
         if pid not in containing:
-            violations.append(
-                Violation("cover", f"point {pid!r} lies in no basis set", (pid,))
-            )
+            return Violation("cover", f"point {pid!r} lies in no basis set", (pid,))
     for (o1, s1), (o2, s2) in combinations(zip(b.basis, sets), 2):
         meet = s1 & s2
         if meet in known:
             continue
         for pid in sorted(meet):
             if not any(s <= meet for s in containing[pid]):
-                violations.append(
-                    Violation(
-                        "intersection",
-                        f"no basis set contains {pid!r} inside "
-                        f"{describe_open(o1)} & {describe_open(o2)}",
-                        (pid, o1, o2),
-                    )
+                return Violation(
+                    "intersection",
+                    f"no basis set contains {pid!r} inside "
+                    f"{describe_open(o1)} & {describe_open(o2)}",
+                    (pid, o1, o2),
                 )
-    return violations
+    return None

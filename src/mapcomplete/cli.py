@@ -132,15 +132,15 @@ def _add_validators(report: Report, m, depth: int) -> None:
     this only once ``require_finite_instance`` has passed, so an instance
     they refuse gets no line at all."""
     if isinstance(m.base, FiniteBase):
-        violations = validate_basis(m.base)
-        report.add("basis_axioms", not violations,
-                   str(violations[0]) if violations else f"{len(m.base.basis)} basic opens")
-    violations = validate_pseudometric(m, depth)
-    report.add("pseudometric_axioms", not violations,
-               str(violations[0]) if violations else f"budget={depth}")
-    violations = validate_fiberwise_metric(m, depth)
-    report.add("fiberwise_metric", not violations,
-               str(violations[0]) if violations else f"budget={depth}")
+        violation = validate_basis(m.base)
+        report.add("basis_axioms", violation is None,
+                   str(violation) if violation else f"{len(m.base.basis)} basic opens")
+    violation = validate_pseudometric(m, depth)
+    report.add("pseudometric_axioms", violation is None,
+               str(violation) if violation else f"budget={depth}")
+    violation = validate_fiberwise_metric(m, depth)
+    report.add("fiberwise_metric", violation is None,
+               str(violation) if violation else f"budget={depth}")
 
 
 def _format_certificate(cert) -> str:
@@ -222,10 +222,10 @@ def _cmd_suite(args, _, report: Report) -> None:
         # Every point is checked, in _add_validators' order; the first
         # violation of the first validator that finds one is the detail.
         n = len(m.points())
-        violations = (validate_basis(m.base) or validate_pseudometric(m, n)
-                      or validate_fiberwise_metric(m, n))
-        if violations:
-            report.add(f"{name}[seed={seed}]", False, f"invalid instance {violations[0]}")
+        violation = (validate_basis(m.base) or validate_pseudometric(m, n)
+                     or validate_fiberwise_metric(m, n))
+        if violation:
+            report.add(f"{name}[seed={seed}]", False, f"invalid instance {violation}")
             continue
         if name == "theorem3":
             filter_side = is_complete_filter(m)

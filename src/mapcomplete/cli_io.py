@@ -117,6 +117,7 @@ def _parse_base(kind: str, obj: dict):
     path = "$.base"
     if kind == "finite":
         points = _point_list(obj["points"], path)
+        known = set(points)
         basis = obj["basis"]
         if not isinstance(basis, list):
             raise InputError("basis must be a list of lists", path=f"{path}.basis")
@@ -124,7 +125,7 @@ def _parse_base(kind: str, obj: dict):
             if not isinstance(b, list) or not all(isinstance(p, str) for p in b):
                 raise InputError("basis set must be a list of point ids", path=f"{path}.basis[{i}]")
             for p in b:
-                if p not in points:
+                if p not in known:
                     raise InputError(f"unknown base point {p!r}", path=f"{path}.basis[{i}]")
         try:
             return FiniteBase.of(points, basis)
@@ -398,6 +399,6 @@ def parse_point_spec(text: str, m: MetricMapping, depth: int) -> CompletionPoint
         seq = table_seq(m, prefix, tail, y)
     else:
         raise InputError(f"unknown point constructor {ctor!r}")
-    if tie and (violations := check_tying(seq, depth)):
-        raise InputError(f"tie claim {text!r} is false: {violations[0]}")
+    if tie and (violation := check_tying(seq, depth)):
+        raise InputError(f"tie claim {text!r} is false: {violation}")
     return CompletionPoint(seq)

@@ -491,8 +491,9 @@ def distance_matrix(m: MetricMapping, budget: int | None = None) -> DistanceMatr
     return dm
 
 
-def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
-    """Check zero diagonal, symmetry and the triangle inequality.
+def validate_pseudometric(m: MetricMapping, budget: int) -> Violation | None:
+    """Check zero diagonal, symmetry and the triangle inequality: the first
+    violation in this order, or None.
 
     Exhaustive on finite carriers; on countable carriers the check runs
     over the first ``budget`` enumerated points (deterministic, so reports
@@ -500,13 +501,13 @@ def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
     shared ``DistanceMatrix``, which is exact (see its docstring); values
     in messages print as the rationals they scale.
 
-    Violations come in this order: identity breaks by point, symmetry
-    breaks by pair, then triangle breaks by triple (i, j, k), each triple
-    checked via j, then via i, then via k. A value the evaluator rejects
-    raises its ``EvaluatorError`` from the matrix build.
+    The order: identity breaks by point, symmetry breaks by pair, then
+    triangle breaks by triple (i, j, k), each triple checked via j, then
+    via i, then via k. A value the evaluator rejects raises its
+    ``EvaluatorError`` from the matrix build.
 
     From ``_PACKED_MIN_POINTS`` points on, a matrix that passes
-    ``_no_pseudometric_break`` returns [] at once: that test decides
+    ``_no_pseudometric_break`` returns None at once: that test decides
     exactly when these loops would find nothing, and they stay the only
     reporter.
     """
@@ -516,28 +517,23 @@ def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
     pts, num = dm.points, dm.num
     n = len(pts)
     if n >= _PACKED_MIN_POINTS and _no_pseudometric_break(dm):
-        return []
-    violations: list[Violation] = []
+        return None
 
     for i, x in enumerate(pts):
         if num[i][i] != 0:
             d = dm.value(i, i)
-            violations.append(
-                Violation(
-                    "identity",
-                    f"d({x.code!r},{x.code!r}) = {format_rational(d)}, expected 0",
-                    (x.code, x.code, d),
-                )
+            return Violation(
+                "identity",
+                f"d({x.code!r},{x.code!r}) = {format_rational(d)}, expected 0",
+                (x.code, x.code, d),
             )
 
     for i, j in combinations(range(n), 2):
         if num[j][i] != num[i][j]:
-            violations.append(
-                Violation(
-                    "symmetry",
-                    f"d({pts[i].code!r},{pts[j].code!r}) != d({pts[j].code!r},{pts[i].code!r})",
-                    (pts[i].code, pts[j].code),
-                )
+            return Violation(
+                "symmetry",
+                f"d({pts[i].code!r},{pts[j].code!r}) != d({pts[j].code!r},{pts[i].code!r})",
+                (pts[i].code, pts[j].code),
             )
 
     def forward(a: int, b: int) -> str:
@@ -560,12 +556,12 @@ def validate_pseudometric(m: MetricMapping, budget: int) -> list[Violation]:
             for k in range(j + 1, n):
                 dik, djk = ri[k], rj[k]
                 if dik > dij + djk:
-                    violations.append(triangle(i, j, k))
+                    return triangle(i, j, k)
                 if djk > dij + dik:
-                    violations.append(triangle(j, i, k))
+                    return triangle(j, i, k)
                 if dij > dik + djk:
-                    violations.append(triangle(i, k, j))
-    return violations
+                    return triangle(i, k, j)
+    return None
 
 
 # The point count from which validate_pseudometric tries
@@ -576,8 +572,8 @@ _ITEM_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 def _no_pseudometric_break(dm: DistanceMatrix) -> bool:
-    """Whether ``validate_pseudometric``'s ordered loops would report
-    nothing on ``dm``, decided without building a ``Violation``. True
+    """Whether ``validate_pseudometric``'s ordered loops would find no
+    violation on ``dm``, decided without building a ``Violation``. True
     only then; False leaves the decision, and every report, to the loops.
 
     It is True when ``dm._table_rules`` holds (every entry nonnegative,
@@ -673,33 +669,32 @@ def _zero_mask(row: list) -> int:
     return mask
 
 
-def validate_fiberwise_metric(m: MetricMapping, budget: int) -> list[Violation]:
-    """Report distinct points in one fiber at distance zero.
+def validate_fiberwise_metric(m: MetricMapping, budget: int) -> Violation | None:
+    """The first pair of distinct points in one fiber at distance zero,
+    or None.
 
     Run after validate_pseudometric at the same budget; this check assumes
     the pseudometric axioms already hold, and reads the forward entries of
     the same ``DistanceMatrix``. Only a forward entry that is zero can
     report: the bits past i of the matrix's zero mask ``zero[i]``, row by
-    row, so violations come in pair order, as the pairs (i, j) sort.
+    row, so the first violation is the first such pair as the pairs
+    (i, j) sort.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
     dm = distance_matrix(m, budget)
     pts = dm.points
-    violations: list[Violation] = []
     for i, z in enumerate(dm.zero):
         for j in bit_indices(z >> (i + 1) << (i + 1)):
             x, x2 = pts[i], pts[j]
             if m.fiber_of(x) == m.fiber_of(x2):
-                violations.append(
-                    Violation(
-                        "fiberwise",
-                        f"distinct points {x.code!r} and {x2.code!r} share fiber "
-                        f"{m.fiber_of(x).id!r} at distance 0",
-                        (x.code, x2.code),
-                    )
+                return Violation(
+                    "fiberwise",
+                    f"distinct points {x.code!r} and {x2.code!r} share fiber "
+                    f"{m.fiber_of(x).id!r} at distance 0",
+                    (x.code, x2.code),
                 )
-    return violations
+    return None
 
 
 def bit_indices(mask: int) -> Iterator[int]:

@@ -197,29 +197,29 @@ def newton_sqrt_seq(m: MetricMapping, a: Fraction, y: BasePoint | None = None) -
     return TiedCauchySeq(m, RegularSeq(at), y, TyingWitness(lambda o: 1))
 
 
-def check_regularity(s: TiedCauchySeq, depth: int) -> list[Violation]:
-    """Verify d(at(m), at(n)) <= 1/m + 1/n for all 1 <= m < n <= depth."""
+def check_regularity(s: TiedCauchySeq, depth: int) -> Violation | None:
+    """Verify d(at(m), at(n)) <= 1/m + 1/n for all 1 <= m < n <= depth:
+    the first violation by m, then by n, or None."""
     if depth < 2:
         raise InputError("depth must be at least 2")
     terms = [s.at(n) for n in range(1, depth + 1)]
-    violations = []
     for i in range(depth):
         for j in range(i + 1, depth):
             mi, nj = i + 1, j + 1
             d = s.mapping.distance(terms[i], terms[j])
             if d > Fraction(1, mi) + Fraction(1, nj):
-                violations.append(
-                    Violation(
-                        "regularity",
-                        f"d(at({mi}),at({nj})) = {d} > 1/{mi} + 1/{nj}",
-                        (mi, nj, d),
-                    )
+                return Violation(
+                    "regularity",
+                    f"d(at({mi}),at({nj})) = {d} > 1/{mi} + 1/{nj}",
+                    (mi, nj, d),
                 )
-    return violations
+    return None
 
 
-def check_tying(s: TiedCauchySeq, depth: int) -> list[Violation]:
-    """Verify the tying contract on every inspectable basic open.
+def check_tying(s: TiedCauchySeq, depth: int) -> Violation | None:
+    """Verify the tying contract on every inspectable basic open: the
+    first violation, by open as the base lists them, then by index, or
+    None.
 
     The opens are those the base lists around the target for a check at
     ``depth`` (``opens_around``): all basis sets containing it on a finite
@@ -237,30 +237,23 @@ def check_tying(s: TiedCauchySeq, depth: int) -> list[Violation]:
     if not opens:
         # Nothing to check is no evidence: on the rationals every point has
         # basic opens around it, just none among the first ``depth``.
-        return [
-            Violation(
-                "depth",
-                f"no basic open around {format_id(s.y.id)} to check at depth {depth}",
-                (depth,),
-            )
-        ]
-    violations = []
+        return Violation(
+            "depth",
+            f"no basic open around {format_id(s.y.id)} to check at depth {depth}",
+            (depth,),
+        )
     for o in opens:
         try:
             start = s.tie.index_for(o)
         except WitnessError as e:
-            violations.append(Violation("witness", str(e), (describe_open(o),)))
-            continue
+            return Violation("witness", str(e), (describe_open(o),))
         for n in range(start, max(start, depth) + 1):
             fb = s.mapping.fiber_of(s.at(n))
             if not base.open_contains(o, fb):
-                violations.append(
-                    Violation(
-                        "tying",
-                        f"fiber of at({n}) is {format_id(fb.id)}, outside {describe_open(o)} "
-                        f"despite witness index {start}",
-                        (describe_open(o), n, fb.id),
-                    )
+                return Violation(
+                    "tying",
+                    f"fiber of at({n}) is {format_id(fb.id)}, outside {describe_open(o)} "
+                    f"despite witness index {start}",
+                    (describe_open(o), n, fb.id),
                 )
-                break
-    return violations
+    return None

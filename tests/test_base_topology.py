@@ -21,22 +21,22 @@ from oracles import _coarse_opens, _random_opens, all_opens_finite, basis_violat
 
 def test_validate_basis_accepts_nested_basis():
     b = FiniteBase.of(["a", "b"], [["a"], ["a", "b"]])
-    assert validate_basis(b) == []
+    assert validate_basis(b) is None
 
 
 def test_validate_basis_flags_unrepresentable_intersection():
     b = FiniteBase.of(["a", "b", "c"], [["a", "b"], ["b", "c"]])
-    report = validate_basis(b)
-    assert len(report) == 1
-    assert report[0].kind == "intersection"
-    assert report[0].witness[0] == "b"
+    violation = validate_basis(b)
+    assert violation.kind == "intersection"
+    assert violation.witness[0] == "b"
+    assert len(basis_violations_by_scan(b)) == 1
 
 
 def test_validate_basis_flags_uncovered_point():
     b = FiniteBase.of(["a"], [])
-    report = validate_basis(b)
-    assert [v.kind for v in report] == ["cover"]
-    assert report[0].witness == ("a",)
+    violation = validate_basis(b)
+    assert (violation.kind, violation.witness) == ("cover", ("a",))
+    assert [v.kind for v in basis_violations_by_scan(b)] == ["cover"]
 
 
 def test_duplicate_point_ids_are_an_input_error():
@@ -140,7 +140,7 @@ def test_rational_order_neighborhoods_shrink_arbitrarily():
 def test_validate_basis_matches_the_whole_basis_scan():
     # Valid random and coarse bases, and invalid ones: random sets never
     # closed under intersection, with some points left uncovered. Basis
-    # sets come in shuffled order, since the report follows it.
+    # sets come in shuffled order, since the first violation follows it.
     rng = random.Random(0)
     kinds = {"valid": 0}
     for trial in range(300):
@@ -153,8 +153,8 @@ def test_validate_basis_matches_the_whole_basis_scan():
             opens = {tuple(sorted(rng.sample(ys, rng.randint(1, len(ys)))))
                      for _ in range(rng.randint(0, 2 * len(ys)))}
         b = FiniteBase.of(ys, rng.sample(sorted(opens), len(opens)))
-        report = validate_basis(b)
-        assert report == basis_violations_by_scan(b), trial
+        report = basis_violations_by_scan(b)
+        assert validate_basis(b) == next(iter(report), None), trial
         kinds["valid"] += not report
         for v in report:
             kinds[v.kind] = kinds.get(v.kind, 0) + 1

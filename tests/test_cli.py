@@ -533,7 +533,7 @@ def test_cli_density_fails_when_witness_fiber_is_outside_the_open(tmp_path, caps
     argv = ["density", path, "--point", "const(x_b)@a", "--open", "a"]
     assert run_command(argv) == 2
     assert "tie claim 'const(x_b)@a' is false" in capsys.readouterr().err
-    monkeypatch.setattr(cli_io, "check_tying", lambda s, depth: [])
+    monkeypatch.setattr(cli_io, "check_tying", lambda s, depth: None)
     assert run_command(argv) == 1
     out = capsys.readouterr().out
     assert "PROP density_witness FAIL witness=x_b open={a}" in out
@@ -722,8 +722,8 @@ def test_validators_evaluate_each_ordered_pair_once(monkeypatch, interval_mappin
 
     m = dataclasses.replace(interval_mapping, dist_kind="custom")
     calls = _count_distance_calls(monkeypatch)
-    assert validate_pseudometric(m, 64) == []
-    assert validate_fiberwise_metric(m, 64) == []
+    assert validate_pseudometric(m, 64) is None
+    assert validate_fiberwise_metric(m, 64) is None
     assert len(calls) == 64 + 2 * (64 * 63 // 2)
 
 

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from mapcomplete.cli import run_command
+from mapcomplete.cli_io import _parse_base
 
 FINITE = {
     "base": {"kind": "finite", "points": ["a", "b"], "basis": [["a"], ["a", "b"]]},
@@ -333,3 +334,28 @@ def test_malformed_document_exits_2_with_its_error_line(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ERROR {line}\n"
+
+
+class _CountedId(str):
+    """A point id that counts the equality tests made on it."""
+
+    compared = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        _CountedId.compared += 1
+        return str.__eq__(self, other)
+
+
+def test_basis_ids_are_looked_up_not_scanned():
+    # Each basis id is an object of its own, so each lookup tests equality
+    # once in a set of the base points, and about n/2 times in a scan of
+    # their list: about n^2/2 tests for a basis set holding every point.
+    n = 400
+    points = [_CountedId(f"y{i}") for i in range(n)]
+    basis = [[_CountedId(f"y{i}") for i in range(n)]]
+    _CountedId.compared = 0
+    base = _parse_base("finite", {"points": points, "basis": basis})
+    # FiniteBase.of looks each id up once more.
+    assert _CountedId.compared <= 2 * n
+    assert base.basis == (tuple(sorted(points)),)

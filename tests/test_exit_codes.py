@@ -129,6 +129,22 @@ def _run(argv) -> int:
     return code
 
 
+def _loads(doc) -> bool:
+    try:
+        parse_instance(json.dumps(doc))
+    except InputError:
+        return False
+    return True
+
+
+# Unmutated documents over a finite base and a finite carrier that load:
+# a density example on one of them, with a point of its carrier, reaches
+# the --open checks.
+OPEN_DOCUMENTS = sorted(name for name, doc in DOCUMENTS.items()
+                        if doc["base"]["kind"] == doc["carrier"]["kind"] == "finite"
+                        and _loads(doc))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rnd=st.randoms(use_true_random=False))
@@ -136,24 +152,36 @@ def test_every_document_command_exits_0_1_or_2(tmp_path, rnd):
     doc = DOCUMENTS[rnd.choice(sorted(DOCUMENTS))]
     if rnd.random() < 0.75:
         doc = _mutate(doc, rnd)
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    tokens = _tokens(doc)
     command = rnd.choice(
         ["validate", "dstar", "density", "complete-check", "complete-construct", "limit-demo"]
     )
+    # A share of density examples take a document, a point and an --eps
+    # that are valid, and draw only their --open ids: from the base's own
+    # ids, an unknown one and one with a line break.
+    open_only = command == "density" and rnd.random() < 0.3
+    if open_only:
+        doc = DOCUMENTS[rnd.choice(OPEN_DOCUMENTS)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tokens = _tokens(doc)
     argv = [command, str(path), "--depth", DEPTH]
-    if command in ("dstar", "density", "limit-demo"):
-        # Most examples give the count of specs the command needs, and
-        # below a valid --eps, so they get past argparse to the document.
-        needed = 2 if command == "dstar" else 1
-        for _ in range(needed if rnd.random() < 0.8 else rnd.randint(0, 2)):
-            argv += ["--point", _spec(rnd, tokens)]
-    if command in ("dstar", "density"):
-        bad_eps = rnd.random() >= 0.8
-        argv += ["--eps", rnd.choice(["0", "x"] if bad_eps else ["1/1000", "1/3"])]
-    if command == "density" and rnd.random() < 0.5:
-        argv += ["--open", ",".join(rnd.choices(tokens + ["zz", "a\nb"], k=rnd.randint(0, 2)))]
+    if open_only:
+        ids = doc["base"]["points"] + ["zz", "a\nb"]
+        argv += ["--point", f"const({rnd.choice(doc['carrier']['points'])})", "--eps", "1/1000",
+                 "--open", ",".join(rnd.choices(ids, k=rnd.randint(1, 2)))]
+    else:
+        if command in ("dstar", "density", "limit-demo"):
+            # Most examples give the count of specs the command needs, and
+            # below a valid --eps, so they get past argparse to the document.
+            needed = 2 if command == "dstar" else 1
+            for _ in range(needed if rnd.random() < 0.8 else rnd.randint(0, 2)):
+                argv += ["--point", _spec(rnd, tokens)]
+        if command in ("dstar", "density"):
+            bad_eps = rnd.random() >= 0.8
+            argv += ["--eps", rnd.choice(["0", "x"] if bad_eps else ["1/1000", "1/3"])]
+        if command == "density" and rnd.random() < 0.5:
+            argv += ["--open", ",".join(rnd.choices(tokens + ["zz", "a\nb"],
+                                                    k=rnd.randint(0, 2)))]
     assert _run(argv) in (0, 1, 2)
 
 

@@ -1,10 +1,11 @@
 """The packed "no pseudometric break" test in front of the ordered loops.
 
-``validate_pseudometric`` returns [] at once when ``_no_pseudometric_break``
+``validate_pseudometric`` returns None at once when ``_no_pseudometric_break``
 says the loops would find nothing, so that test is a second way to a PASS.
 Every case here compares it with the loops (run alone by raising the
 cut-over) and with the Fraction oracle, which never calls the package's
-validators.
+validators: the loops answer with the oracle's first violation, and what
+a case asserts about later violations it asserts on the oracle's list.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _mapping(num: list[list[int]]) -> MetricMapping:
     )
 
 
-def _loops(m: MetricMapping) -> list:
+def _loops(m: MetricMapping):
     """validate_pseudometric with the packed test out of reach."""
     n = len(m.points())
     with pytest.MonkeyPatch.context() as mp:
@@ -59,15 +60,17 @@ def _packed(num: list[list[int]]) -> bool:
 
 
 def _check(num: list[list[int]]) -> list:
-    """The loops' report on ``num``, after asserting that the packed test,
-    validate_pseudometric and the oracle all agree with it."""
+    """The oracle's violations on ``num``, after asserting that the loops
+    and validate_pseudometric give the first of them, and the packed test
+    True exactly when there is none."""
     m = _mapping(num)
-    loops = _loops(m)
-    assert loops == pseudometric_violations(m, len(num))
-    assert _no_pseudometric_break(distance_matrix(m)) is (loops == [])
-    assert _packed(num) is (loops == [])
-    assert validate_pseudometric(m, len(num)) == loops
-    return loops
+    oracle = pseudometric_violations(m, len(num))
+    first = next(iter(oracle), None)
+    assert _loops(m) == first
+    assert _no_pseudometric_break(distance_matrix(m)) is (first is None)
+    assert _packed(num) is (first is None)
+    assert validate_pseudometric(m, len(num)) == first
+    return oracle
 
 
 def _symmetric(n: int, entry) -> list[list[int]]:
@@ -106,9 +109,9 @@ def test_the_cut_over_keeps_small_matrices_on_the_loops(monkeypatch):
                         lambda dm: calls.append(len(dm.num)) or True)
     for n in (6, CUT - 1):
         m = stress_instance(1, n, 4)
-        assert validate_pseudometric(m, n) == []
+        assert validate_pseudometric(m, n) is None
     assert calls == []
-    assert validate_pseudometric(stress_instance(1, CUT, 4), CUT) == []
+    assert validate_pseudometric(stress_instance(1, CUT, 4), CUT) is None
     assert calls == [CUT]
 
 

@@ -29,8 +29,8 @@ def test_const_seq_defaults(sierpinski, by_code):
     assert s.at(1) == s.at(100) == x_a
     assert s.y == BasePoint("a")
     assert s.tie.index_for(("a",)) == 1
-    assert check_regularity(s, 16) == []
-    assert check_tying(s, 16) == []
+    assert check_regularity(s, 16) is None
+    assert check_tying(s, 16) is None
 
 
 def test_const_seq_rejects_foreign_point(sierpinski):
@@ -40,7 +40,7 @@ def test_const_seq_rejects_foreign_point(sierpinski):
 
 def test_newton_regularity_depth_32(interval_mapping):
     s = newton_sqrt_seq(interval_mapping, Fraction(2))
-    assert check_regularity(s, 32) == []
+    assert check_regularity(s, 32) is None
 
 
 def test_newton_terms_approach_the_oracle_interval(interval_mapping):
@@ -114,7 +114,7 @@ def test_harmonic_sequence_is_regular(unit_interval_identity):
         BasePoint(Fraction(0)),
         TyingWitness(lambda o: frac_ceil(1 / o.hi)),
     )
-    assert check_regularity(s, 64) == []
+    assert check_regularity(s, 64) is None
 
 
 def test_alternating_sequence_violates_first_at_2_3():
@@ -130,14 +130,12 @@ def test_alternating_sequence_violates_first_at_2_3():
         BasePoint("a"),
         TyingWitness(lambda o: 1),
     )
-    report = check_regularity(s, 8)
-    assert report
-    assert report[0].witness[:2] == (2, 3)
+    assert check_regularity(s, 8).witness[:2] == (2, 3)
 
 
 def test_tying_const_on_both_opens(sierpinski, by_code):
     s = const_seq(sierpinski, by_code(sierpinski, "x_a"))
-    assert check_tying(s, 12) == []
+    assert check_tying(s, 12) is None
 
 
 def test_tying_cross_fiber_claim_holds_on_nested_basis(incomplete_instance, by_code):
@@ -145,14 +143,15 @@ def test_tying_cross_fiber_claim_holds_on_nested_basis(incomplete_instance, by_c
     # {a, b}, and the fiber b lies inside it.
     x_b = by_code(incomplete_instance, "x_b")
     s = const_seq(incomplete_instance, x_b, BasePoint("a"))
-    assert check_tying(s, 12) == []
+    assert check_tying(s, 12) is None
 
 
 def test_tying_cross_fiber_claim_fails_on_discrete_basis(sierpinski_discrete, by_code):
     x_b = by_code(sierpinski_discrete, "x_b")
     s = const_seq(sierpinski_discrete, x_b, BasePoint("a"))
-    report = check_tying(s, 12)
-    assert [v.kind for v in report] == ["tying"]
+    assert sierpinski_discrete.base.opens_around(BasePoint("a"), 12) == [("a",)]
+    violation = check_tying(s, 12)
+    assert (violation.kind, violation.witness[0]) == ("tying", "{a}")
 
 
 def test_table_seq_tie_scan(sierpinski, by_code):
@@ -162,7 +161,7 @@ def test_table_seq_tie_scan(sierpinski, by_code):
     # {a} only contains the tail fiber; {a,b} contains everything
     assert s.tie.index_for(("a",)) == 3
     assert s.tie.index_for(("a", "b")) == 1
-    assert check_tying(s, 16) == []
+    assert check_tying(s, 16) is None
 
 
 def test_table_seq_rejects_irregular_prefix(interval_mapping):
@@ -175,8 +174,8 @@ def test_table_seq_rejects_irregular_prefix(interval_mapping):
 def test_table_seq_witness_errors_on_unreachable_open(sierpinski_discrete, by_code):
     x_b = by_code(sierpinski_discrete, "x_b")
     s = table_seq(sierpinski_discrete, [], x_b, BasePoint("a"))
-    report = check_tying(s, 8)
-    assert [v.kind for v in report] == ["witness"]
+    violation = check_tying(s, 8)
+    assert (violation.kind, violation.witness) == ("witness", ("{a}",))
 
 
 def test_tying_on_rational_order_base(unit_interval_identity):
@@ -187,10 +186,12 @@ def test_tying_on_rational_order_base(unit_interval_identity):
         BasePoint(Fraction(0)),
         TyingWitness(lambda o: frac_ceil(1 / o.hi) + 1),
     )
-    assert check_tying(honest, 40) == []
+    assert check_tying(honest, 40) is None
     lying = TiedCauchySeq(m, honest.seq, BasePoint(Fraction(0)), TyingWitness(lambda o: 1))
-    report = check_tying(lying, 40)
-    assert report and all(v.kind == "tying" for v in report)
+    # (-1,1), listed first around 0, holds every term; (-1/2,1/2), listed
+    # second, is the first to miss at(1) = 1/2.
+    violation = check_tying(lying, 40)
+    assert (violation.kind, violation.witness) == ("tying", ("(-1/2,1/2)", 1, Fraction(1, 2)))
 
 
 def test_memoized_sequences_are_thread_transparent(interval_mapping):
